@@ -20,7 +20,9 @@ import numpy as np
 from . import games
 from .errors import ConfigError, NotReadyError
 from .games import TrueRatings, WinMatrix
-from .metrics import hit_ratio_at_k, instant_regret, ndcg_at_k, reciprocal_rank
+from .metrics import RankScorer, instant_regret
+# Re-exported: perfbench/tracer.py looks the per-metric functions up here.
+from .metrics import hit_ratio_at_k, ndcg_at_k, reciprocal_rank  # noqa: F401
 from .ratings import RatingState
 from .schedulers import MatchEnv, SchedulerConfig, make_scheduler
 
@@ -222,11 +224,8 @@ class RunSummary:
         }
 
 
-def _metric_snapshot(truth: TrueRatings, est: RatingState, ks):
-    rr = reciprocal_rank(truth, est)
-    hr = tuple(hit_ratio_at_k(truth, est, k) for k in ks)
-    ndcg = tuple(ndcg_at_k(truth, est, k) for k in ks)
-    return rr, hr, ndcg
+def _metric_snapshot(scorer: RankScorer, est: RatingState):
+    return scorer.score(est.r)
 
 
 def run_replicate(cfg: RunConfig, matrix: WinMatrix, truth: TrueRatings,
@@ -240,6 +239,7 @@ def run_replicate(cfg: RunConfig, matrix: WinMatrix, truth: TrueRatings,
     scheduler = make_scheduler(cfg.n, cfg.scheduler_config(), sched_rng)
     tau = scheduler.config.tau
     zero_est = RatingState(r=np.zeros(cfg.n))
+    scorer = RankScorer(truth, cfg.ks)
     rows = []
     cum = 0.0
     for t in range(1, cfg.T + 1):
@@ -250,7 +250,7 @@ def run_replicate(cfg: RunConfig, matrix: WinMatrix, truth: TrueRatings,
             est = scheduler.estimate()
         except NotReadyError:
             est = zero_est
-        rr, hr, ndcg = _metric_snapshot(truth, est, cfg.ks)
+        rr, hr, ndcg = _metric_snapshot(scorer, est)
         rows.append(TraceRow(t=t, x=x, y=y, outcome=o, instant_regret=reg,
                              cum_regret=cum, rr=rr, hr=hr, ndcg=ndcg,
                              warmup=t <= tau))

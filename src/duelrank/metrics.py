@@ -17,17 +17,7 @@ def instant_regret(truth: TrueRatings, x: int, y: int) -> float:
 
 def ranking(values: np.ndarray) -> list[int]:
     """Player indices in descending value order, ties broken by low index."""
-    order = sorted(range(len(values)), key=lambda i: (-values[i], i))
-    return order
-
-
-def reciprocal_rank(truth: TrueRatings, est: RatingState) -> float:
-    order = ranking(np.asarray(est.r))
-    return 1.0 / (order.index(truth.best) + 1)
-
-
-def _top_k(values: np.ndarray, k: int) -> set[int]:
-    return set(ranking(values)[:k])
+    return np.argsort(-np.asarray(values), kind="stable").tolist()
 
 
 def _check_k(k: int, n: int) -> None:
@@ -35,23 +25,58 @@ def _check_k(k: int, n: int) -> None:
         raise InvalidParameterError(f"k must be in [1, {n}], got {k}")
 
 
+class RankScorer:
+    """RR, HR@k and NDCG@k of estimates against one fixed truth.
+
+    The truth side (best player, true top-k sets, discounts and NDCG
+    normalizers) is computed once; each ``score`` call ranks the
+    estimate once and reads every metric off that ranking.
+    """
+
+    def __init__(self, truth: TrueRatings, ks=()):
+        n = len(truth.r_star)
+        for k in ks:
+            _check_k(k, n)
+        self.best = truth.best
+        self.ks = tuple(ks)
+        true_order = ranking(truth.r_star) if self.ks else []
+        self.true_tops = [set(true_order[:k]) for k in self.ks]
+        discounts = [1.0 / np.log2(np.arange(2, k + 2)) for k in self.ks]
+        self.discounts = [d.tolist() for d in discounts]
+        self.norms = [float(d.sum()) for d in discounts]
+
+    def score(self, r) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
+        """(rr, hr@ks, ndcg@ks) of the estimate ``r``.
+
+        NDCG uses binary relevance (a predicted player is relevant iff it
+        is in the true top-k) and base-2 log discounts, normalized by the
+        DCG of a perfect ranking.
+        """
+        order = ranking(r)
+        rr = 1.0 / (order.index(self.best) + 1)
+        hr, ndcg = [], []
+        for k, top, disc, norm in zip(self.ks, self.true_tops,
+                                      self.discounts, self.norms):
+            head = order[:k]
+            hr.append(len(top.intersection(head)) / k)
+            dcg = sum(disc[i] for i, p in enumerate(head) if p in top)
+            ndcg.append(float(dcg / norm))
+        return rr, tuple(hr), tuple(ndcg)
+
+
+def reciprocal_rank(truth: TrueRatings, est: RatingState) -> float:
+    return RankScorer(truth).score(est.r)[0]
+
+
 def hit_ratio_at_k(truth: TrueRatings, est: RatingState, k: int) -> float:
     """Fraction of the predicted top-k inside the true top-k."""
-    _check_k(k, len(truth.r_star))
-    true_top = _top_k(truth.r_star, k)
-    pred_top = _top_k(np.asarray(est.r), k)
-    return len(true_top & pred_top) / k
+    return RankScorer(truth, (k,)).score(est.r)[1][0]
 
 
 def ndcg_at_k(truth: TrueRatings, est: RatingState, k: int) -> float:
     """Discounted top-k quality with binary relevance, base-2 logs.
 
-    Relevance of a predicted player is 1 iff it belongs to the true
-    top-k; the normalizer makes a perfect ranking score exactly 1.
+    A perfect top-k is meant to score exactly 1; for k >= 8 the
+    sequential DCG and numpy's pairwise normalizer still differ by an ulp.
     """
-    _check_k(k, len(truth.r_star))
-    true_top = _top_k(truth.r_star, k)
-    order = ranking(np.asarray(est.r))
-    discounts = 1.0 / np.log2(np.arange(2, k + 2))
-    dcg = sum(discounts[i] for i in range(k) if order[i] in true_top)
-    return float(dcg / discounts.sum())
+    return RankScorer(truth, (k,)).score(est.r)[2][0]

@@ -219,6 +219,16 @@ def mle_fit(history, n: int, ridge: float = 1e-4,
         np.add.at(g, ys, delta)
         return g + ridge * r
 
+    def hessian(r):
+        w = sigmoid(r[xs] - r[ys])
+        w = w * (1.0 - w)
+        hess = ridge * np.eye(n)
+        np.add.at(hess, (xs, xs), w)
+        np.add.at(hess, (ys, ys), w)
+        np.add.at(hess, (xs, ys), -w)
+        np.add.at(hess, (ys, xs), -w)
+        return hess
+
     r = np.zeros(n)
     for _ in range(max_iter):
         # centering never increases the objective (data term is
@@ -227,20 +237,21 @@ def mle_fit(history, n: int, ridge: float = 1e-4,
         g = gradient(r)
         if np.linalg.norm(g) <= tol:
             return RatingState(r=r)
-        w = sigmoid(r[xs] - r[ys])
-        w = w * (1.0 - w)
-        hess = ridge * np.eye(n)
-        np.add.at(hess, (xs, xs), w)
-        np.add.at(hess, (ys, ys), w)
-        np.add.at(hess, (xs, ys), -w)
-        np.add.at(hess, (ys, xs), -w)
-        step = np.linalg.solve(hess, g)
+        step = np.linalg.solve(hessian(r), g)
         f0 = objective(r)
         scale = 1.0
         while objective(r - scale * step) > f0 and scale > 1e-12:
             scale *= 0.5
         r = r - scale * step
     r = r - r.mean()
-    if np.linalg.norm(gradient(r)) <= tol:
+    g = gradient(r)
+    if np.linalg.norm(g) <= tol:
+        return RatingState(r=r)
+    # Near the optimum the decrease Newton still predicts, g'H^-1 g / 2,
+    # can fall below the objective's rounding; the line search then sees
+    # no change and |g| stalls just above tol. Such r is as good as the
+    # objective can tell apart.
+    decrement = 0.5 * float(g @ np.linalg.solve(hessian(r), g))
+    if decrement <= 4.0 * np.finfo(float).eps * abs(objective(r)):
         return RatingState(r=r)
     raise SolverError("MLE did not converge", last_iterate=r)

@@ -160,6 +160,39 @@ class TestBruteForceOracle:
             assert abs(hit_ratio_at_k(truth, est, k) - hr) <= 1e-12
             assert abs(ndcg_at_k(truth, est, k) - ndcg) <= 1e-12
 
+    @staticmethod
+    def tie_heavy_estimates(n, rng):
+        """Estimates whose ranking is decided by the low-index tie-break."""
+        yield np.zeros(n)    # the warmup estimate every pre-tau row uses
+        for _ in range(30):
+            yield rng.integers(-2, 3, size=n).astype(float)
+        for _ in range(30):
+            yield rng.choice([0.0, -0.0], size=n)
+        for _ in range(30):
+            yield rng.choice([0.0, -0.0, 1.0, -1.0], size=n)
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 20])
+    def test_tie_heavy_estimates(self, n):
+        rng = np.random.default_rng(n)
+        truths = [truth_from(rng.normal(size=n)),
+                  truth_from(rng.integers(0, 3, size=n).astype(float))]
+        for truth in truths:
+            for r in self.tie_heavy_estimates(n, rng):
+                est = RatingState(r=r)
+                for k in range(1, n + 1):
+                    rr, hr, ndcg = ref_metrics(truth, est, k)
+                    assert reciprocal_rank(truth, est) == rr
+                    assert hit_ratio_at_k(truth, est, k) == hr
+                    assert abs(ndcg_at_k(truth, est, k) - ndcg) <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="sequential DCG and numpy's pairwise "
+                   "normalizer round differently for k >= 8")
+def test_perfect_ndcg_is_exactly_one():
+    truth = truth_from(np.arange(20, 0.0, -1.0))
+    est = RatingState(r=truth.r_star.copy())
+    assert [ndcg_at_k(truth, est, k) for k in range(8, 21)] == [1.0] * 13
+
 
 @given(shift=st.floats(-100, 100), seed=st.integers(0, 100))
 @settings(max_examples=50, deadline=None)

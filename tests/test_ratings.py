@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duelrank import ratings
-from duelrank.errors import ConfigError, ContractViolationError
+from duelrank.errors import ConfigError, ContractViolationError, SolverError
 from duelrank.ratings import (
     BatchBuffer,
     RatingState,
@@ -336,3 +336,45 @@ class TestMleFit:
     def test_ridge_required(self):
         with pytest.raises(ConfigError):
             mle_fit([(0, 1, 1)], 2, ridge=0.0)
+
+    # Warmup history of MaxIn on the elo game with matrix seed
+    # 2027067442001 (n=20, tau=80, replicate 1). Newton's remaining
+    # predicted decrease there is below one ulp of the objective, so the
+    # line search cannot move and |g| stalls near 7e-8, above the 1e-8
+    # tolerance.
+    STALL_HISTORY = [
+        (8, 9, 1), (5, 10, 1), (11, 17, 1), (9, 16, 0), (0, 19, 1),
+        (11, 18, 1), (0, 5, 0), (5, 13, 1), (13, 14, 0), (1, 16, 1),
+        (8, 10, 1), (0, 12, 0), (6, 11, 0), (5, 14, 1), (2, 12, 0),
+        (2, 16, 1), (2, 15, 1), (1, 7, 0), (9, 16, 0), (2, 8, 0),
+        (3, 6, 1), (4, 8, 0), (4, 18, 1), (2, 11, 0), (2, 13, 1),
+        (5, 19, 1), (11, 17, 1), (1, 16, 0), (15, 17, 0), (3, 18, 0),
+        (18, 19, 0), (4, 12, 1), (0, 11, 1), (6, 16, 1), (3, 14, 0),
+        (9, 17, 0), (0, 19, 0), (4, 16, 1), (1, 18, 0), (11, 15, 0),
+        (2, 7, 0), (13, 15, 0), (12, 19, 1), (10, 18, 1), (8, 19, 1),
+        (15, 17, 1), (1, 6, 0), (11, 18, 1), (1, 3, 1), (11, 14, 1),
+        (15, 16, 1), (1, 18, 1), (6, 16, 0), (0, 6, 1), (3, 9, 0),
+        (6, 11, 0), (11, 18, 0), (2, 4, 1), (7, 18, 1), (6, 17, 1),
+        (4, 16, 0), (4, 16, 1), (13, 19, 1), (13, 17, 0), (2, 19, 1),
+        (4, 18, 0), (3, 8, 0), (4, 12, 0), (8, 19, 1), (1, 10, 1),
+        (1, 17, 1), (0, 3, 1), (0, 12, 0), (2, 9, 1), (7, 13, 1),
+        (6, 12, 0), (3, 13, 0), (0, 12, 1), (0, 17, 0), (17, 18, 1),
+    ]
+
+    def test_accepts_optimum_below_objective_rounding(self):
+        h = self.STALL_HISTORY
+        out = mle_fit(h, 20, ridge=2.0)
+        xs, ys = np.array(h)[:, 0], np.array(h)[:, 1]
+        delta = np.array(h)[:, 2] - 1 / (1 + np.exp(-(out.r[xs] - out.r[ys])))
+        g = np.zeros(20)
+        np.subtract.at(g, xs, delta)
+        np.add.at(g, ys, delta)
+        g += 2.0 * out.r
+        # the ridge makes the objective 2-strongly convex, so this puts
+        # out.r within 5e-8 of the optimum
+        assert np.linalg.norm(g) <= 1e-7
+        assert out.r.mean() == pytest.approx(0.0, abs=1e-12)
+
+    def test_still_raises_far_from_optimum(self):
+        with pytest.raises(SolverError):
+            mle_fit(self.STALL_HISTORY, 20, ridge=2.0, max_iter=1)
