@@ -64,8 +64,7 @@ class RunConfig:
             algo=self.algo, T=self.T, tau=self.tau, gamma=self.gamma,
             gamma_mode=self.gamma_mode, alpha=self.alpha, eta0=self.eta0,
             k=self.k, melo=self.melo, delta=self.delta,
-            lambda_ridge=self.lambda_ridge, ridge=self.ridge,
-            clip_eps=self.clip_eps, c1=self.c1, seed=self.seed)
+            lambda_ridge=self.lambda_ridge, ridge=self.ridge, c1=self.c1)
 
     def digest(self) -> str:
         items = []

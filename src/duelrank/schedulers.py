@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NotReadyError
+from .errors import ConfigError, ContractViolationError, NotReadyError
 from .games import WinMatrix, sample_outcome
 from .ratings import (
     BatchBuffer,
@@ -47,9 +47,7 @@ class SchedulerConfig:
     n_max_per_pair: int = 200       # RG-UCB per-pair sample cap
     lambda_ridge: float = 1.0
     ridge: float = 1e-4             # MLE regularization
-    clip_eps: float = 1e-3
     c1: float = 0.25                # link-derivative bound for gamma schedule
-    seed: int = 0
 
     def resolve(self, n: int) -> "SchedulerConfig":
         """Fill n-dependent defaults and validate."""
@@ -243,6 +241,10 @@ class _WarmupScheduler(Scheduler):
         self.tracker = DesignTracker(n, self.config.lambda_ridge)
         self.history: list[tuple[int, int, int]] = []
         self.warmed_up = False
+        self._omega = omega(self.config.k)
+        # flat indices of u[x, y] for x < y, in the same order as self.pairs
+        iu, ju = np.triu_indices(n, 1)
+        self._iu, self._ju, self._flat = iu, ju, iu * n + ju
 
     def _warmup_step(self, env):
         x, y = self.uniform_pair()
@@ -257,26 +259,39 @@ class _WarmupScheduler(Scheduler):
     def _finish_warmup(self):
         raise NotImplementedError
 
-    def _candidate_set(self, r: np.ndarray, c: np.ndarray | None,
-                       gamma: float) -> list[int]:
+    def _candidate_mask(self, u: np.ndarray, r: np.ndarray,
+                        c: np.ndarray | None, gamma: float) -> np.ndarray:
         """Players not confidently dominated under the optimistic score."""
-        u = self.tracker.uncertainty_matrix()
         h = r[:, None] - r[None, :] + gamma * u
         if c is not None:
-            h = h + c @ omega(self.config.k) @ c.T
+            h = h + c @ self._omega @ c.T
         np.fill_diagonal(h, np.inf)
-        return [int(x) for x in np.nonzero(h.min(axis=1) > 0.0)[0]]
+        return h.min(axis=1) > 0.0
 
-    def _max_uncertainty_pair(self, cand: list[int]) -> tuple[int, int]:
-        if len(cand) == 1:
-            return cand[0], cand[0]
+    def _select_pair(self, u: np.ndarray,
+                     mask: np.ndarray) -> tuple[int, int]:
+        """The candidate pair x < y of largest u[x, y], lowest pair on ties.
+
+        A single candidate x gives the self-pair (x, x).
+        """
+        size = np.count_nonzero(mask)
+        if size == 0:
+            raise ContractViolationError(
+                "empty candidate set: every player is dominated (non-finite "
+                "ratings, or a cyclic term larger than gamma * u)")
+        if size == 1:
+            x = int(np.argmax(mask))
+            return x, x
+        vals = u.take(self._flat)
+        if size < self.n:
+            vals = np.where(mask[self._iu] & mask[self._ju], vals, -1.0)
+        return self.pairs[int(np.argmax(vals))]
+
+    def _select(self, r: np.ndarray, c: np.ndarray | None,
+                gamma: float) -> tuple[int, int]:
+        """One round's pair from one uncertainty matrix."""
         u = self.tracker.uncertainty_matrix()
-        best_pair, best_val = None, -1.0
-        for i, x in enumerate(cand):
-            for y in cand[i + 1:]:
-                if u[x, y] > best_val:
-                    best_pair, best_val = (x, y), u[x, y]
-        return best_pair
+        return self._select_pair(u, self._candidate_mask(u, r, c, gamma))
 
     def _gamma(self) -> float:
         cfg = self.config
@@ -294,6 +309,11 @@ class MaxInScheduler(_WarmupScheduler):
     eta0/(alpha*j) at batch j; the reported estimate is the average of
     SGD iterates. With use_melo, cyclic feature vectors are learned by
     the same batch gradients, unprojected.
+
+    Every post-warmup round selects afresh, self-pair rounds included.
+    Holding a self-pair instead would skip that work, but it makes a
+    run's cost depend on how early its candidate set collapses to one
+    player, which varies several-fold from one game matrix to the next.
     """
 
     def __init__(self, n, config, rng, use_melo: bool = False):
@@ -329,9 +349,7 @@ class MaxInScheduler(_WarmupScheduler):
         self.t += 1
         if not self.warmed_up:
             return self._warmup_step(env)
-        cand = self._candidate_set(self.sgd.r_bar, self.sgd.c_bar,
-                                   self._gamma())
-        x, y = self._max_uncertainty_pair(cand)
+        x, y = self._select(self.sgd.r_bar, self.sgd.c_bar, self._gamma())
         o = env.play(x, y)
         if x != y:  # self-pairs carry zero information
             self.buffer.append(x, y, o)
@@ -370,8 +388,7 @@ class MaxInPScheduler(_WarmupScheduler):
         if not self.warmed_up:
             return self._warmup_step(env)
         self.mle_state = mle_fit(self.history, self.n, ridge=self.config.ridge)
-        cand = self._candidate_set(self.mle_state.r, None, self._gamma())
-        x, y = self._max_uncertainty_pair(cand)
+        x, y = self._select(self.mle_state.r, None, self._gamma())
         o = env.play(x, y)
         self.history.append((x, y, o))
         if x != y:

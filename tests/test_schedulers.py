@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from duelrank import games
-from duelrank.errors import ConfigError, NotReadyError
+from duelrank.errors import ConfigError, ContractViolationError, NotReadyError
 from duelrank.schedulers import (
     DbgdScheduler,
     MatchEnv,
@@ -113,6 +113,18 @@ class TestWarmup:
         np.testing.assert_array_equal(sched.estimate().r, sched.sgd.center)
 
 
+def mask_of(members, n):
+    mask = np.zeros(n, dtype=bool)
+    mask[list(members)] = True
+    return mask
+
+
+def candidates(sched, r, c, gamma):
+    """The candidate set S as a sorted list of players."""
+    u = sched.tracker.uncertainty_matrix()
+    return [int(x) for x in np.flatnonzero(sched._candidate_mask(u, r, c, gamma))]
+
+
 class TestCandidateSet:
     def _warm(self, n, **kw):
         sched = build("maxin_elo", n, T=1000, tau=kw.pop("tau", 3), **kw)
@@ -123,7 +135,7 @@ class TestCandidateSet:
 
     def test_tiny_gamma_excludes_weak(self):
         sched = self._warm(2)
-        cand = sched._candidate_set(np.array([1.0, 0.0]), None, gamma=1e-9)
+        cand = candidates(sched, np.array([1.0, 0.0]), None, gamma=1e-9)
         assert cand == [0]
 
     def test_large_gamma_includes_all(self):
@@ -132,11 +144,11 @@ class TestCandidateSet:
         u_min = sched.tracker.uncertainty_matrix()
         u_min = u_min[u_min > 0].min()
         gamma = (r.max() - r.min()) / u_min + 1.0
-        assert sched._candidate_set(r, None, gamma) == [0, 1, 2, 3]
+        assert candidates(sched, r, None, gamma) == [0, 1, 2, 3]
 
     def test_all_equal_ratings(self):
         sched = self._warm(5)
-        cand = sched._candidate_set(np.zeros(5), None, gamma=0.3)
+        cand = candidates(sched, np.zeros(5), None, gamma=0.3)
         assert cand == [0, 1, 2, 3, 4]
 
     def test_argmax_always_inside(self):
@@ -144,7 +156,7 @@ class TestCandidateSet:
         sched = self._warm(6)
         for _ in range(100):
             r = rng.normal(size=6)
-            cand = sched._candidate_set(r, None, gamma=float(rng.uniform(0.05, 2)))
+            cand = candidates(sched, r, None, gamma=float(rng.uniform(0.05, 2)))
             assert cand, "candidate set must never be empty"
             assert int(np.argmax(r)) in cand
 
@@ -163,6 +175,11 @@ class TestCandidateSet:
         h = r[:, None] - r[None, :] + c @ omega(2) @ c.T + gamma * u
         np.testing.assert_allclose(h + h.T, 2 * gamma * u, atol=1e-12)
 
+    def test_nan_ratings_are_a_contract_violation(self):
+        sched = self._warm(5)
+        with pytest.raises(ContractViolationError):
+            sched._select(np.full(5, np.nan), None, 1.0)
+
 
 class TestSelectPair:
     def _warm_even(self, n):
@@ -171,20 +188,85 @@ class TestSelectPair:
         sched.tracker.__init__(n, 1.0)
         return sched
 
+    def _pair(self, sched, members):
+        u = sched.tracker.uncertainty_matrix()
+        return sched._select_pair(u, mask_of(members, sched.n))
+
     def test_fresh_tie_break(self):
         sched = self._warm_even(3)
-        assert sched._max_uncertainty_pair([0, 1, 2]) == (0, 1)
+        assert self._pair(sched, [0, 1, 2]) == (0, 1)
 
     def test_singleton_returns_self_pair(self):
         sched = self._warm_even(6)
-        assert sched._max_uncertainty_pair([5]) == (5, 5)
+        assert self._pair(sched, [5]) == (5, 5)
 
     def test_heavily_sampled_pair_avoided(self):
         sched = self._warm_even(3)
         for _ in range(25):
             sched.tracker.update(0, 1)
-        x, y = sched._max_uncertainty_pair([0, 1, 2])
+        x, y = self._pair(sched, [0, 1, 2])
         assert 2 in (x, y)
+
+    def test_empty_mask_is_a_contract_violation(self):
+        sched = self._warm_even(4)
+        with pytest.raises(ContractViolationError):
+            self._pair(sched, [])
+
+
+def reference_pair(u, r, c, omega_k, gamma):
+    """The candidate list and strict-`>` double loop the selection replaced.
+
+    Returns None for an empty candidate set.
+    """
+    h = r[:, None] - r[None, :] + gamma * u
+    if c is not None:
+        h = h + c @ omega_k @ c.T
+    np.fill_diagonal(h, np.inf)
+    cand = [int(x) for x in np.nonzero(h.min(axis=1) > 0.0)[0]]
+    if len(cand) == 1:
+        return cand[0], cand[0]
+    best_pair, best_val = None, -1.0
+    for i, x in enumerate(cand):
+        for y in cand[i + 1:]:
+            if u[x, y] > best_val:
+                best_pair, best_val = (x, y), u[x, y]
+    return best_pair
+
+
+class TestSelectionOracle:
+    TRIALS = 60
+
+    @pytest.mark.parametrize("algo", ["maxin_elo", "maxin_melo"])
+    @pytest.mark.parametrize("n", [2, 3, 5, 20, 100])
+    def test_matches_reference_loop(self, n, algo):
+        from duelrank.ratings import omega
+        rng = np.random.default_rng(1000 * n + len(algo))
+        sched = build(algo, n, T=1000, tau=1, k=2)
+        omega_k = omega(sched.config.k)
+        sizes = set()
+        for trial in range(self.TRIALS):
+            # trial 0 keeps a fresh tracker, where every uncertainty ties
+            sched.tracker.__init__(n, 1.0)
+            for _ in range(0 if trial == 0 else int(rng.integers(1, 3 * n))):
+                x, y = rng.choice(n, size=2, replace=False)
+                sched.tracker.update(int(x), int(y))
+            r = rng.normal(size=n) * rng.choice([0.1, 1.0, 5.0])
+            if trial % 10 == 1:
+                r = np.round(r)  # tied ratings
+            c = None
+            if algo == "maxin_melo":
+                c = rng.normal(size=(n, 2 * sched.config.k)) * rng.choice([0.05, 0.5])
+            # gamma spans |S| = 1 (tiny) to |S| = n (huge)
+            gamma = float(10.0 ** rng.uniform(-6, 3))
+            u = sched.tracker.uncertainty_matrix()
+            expected = reference_pair(u, r, c, omega_k, gamma)
+            if expected is None:
+                with pytest.raises(ContractViolationError):
+                    sched._select(r, c, gamma)
+                continue
+            assert sched._select(r, c, gamma) == expected
+            sizes.add(int(sched._candidate_mask(u, r, c, gamma).sum()))
+        assert 1 in sizes and n in sizes
 
 
 class TestMaxInStep:
@@ -202,14 +284,14 @@ class TestMaxInStep:
         sched = build("maxin_elo", 8, T=300, tau=6)
         env = env_for(games.gen_elo_game(8, 1.0, 2))
         seen = []
-        original = MaxInScheduler._candidate_set
+        original = MaxInScheduler._candidate_mask
 
-        def spy(self, r, c, gamma):
-            cand = original(self, r, c, gamma)
-            seen.append(list(cand))
-            return cand
+        def spy(self, u, r, c, gamma):
+            mask = original(self, u, r, c, gamma)
+            seen.append([int(x) for x in np.flatnonzero(mask)])
+            return mask
 
-        monkeypatch.setattr(MaxInScheduler, "_candidate_set", spy)
+        monkeypatch.setattr(MaxInScheduler, "_candidate_mask", spy)
         played = []
         for _ in range(100):
             played.append(sched.step(env))
@@ -217,6 +299,31 @@ class TestMaxInStep:
         assert len(seen) == len(active)
         for (x, y, _), cand in zip(active, seen):
             assert x in cand and y in cand
+
+    @pytest.mark.parametrize("algo,mode", [
+        ("maxin_elo", "fixed"),
+        ("maxin_elo", "theoretical"),
+        ("maxinp", "fixed"),
+    ])
+    def test_selects_after_self_pair(self, monkeypatch, algo, mode):
+        # force a self-pair on every other selection; the round after it
+        # must still select afresh
+        calls = []
+        cls = MaxInPScheduler if algo == "maxinp" else MaxInScheduler
+        original = cls._select
+
+        def spy(self, r, c, gamma):
+            calls.append(gamma)
+            x, y = original(self, r, c, gamma)
+            return (x, x) if len(calls) % 2 else (x, y)
+
+        monkeypatch.setattr(cls, "_select", spy)
+        tau, T = 4, 40
+        sched = build(algo, 6, T=T, tau=tau, gamma_mode=mode)
+        env = env_for(games.gen_elo_game(6, 1.0, 1))
+        for _ in range(T):
+            sched.step(env)
+        assert len(calls) == T - tau
 
     def test_melo_requires_k(self):
         with pytest.raises(ConfigError):
@@ -343,7 +450,7 @@ class TestMaxInP:
             elo.step(env_a)
             mip.step(env_b)
         r = np.array([0.5, 0.1, -0.2, 0.0, 0.3, -0.7])
-        assert elo._candidate_set(r, None, 0.8) == mip._candidate_set(r, None, 0.8)
+        assert candidates(elo, r, None, 0.8) == candidates(mip, r, None, 0.8)
 
     def test_estimate_is_latest_mle(self):
         sched = build("maxinp", 5, T=50, tau=3)
