@@ -67,8 +67,12 @@ class RunConfig:
             lambda_ridge=self.lambda_ridge, ridge=self.ridge, c1=self.c1)
 
     def digest(self) -> str:
+        """Identity of the experiment: every field but the output path and
+        the worker count, which do not change what is computed."""
         items = []
         for f in dataclasses.fields(self):
+            if f.name in ("out", "workers"):
+                continue
             v = getattr(self, f.name)
             if isinstance(v, tuple):
                 v = ",".join(str(x) for x in v)

@@ -178,7 +178,11 @@ class RgUcbScheduler(_OnlineBaseline):
 
     A pair is resolved once its Hoeffding interval around the empirical
     win rate excludes 0.5, or once it has hit the per-pair sample cap
-    (which guarantees termination on exactly-even matchups).
+    (which guarantees termination on exactly-even matchups). A pair's
+    status depends only on its own counts and wins, so `_open` (one flag
+    per entry of `self.pairs`) is kept up to date by re-checking just the
+    pair played each round. When no pair is open, the draw is uniform over
+    all pairs.
     """
 
     def __init__(self, n, config, rng):
@@ -186,6 +190,7 @@ class RgUcbScheduler(_OnlineBaseline):
         self.counts = np.zeros((n, n), dtype=int)
         self.wins = np.zeros((n, n), dtype=float)
         self._log_term = math.log(2.0 / self.config.delta)
+        self._open = np.ones(len(self.pairs), dtype=bool)
 
     def _unresolved(self, x: int, y: int) -> bool:
         n_xy = self.counts[x, y]
@@ -199,14 +204,18 @@ class RgUcbScheduler(_OnlineBaseline):
 
     def step(self, env):
         self.t += 1
-        open_pairs = [pq for pq in self.pairs if self._unresolved(*pq)]
-        pool = open_pairs if open_pairs else self.pairs
-        x, y = pool[int(self.rng.integers(len(pool)))]
+        open_idx = np.flatnonzero(self._open)
+        if len(open_idx):
+            idx = int(open_idx[self.rng.integers(len(open_idx))])
+        else:
+            idx = int(self.rng.integers(len(self.pairs)))
+        x, y = self.pairs[idx]
         o = env.play(x, y)
         self.counts[x, y] += 1
         self.counts[y, x] += 1
         self.wins[x, y] += o
         self.wins[y, x] += 1 - o
+        self._open[idx] = self._unresolved(x, y)
         self._learn(x, y, o)
         return x, y, o
 

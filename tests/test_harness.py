@@ -81,6 +81,12 @@ class TestParseConfig:
                                     "replicates": "0"})
         assert exc.value.key == "replicates"
 
+    def test_digest_ignores_output_path_and_workers(self):
+        cfg = RunConfig(algo="random", n=5, T=30, seed=3)
+        moved = dataclasses.replace(cfg, out="elsewhere", workers=4)
+        assert moved.digest() == cfg.digest()
+        assert dataclasses.replace(cfg, seed=4).digest() != cfg.digest()
+
 
 class TestSimulate:
     def test_row_count_and_warmup_flags(self):
@@ -190,6 +196,7 @@ class TestSweep:
         for s, p in zip(serial, parallel):
             assert s["summary"]["final_cum_regret"] == \
                 p["summary"]["final_cum_regret"]
+            assert s["summary"]["config"] == p["summary"]["config"]
 
     def test_per_seed_best_gamma_selection(self):
         # tuning protocol: pick the gamma with the best final RR per seed

@@ -369,7 +369,56 @@ class TestRandomBaseline:
         assert sched.estimate().r.sum() == pytest.approx(0.0, abs=1e-10)
 
 
+def reference_rg_ucb_step(sched, env):
+    """The rg_ucb step the open-pair mask replaced: scan every pair."""
+    sched.t += 1
+    open_pairs = [pq for pq in sched.pairs if sched._unresolved(*pq)]
+    pool = open_pairs if open_pairs else sched.pairs
+    x, y = pool[int(sched.rng.integers(len(pool)))]
+    o = env.play(x, y)
+    sched.counts[x, y] += 1
+    sched.counts[y, x] += 1
+    sched.wins[x, y] += o
+    sched.wins[y, x] += 1 - o
+    sched._learn(x, y, o)
+    return x, y, o
+
+
 class TestRgUcb:
+    @pytest.mark.parametrize("game", ["triangular", "elo", "even"])
+    @pytest.mark.parametrize("n", [2, 3, 5, 12, 30])
+    def test_mask_matches_reference_scan(self, n, game):
+        matrix = {"triangular": games.gen_triangular(n),
+                  "elo": games.gen_elo_game(n, 2.0, 5),
+                  "even": games.gen_elo_game(n, 0.0, 5)}[game]
+        n_pairs = n * (n - 1) // 2
+        # with cap 3 every pair is resolved within 3 * n_pairs rounds, so
+        # each n but 30 reaches the all-pairs fallback; n = 30 runs fewer
+        # rounds because the reference scan costs O(n^2) a round
+        rounds = 100 if n == 30 else min(12 * n_pairs + 50, 400)
+        fallback = reopened = 0
+        for cap in (3, 10, 200):
+            for delta in (0.05, 0.2, 0.5):
+                kw = dict(T=rounds + 1, seed=cap, delta=delta,
+                          n_max_per_pair=cap)
+                sched, ref = build("rg_ucb", n, **kw), build("rg_ucb", n, **kw)
+                env, ref_env = env_for(matrix, 7), env_for(matrix, 7)
+                for _ in range(rounds):
+                    before = sched._open.copy()
+                    fallback += not before.any()
+                    assert sched.step(env) == reference_rg_ucb_step(ref,
+                                                                     ref_env)
+                    assert sched._open.tolist() == [
+                        sched._unresolved(*pq) for pq in sched.pairs]
+                    reopened += bool((sched._open & ~before).any())
+                assert (sched.estimate().r.tobytes()
+                        == ref.estimate().r.tobytes())
+        if n < 30:
+            assert fallback > 0
+        # Hoeffding-resolved pairs reopen when fallback draws them again
+        if game == "even" and n <= 5:
+            assert reopened > 0
+
     def test_unseen_pair_unresolved(self):
         sched = build("rg_ucb", 4)
         assert sched._unresolved(0, 1)

@@ -59,6 +59,25 @@ class TestUpdate:
         ref = direct_inverse(n, 1.0, updates)
         assert np.max(np.abs(tr.v_inv - ref)) < 1e-8
 
+    def test_no_drift_after_many_updates(self):
+        # the inverse is never re-inverted, so rank-1 rounding must not pile up
+        n, count = 20, 100_000
+        rng = np.random.default_rng(3)
+        xs = rng.integers(n, size=count)
+        ys = rng.integers(n - 1, size=count)
+        ys += ys >= xs
+        tr = DesignTracker(n, 1.0)
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            tr.update(x, y)
+        v = np.eye(n)
+        np.add.at(v, (xs, xs), 1.0)
+        np.add.at(v, (ys, ys), 1.0)
+        np.add.at(v, (xs, ys), -1.0)
+        np.add.at(v, (ys, xs), -1.0)
+        ref = np.linalg.inv(v)
+        assert tr.t == count
+        assert np.max(np.abs(tr.v_inv - ref)) <= 1e-10 * np.max(np.abs(ref))
+
     def test_self_pair_is_noop_with_warning(self):
         tr = DesignTracker(3, 1.0)
         before = tr.v_inv.copy()
