@@ -13,8 +13,6 @@ Example:
 import argparse
 import os
 
-import numpy as np
-
 from duelrank.harness import RunConfig, report, simulate
 from duelrank.schedulers import ALGORITHMS
 
@@ -50,11 +48,10 @@ def main():
         if args.out:
             os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
             report(traces, summary, f"{args.out}.{algo}")
-        finals = [t.rows[-1] for t in traces]
-        print(f"{algo:<12} {np.mean([r.cum_regret for r in finals]):>10.1f} "
-              f"{np.mean([r.rr for r in finals]):>6.3f} "
-              f"{np.mean([r.hr[0] for r in finals]):>6.3f} "
-              f"{np.mean([r.ndcg[0] for r in finals]):>7.3f}")
+        s = summary.stats()
+        print(f"{algo:<12} {s['cum_regret']['mean']:>10.1f} "
+              f"{s['rr']['mean']:>6.3f} {s['hr']['mean'][0]:>6.3f} "
+              f"{s['ndcg']['mean'][0]:>7.3f}")
 
 
 if __name__ == "__main__":

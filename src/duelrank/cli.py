@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 
-from . import games, harness
+from . import harness
 from .errors import DuelRankError
 
 CONFIG_FLAGS = [
@@ -66,17 +66,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen(args) -> int:
-    if args.game == "elo":
-        m = games.gen_elo_game(args.n, args.rating_scale, args.seed)
-    elif args.game == "noisy_elo":
-        m = games.gen_noisy_elo_game(args.n, args.rating_scale, args.noise,
-                                     args.seed)
-    elif args.game == "triangular":
-        m = games.gen_triangular(args.n)
-    else:
-        m = games.gen_cyclic(args.n)
+    m = harness.build_matrix(harness.RunConfig(
+        game=args.game, n=args.n, rating_scale=args.rating_scale,
+        noise=args.noise, seed=args.seed))
     np.savetxt(args.out, m.p, delimiter=",", fmt="%.17g")
     return 0
+
+
+def _print_summary(summary: harness.RunSummary) -> None:
+    json.dump(summary.stats(), sys.stdout, indent=2)
+    sys.stdout.write("\n")
 
 
 def cmd_run(args) -> int:
@@ -85,8 +84,7 @@ def cmd_run(args) -> int:
     if cfg.out:
         harness.report(traces, summary, cfg.out)
     else:
-        json.dump(summary.stats(), sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _print_summary(summary)
     return 0
 
 
@@ -118,24 +116,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """Rebuild a summary from final trace rows."""
-    finals = {"final_cum_regret": [], "final_rr": [], "final_hr": [],
-              "final_ndcg": [], "traces": list(args.traces)}
-    for path in args.traces:
-        trace = harness.read_trace_csv(path)
-        last = trace.rows[-1]
-        finals["final_cum_regret"].append(last.cum_regret)
-        finals["final_rr"].append(last.rr)
-        finals["final_hr"].append(list(last.hr))
-        finals["final_ndcg"].append(list(last.ndcg))
-    finals["cum_regret_mean"] = float(np.mean(finals["final_cum_regret"]))
-    finals["rr_mean"] = float(np.mean(finals["final_rr"]))
-    payload = json.dumps(finals, indent=2) + "\n"
+    """Rebuild the run summary, in `run`'s JSON shape, from trace CSVs."""
+    summary = harness.summarize(
+        [harness.read_trace_csv(path) for path in args.traces])
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        harness.write_summary_json(summary, args.out)
     else:
-        sys.stdout.write(payload)
+        _print_summary(summary)
     return 0
 
 

@@ -12,6 +12,7 @@ import dataclasses
 import itertools
 import json
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -96,19 +97,14 @@ def _convert(key: str, raw: str, target_type):
 
 
 def _field_types() -> dict:
+    """The type each RunConfig field's text converts to: X for ``X | None``,
+    otherwise the bare annotation (``tuple`` for ``tuple[int, ...]``)."""
     types = {}
-    for f in dataclasses.fields(RunConfig):
-        t = f.type
-        if "tuple" in str(t):
-            types[f.name] = tuple
-        elif "bool" in str(t):
-            types[f.name] = bool
-        elif "int" in str(t):
-            types[f.name] = int
-        elif "float" in str(t):
-            types[f.name] = float
-        else:
-            types[f.name] = str
+    for name, t in typing.get_type_hints(RunConfig).items():
+        args = typing.get_args(t)
+        if type(None) in args:
+            t = next(a for a in args if a is not type(None))
+        types[name] = typing.get_origin(t) or t
     return types
 
 
@@ -172,25 +168,19 @@ def build_matrix(cfg: RunConfig) -> WinMatrix:
 
 
 @dataclass
-class TraceRow:
-    t: int
-    x: int
-    y: int
-    outcome: int
-    instant_regret: float
-    cum_regret: float
-    rr: float
-    hr: tuple[float, ...] = ()
-    ndcg: tuple[float, ...] = ()
-    warmup: bool = False
-
-
-@dataclass
 class Trace:
-    rows: list[TraceRow]
+    """One replicate's per-round columns; index t - 1 holds round t."""
+
+    x: np.ndarray                # int64
+    y: np.ndarray                # int64
+    outcome: np.ndarray          # int64, 1 if x beat y
+    instant_regret: np.ndarray
+    cum_regret: np.ndarray
+    rr: np.ndarray
+    hr: np.ndarray               # T x len(ks)
+    ndcg: np.ndarray             # T x len(ks)
     ks: tuple[int, ...]
-    config_digest: str
-    seed: int
+    tau: int | None = None       # warmup rounds; CSVs do not store it
 
 
 @dataclass
@@ -240,25 +230,37 @@ def run_replicate(cfg: RunConfig, matrix: WinMatrix, truth: TrueRatings,
         np.random.SeedSequence([cfg.seed, rep, 2]))
     env = MatchEnv(matrix, outcome_rng)
     scheduler = make_scheduler(cfg.n, cfg.scheduler_config(), sched_rng)
-    tau = scheduler.config.tau
     zero_est = RatingState(r=np.zeros(cfg.n))
     scorer = RankScorer(truth, cfg.ks)
-    rows = []
-    cum = 0.0
-    for t in range(1, cfg.T + 1):
-        x, y, o = scheduler.step(env)
-        reg = instant_regret(truth, x, y)
-        cum += reg
+    T = cfg.T
+    x, y, outcome = (np.empty(T, dtype=np.int64) for _ in range(3))
+    rr = np.empty(T)
+    hr, ndcg = np.empty((T, len(cfg.ks))), np.empty((T, len(cfg.ks)))
+    for t in range(T):
+        x[t], y[t], outcome[t] = scheduler.step(env)
         try:
             est = scheduler.estimate()
         except NotReadyError:
             est = zero_est
-        rr, hr, ndcg = _metric_snapshot(scorer, est)
-        rows.append(TraceRow(t=t, x=x, y=y, outcome=o, instant_regret=reg,
-                             cum_regret=cum, rr=rr, hr=hr, ndcg=ndcg,
-                             warmup=t <= tau))
-    return Trace(rows=rows, ks=cfg.ks, config_digest=cfg.digest(),
-                 seed=cfg.seed)
+        rr[t], hr[t], ndcg[t] = _metric_snapshot(scorer, est)
+    # np.cumsum adds in round order, as a running total would
+    regret = instant_regret(truth, x, y)
+    return Trace(x=x, y=y, outcome=outcome, instant_regret=regret,
+                 cum_regret=np.cumsum(regret), rr=rr, hr=hr, ndcg=ndcg,
+                 ks=cfg.ks, tau=scheduler.config.tau)
+
+
+def summarize(traces: list[Trace], config_digest: str = "") -> RunSummary:
+    """Final-round metrics of each trace, in order."""
+    ks = traces[0].ks
+    if any(tr.ks != ks for tr in traces):
+        raise ConfigError("traces have different metric cutoffs", key="ks")
+    return RunSummary(
+        config_digest=config_digest, replicates=len(traces), ks=ks,
+        final_cum_regret=[float(tr.cum_regret[-1]) for tr in traces],
+        final_rr=[float(tr.rr[-1]) for tr in traces],
+        final_hr=[tr.hr[-1].tolist() for tr in traces],
+        final_ndcg=[tr.ndcg[-1].tolist() for tr in traces])
 
 
 def simulate(cfg: RunConfig) -> tuple[list[Trace], RunSummary]:
@@ -269,14 +271,7 @@ def simulate(cfg: RunConfig) -> tuple[list[Trace], RunSummary]:
     truth = games.true_ratings(matrix, clip_eps=cfg.clip_eps)
     traces = [run_replicate(cfg, matrix, truth, rep)
               for rep in range(cfg.replicates)]
-    summary = RunSummary(config_digest=cfg.digest(),
-                         replicates=cfg.replicates, ks=cfg.ks)
-    for tr in traces:
-        last = tr.rows[-1]
-        summary.final_cum_regret.append(last.cum_regret)
-        summary.final_rr.append(last.rr)
-        summary.final_hr.append(list(last.hr))
-        summary.final_ndcg.append(list(last.ndcg))
+    summary = summarize(traces, cfg.digest())
     summary.wall_time = time.perf_counter() - start
     return traces, summary
 
@@ -297,8 +292,9 @@ def sweep(template: RunConfig, grid: dict[str, list]) -> list[dict]:
     Point failures are recorded in place without stopping the sweep.
     """
     keys = sorted(k for k, vals in grid.items() if vals)
+    types = _field_types()
     for k in grid:
-        if k not in _field_types():
+        if k not in types:
             raise ConfigError(f"unknown sweep key: {k}", key=k)
     value_lists = [grid[k] for k in keys]
     combos = [dict(zip(keys, combo))
@@ -326,12 +322,12 @@ def trace_header(ks) -> str:
 
 
 def write_trace_csv(trace: Trace, path) -> None:
+    cols = [np.arange(1, len(trace.x) + 1), trace.x, trace.y, trace.outcome,
+            trace.instant_regret, trace.cum_regret, trace.rr,
+            *trace.hr.T, *trace.ndcg.T]
+    cells = [map(_fmt, c.tolist()) for c in cols]
     lines = [trace_header(trace.ks)]
-    for row in trace.rows:
-        vals = [row.t, row.x, row.y, row.outcome,
-                row.instant_regret, row.cum_regret, row.rr]
-        vals += list(row.hr) + list(row.ndcg)
-        lines.append(",".join(_fmt(v) for v in vals))
+    lines += [",".join(row) for row in zip(*cells)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -341,18 +337,18 @@ def read_trace_csv(path) -> Trace:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     header = lines[0].split(",")
     ks = tuple(int(c.split("@")[1]) for c in header if c.startswith("hr@"))
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        base = 7
-        hr = tuple(float(v) for v in parts[base:base + len(ks)])
-        ndcg = tuple(float(v) for v in parts[base + len(ks):base + 2 * len(ks)])
-        rows.append(TraceRow(t=int(parts[0]), x=int(parts[1]), y=int(parts[2]),
-                             outcome=int(parts[3]),
-                             instant_regret=float(parts[4]),
-                             cum_regret=float(parts[5]), rr=float(parts[6]),
-                             hr=hr, ndcg=ndcg))
-    return Trace(rows=rows, ks=ks, config_digest="", seed=-1)
+    cols = list(zip(*(ln.split(",") for ln in lines[1:])))
+
+    def floats(block):
+        return np.array([[float(v) for v in c] for c in block]).reshape(
+            len(block), len(lines) - 1)
+
+    x, y, outcome = (np.array([int(v) for v in c], dtype=np.int64)
+                     for c in cols[1:4])
+    regret, cum, rr = floats(cols[4:7])
+    return Trace(x=x, y=y, outcome=outcome, instant_regret=regret,
+                 cum_regret=cum, rr=rr, hr=floats(cols[7:7 + len(ks)]).T,
+                 ndcg=floats(cols[7 + len(ks):]).T, ks=ks)
 
 
 def write_summary_json(summary: RunSummary, path) -> None:

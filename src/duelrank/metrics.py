@@ -9,10 +9,13 @@ from .games import TrueRatings
 from .ratings import RatingState
 
 
-def instant_regret(truth: TrueRatings, x: int, y: int) -> float:
-    """Best player's rating minus the average rating of the matched pair."""
+def instant_regret(truth: TrueRatings, x, y):
+    """Best player's rating minus the average rating of the matched pair.
+
+    ``x`` and ``y`` are player indices or equal-length index arrays.
+    """
     r = truth.r_star
-    return float(r[truth.best] - 0.5 * (r[x] + r[y]))
+    return r[truth.best] - 0.5 * (r[x] + r[y])
 
 
 def ranking(values: np.ndarray) -> list[int]:

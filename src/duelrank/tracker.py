@@ -29,7 +29,11 @@ class DesignTracker:
         self.n = n
         self.lambda_ridge = lambda_ridge
         self.v_inv = (1.0 / lambda_ridge) * np.eye(n)
+        # n x n work buffers, reused by every call; fresh 80 kB arrays at
+        # n=100 make run time depend on when glibc trims the heap
         self._term = np.empty((n, n))
+        self._q = np.empty((n, n))
+        self._two_v = np.empty((n, n))
         self.t = 0
 
     def update(self, x: int, y: int) -> None:
@@ -42,10 +46,9 @@ class DesignTracker:
         # Sherman-Morrison with u = e_x - e_y
         vu = vi[:, x] - vi[:, y]
         denom = 1.0 + (vu[x] - vu[y])
-        # the rank-1 term reuses one buffer; only the new V^{-1} is allocated
         term = np.outer(vu, vu, out=self._term)
         term /= denom
-        self.v_inv = vi - term
+        vi -= term
         self.t += 1
 
     def pair_uncertainty(self, x: int, y: int) -> float:
@@ -55,8 +58,15 @@ class DesignTracker:
         return float(np.sqrt(vi[x, x] + vi[y, y] - 2.0 * vi[x, y]))
 
     def uncertainty_matrix(self) -> np.ndarray:
-        """All pairwise uncertainties at once (zero diagonal)."""
-        d = np.diag(self.v_inv)
-        q = d[:, None] + d[None, :] - 2.0 * self.v_inv
-        np.fill_diagonal(q, 0.0)
-        return np.sqrt(np.maximum(q, 0.0))
+        """All pairwise uncertainties at once (zero diagonal).
+
+        The result is a buffer the tracker owns: the next call overwrites
+        it, so copy it to keep it. The diagonal is exactly zero, since
+        d_i + d_i - 2 d_i cancels without rounding.
+        """
+        vi = self.v_inv
+        d = np.diag(vi)
+        q = np.add(d[:, None], d[None, :], out=self._q)
+        q -= np.multiply(2.0, vi, out=self._two_v)
+        np.maximum(q, 0.0, out=q)
+        return np.sqrt(q, out=q)

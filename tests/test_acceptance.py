@@ -197,8 +197,8 @@ def elo_runs():
 
 def test_05_sublinear_regret(capsys, elo_runs):
     traces, summary = elo_runs["maxin_elo"]
-    early = np.mean([t.rows[1249].cum_regret for t in traces])
-    late = np.mean([t.rows[4999].cum_regret for t in traces])
+    early = np.mean([t.cum_regret[1249] for t in traces])
+    late = np.mean([t.cum_regret[4999] for t in traces])
     sublinear = late / 5000.0 < 0.6 * early / 1250.0
     rand_late = np.mean(elo_runs["random"][1].final_cum_regret)
     beats_random = np.mean(summary.final_cum_regret) < rand_late
@@ -210,9 +210,9 @@ def test_06_top1_identification(capsys, elo_runs):
     tri_traces, _ = simulate(RunConfig(
         algo="maxin_elo", game="triangular", n=10, T=2000, seed=60,
         replicates=5))
-    tri_hits = sum(t.rows[-1].rr == 1.0 for t in tri_traces)
+    tri_hits = sum(t.rr[-1] == 1.0 for t in tri_traces)
     elo_traces, _ = elo_runs["maxin_elo"]
-    elo_hits = sum(t.rows[-1].rr >= 0.5 for t in elo_traces)
+    elo_hits = sum(t.rr[-1] >= 0.5 for t in elo_traces)
     _verdict(capsys, 6, "final reciprocal rank finds the top player",
              tri_hits >= 4 and elo_hits >= 4)
 
@@ -236,8 +236,8 @@ def test_07_intransitive_game(capsys, tmp_path):
                 melo=True, k=4)
     maxin, _ = simulate(RunConfig(algo="maxin_melo", **base))
     rand, _ = simulate(RunConfig(algo="random", **base))
-    rr_hits = sum(t.rows[-1].rr == 1.0 for t in maxin)
-    regret_wins = sum(m.rows[-1].cum_regret < r.rows[-1].cum_regret
+    rr_hits = sum(t.rr[-1] == 1.0 for t in maxin)
+    regret_wins = sum(m.cum_regret[-1] < r.cum_regret[-1]
                       for m, r in zip(maxin, rand))
     _verdict(capsys, 7, "cyclic-feature scheduler handles intransitivity",
              rr_hits >= 4 and regret_wins >= 4)
@@ -340,6 +340,6 @@ def test_10_determinism(capsys, tmp_path):
     for seed in range(10):
         traces, _ = simulate(RunConfig(algo="maxin_elo", n=10, T=100,
                                        seed=seed))
-        seqs.add(tuple((r.x, r.y) for r in traces[0].rows))
+        seqs.add(tuple(zip(traces[0].x.tolist(), traces[0].y.tolist())))
     _verdict(capsys, 10, "byte-identical reruns, seed-distinct schedules",
              identical and len(seqs) == 10)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from duelrank import harness
+from duelrank import games, harness
 from duelrank.errors import ConfigError
 from duelrank.harness import (
     RunConfig,
@@ -81,6 +81,20 @@ class TestParseConfig:
                                     "replicates": "0"})
         assert exc.value.key == "replicates"
 
+    def test_field_types_cover_every_field(self):
+        expected = {
+            str: ["algo", "game", "matrix", "gamma_mode", "out"],
+            int: ["n", "T", "tau", "k", "seed", "matrix_seed", "replicates",
+                  "workers"],
+            float: ["rating_scale", "noise", "gamma", "alpha", "eta0",
+                    "delta", "lambda_ridge", "ridge", "c1", "clip_eps"],
+            bool: ["melo"],
+            tuple: ["ks"],
+        }
+        flat = {name: t for t, names in expected.items() for name in names}
+        assert set(flat) == {f.name for f in dataclasses.fields(RunConfig)}
+        assert harness._field_types() == flat
+
     def test_digest_ignores_output_path_and_workers(self):
         cfg = RunConfig(algo="random", n=5, T=30, seed=3)
         moved = dataclasses.replace(cfg, out="elsewhere", workers=4)
@@ -92,19 +106,20 @@ class TestSimulate:
     def test_row_count_and_warmup_flags(self):
         cfg = RunConfig(algo="maxin_elo", n=10, T=10, tau=7, seed=1)
         traces, _ = simulate(cfg)
-        rows = traces[0].rows
-        assert len(rows) == 10
-        assert [r.warmup for r in rows] == [True] * 7 + [False] * 3
-        assert [r.t for r in rows] == list(range(1, 11))
+        trace = traces[0]
+        assert len(trace.x) == 10
+        warmup = [t <= trace.tau for t in range(1, 11)]
+        assert warmup == [True] * 7 + [False] * 3
 
     def test_cum_regret_is_running_sum(self):
         cfg = RunConfig(algo="random", n=6, T=40, seed=2)
         traces, _ = simulate(cfg)
         cum = 0.0
-        for row in traces[0].rows:
-            assert row.instant_regret >= 0.0
-            cum += row.instant_regret
-            assert row.cum_regret == pytest.approx(cum, abs=1e-12)
+        for regret, total in zip(traces[0].instant_regret.tolist(),
+                                 traces[0].cum_regret.tolist()):
+            assert regret >= 0.0
+            cum += regret
+            assert total == pytest.approx(cum, abs=1e-12)
 
     def test_byte_identical_traces(self, tmp_path):
         cfg = RunConfig(algo="maxin_elo", n=8, T=60, tau=5, seed=3,
@@ -129,7 +144,8 @@ class TestSimulate:
             cfg = RunConfig(algo="maxin_elo", n=10, T=7, tau=6, seed=4,
                             matrix_seed=mseed)
             traces, _ = simulate(cfg)
-            pair_seqs.append([(r.x, r.y) for r in traces[0].rows[:6]])
+            pair_seqs.append(list(zip(traces[0].x[:6].tolist(),
+                                      traces[0].y[:6].tolist())))
         assert pair_seqs[0] == pair_seqs[1]
 
     def test_distinct_seeds_distinct_pairs(self):
@@ -137,7 +153,7 @@ class TestSimulate:
         for seed in range(5):
             cfg = RunConfig(algo="maxin_elo", n=10, T=40, tau=7, seed=seed)
             traces, _ = simulate(cfg)
-            seqs.add(tuple((r.x, r.y) for r in traces[0].rows))
+            seqs.add(tuple(zip(traces[0].x.tolist(), traces[0].y.tolist())))
         assert len(seqs) == 5
 
     def test_replicates_share_matrix_but_differ(self):
@@ -146,7 +162,8 @@ class TestSimulate:
         assert len(traces) == 3
         assert summary.replicates == 3
         assert len(summary.final_cum_regret) == 3
-        seqs = {tuple((r.x, r.y, r.outcome) for r in t.rows) for t in traces}
+        seqs = {tuple(zip(t.x.tolist(), t.y.tolist(), t.outcome.tolist()))
+                for t in traces}
         assert len(seqs) == 3
 
     def test_loaded_matrix_env(self, tmp_path):
@@ -154,7 +171,7 @@ class TestSimulate:
         path.write_text("0.5,0.9,0.9\n0.1,0.5,0.9\n0.1,0.1,0.5\n")
         cfg = RunConfig(algo="random", n=3, T=20, seed=0, matrix=str(path))
         traces, _ = simulate(cfg)
-        assert len(traces[0].rows) == 20
+        assert len(traces[0].x) == 20
 
 
 class TestSweep:
@@ -210,6 +227,42 @@ class TestSweep:
         assert len(per_seed_best) == 2
 
 
+def reference_trace_csv(trace) -> bytes:
+    """The row-at-a-time writer that preceded the column-wise one."""
+    lines = [trace_header(trace.ks)]
+    for i in range(len(trace.x)):
+        vals = [i + 1, trace.x[i].item(), trace.y[i].item(),
+                trace.outcome[i].item(), trace.instant_regret[i].item(),
+                trace.cum_regret[i].item(), trace.rr[i].item()]
+        vals += trace.hr[i].tolist() + trace.ndcg[i].tolist()
+        lines.append(",".join(repr(float(v)) if isinstance(v, float)
+                              else str(v) for v in vals))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+class TestTraceBytes:
+    def _bytes(self, trace, path):
+        write_trace_csv(trace, path)
+        return path.read_bytes()
+
+    def test_random_without_cutoffs(self, tmp_path):
+        traces, _ = simulate(RunConfig(algo="random", n=7, T=60, seed=4))
+        assert traces[0].hr.shape == (60, 0)
+        got = self._bytes(traces[0], tmp_path / "t.csv")
+        assert got == reference_trace_csv(traces[0])
+
+    def test_maxin_with_self_pairs_and_read_back(self, tmp_path):
+        traces, _ = simulate(RunConfig(algo="maxin_elo", n=12, T=200, tau=8,
+                                       gamma=0.5, seed=4, ks=(1, 4, 10)))
+        trace = traces[0]
+        assert (trace.x == trace.y).any() and (trace.x != trace.y).any()
+        got = self._bytes(trace, tmp_path / "t.csv")
+        assert got == reference_trace_csv(trace)
+        back = read_trace_csv(tmp_path / "t.csv")
+        assert reference_trace_csv(back) == got
+        assert self._bytes(back, tmp_path / "back.csv") == got
+
+
 class TestReport:
     def _trace(self, ks=()):
         cfg = RunConfig(algo="maxin_elo", n=8, T=25, tau=5, seed=2, ks=ks)
@@ -231,10 +284,11 @@ class TestReport:
         write_trace_csv(traces[0], path)
         back = read_trace_csv(path)
         assert back.ks == (2,)
-        for a, b in zip(traces[0].rows, back.rows):
-            assert (a.t, a.x, a.y, a.outcome) == (b.t, b.x, b.y, b.outcome)
-            assert a.cum_regret == b.cum_regret  # repr round-trips exactly
-            assert a.rr == b.rr and a.hr == b.hr and a.ndcg == b.ndcg
+        for name in ("x", "y", "outcome", "instant_regret", "cum_regret",
+                     "rr", "hr", "ndcg"):
+            # repr round-trips exactly
+            np.testing.assert_array_equal(getattr(back, name),
+                                          getattr(traces[0], name))
 
     def test_summary_json(self, tmp_path):
         traces, summary = self._trace(ks=(2,))
@@ -255,6 +309,21 @@ class TestCli:
         code = main(argv)
         out, err = capsys.readouterr()
         return code, out, err
+
+    @pytest.mark.parametrize("game,make", [
+        ("elo", lambda: games.gen_elo_game(7, 1.5, 3)),
+        ("noisy_elo", lambda: games.gen_noisy_elo_game(7, 1.5, 0.1, 3)),
+        ("triangular", lambda: games.gen_triangular(7)),
+        ("cyclic", lambda: games.gen_cyclic(7)),
+    ])
+    def test_gen_writes_generator_matrix(self, tmp_path, capsys, game, make):
+        path = tmp_path / "m.csv"
+        code, _, _ = self._main(
+            ["gen", "--game", game, "--n", "7", "--rating-scale", "1.5",
+             "--noise", "0.1", "--seed", "3", "--out", str(path)], capsys)
+        assert code == 0
+        np.testing.assert_array_equal(games.load_matrix(str(path)).p,
+                                      make().p)
 
     def test_gen_writes_loadable_matrix(self, tmp_path, capsys):
         from duelrank.games import load_matrix
@@ -333,5 +402,31 @@ class TestCli:
         assert code == 0
         payload = json.loads(out)
         assert len(payload["final_cum_regret"]) == 2
-        assert payload["cum_regret_mean"] == pytest.approx(
+        assert payload["cum_regret"]["mean"] == pytest.approx(
             np.mean(summary.final_cum_regret))
+
+    def test_report_prints_run_summary_shape(self, tmp_path, capsys):
+        flags = ["--algo", "maxin_elo", "--n", "8", "--T", "30", "--tau", "5",
+                 "--seed", "1", "--replicates", "2", "--ks", "2,3"]
+        _, out, _ = self._main(["run", *flags], capsys)
+        ran = json.loads(out)
+        self._main(["run", *flags, "--out", str(tmp_path / "exp")], capsys)
+        code, out, _ = self._main(
+            ["report", "--traces", str(tmp_path / "exp.trace0.csv"),
+             str(tmp_path / "exp.trace1.csv")], capsys)
+        assert code == 0
+        reported = json.loads(out)
+        assert reported.keys() == ran.keys()
+        for key in ran.keys() - {"config", "wall_time"}:
+            assert reported[key] == ran[key], key
+
+    def test_report_rejects_mixed_cutoffs(self, tmp_path, capsys):
+        for i, ks in enumerate([(2,), (3,)]):
+            traces, _ = simulate(RunConfig(algo="random", n=5, T=20, seed=3,
+                                           ks=ks))
+            write_trace_csv(traces[0], tmp_path / f"r{i}.csv")
+        code, out, err = self._main(
+            ["report", "--traces", str(tmp_path / "r0.csv"),
+             str(tmp_path / "r1.csv")], capsys)
+        assert code == 1 and out == ""
+        assert json.loads(err)["key"] == "ks"

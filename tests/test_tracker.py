@@ -115,7 +115,7 @@ class TestPairUncertainty:
         rng = np.random.default_rng(5)
         tr = DesignTracker(6, 1.0)
         for _ in range(200):
-            before = tr.uncertainty_matrix()
+            before = tr.uncertainty_matrix().copy()
             x, y = rng.choice(6, size=2, replace=False)
             tr.update(int(x), int(y))
             after = tr.uncertainty_matrix()
@@ -145,6 +145,49 @@ class TestPairUncertainty:
         for x in range(5):
             for y in range(5):
                 assert u[x, y] == pytest.approx(tr.pair_uncertainty(x, y))
+
+
+def reference_update(v_inv, x, y):
+    """The allocating Sherman-Morrison step the in-place update replaced."""
+    vu = v_inv[:, x] - v_inv[:, y]
+    denom = 1.0 + (vu[x] - vu[y])
+    term = np.outer(vu, vu)
+    term /= denom
+    return v_inv - term
+
+
+def reference_uncertainty(v_inv):
+    """The allocating uncertainty matrix the buffered one replaced."""
+    d = np.diag(v_inv)
+    q = d[:, None] + d[None, :] - 2.0 * v_inv
+    np.fill_diagonal(q, 0.0)
+    return np.sqrt(np.maximum(q, 0.0))
+
+
+class TestBuffersMatchReference:
+    @pytest.mark.parametrize("n", [2, 5, 100])
+    def test_bit_equal_to_allocating_reference(self, n):
+        rng = np.random.default_rng(40 + n)
+        for lam in (0.3, 1.0, 2.0):
+            tr = DesignTracker(n, lam)
+            ref = tr.v_inv.copy()
+            for step in range(200):
+                x, y = (int(v) for v in rng.choice(n, size=2, replace=False))
+                tr.update(x, y)
+                ref = reference_update(ref, x, y)
+                assert tr.v_inv.tobytes() == ref.tobytes()
+                if step % 7 == 0:
+                    u = tr.uncertainty_matrix()
+                    assert u.tobytes() == reference_uncertainty(ref).tobytes()
+                    # +0.0 exactly, without the reference's fill_diagonal
+                    assert not np.signbit(np.diag(u)).any()
+                    assert not np.diag(u).any()
+
+    def test_uncertainty_matrix_reuses_its_buffer(self):
+        tr = DesignTracker(4, 1.0)
+        first = tr.uncertainty_matrix()
+        tr.update(0, 1)
+        assert tr.uncertainty_matrix() is first
 
 
 def _time_updates(n, count):
