@@ -13,8 +13,8 @@ Example:
 import argparse
 import os
 
-from duelrank.harness import RunConfig, report, simulate
-from duelrank.schedulers import ALGORITHMS
+from duelrank.config import ALGORITHMS, RunConfig
+from duelrank.harness import report, simulate
 
 
 def main():

@@ -9,8 +9,10 @@ import argparse
 
 import numpy as np
 
-from duelrank.harness import RunConfig, sweep
-from duelrank.schedulers import GAMMA_GRID
+from duelrank.config import RunConfig
+from duelrank.harness import sweep
+
+GAMMA_GRID = tuple(round(0.2 * i, 1) for i in range(1, 11))
 
 
 def main():

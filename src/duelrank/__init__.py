@@ -11,7 +11,8 @@ from .games import (
     sample_outcome,
     true_ratings,
 )
-from .harness import RunConfig, parse_config, simulate, sweep
+from .config import RunConfig, parse_config
+from .harness import simulate, sweep
 from .metrics import hit_ratio_at_k, instant_regret, ndcg_at_k, reciprocal_rank
 from .ratings import (
     RatingState,
@@ -23,7 +24,7 @@ from .ratings import (
     sgd_step_elo,
     sgd_step_melo,
 )
-from .schedulers import MatchEnv, SchedulerConfig, make_scheduler
+from .schedulers import MatchEnv, make_scheduler
 from .tracker import DesignTracker
 
 __version__ = "0.1.0"
@@ -35,5 +36,5 @@ __all__ = [
     "hit_ratio_at_k", "instant_regret", "ndcg_at_k", "reciprocal_rank",
     "RatingState", "elo_loss", "mle_fit", "predict_elo", "predict_melo",
     "project", "sgd_step_elo", "sgd_step_melo", "MatchEnv",
-    "SchedulerConfig", "make_scheduler", "DesignTracker",
+    "make_scheduler", "DesignTracker",
 ]

@@ -3,36 +3,26 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
 import numpy as np
 
 from . import harness
+from .config import RunConfig, _convert, _field_types, parse_config
 from .errors import DuelRankError
-
-CONFIG_FLAGS = [
-    ("--algo", str), ("--game", str), ("--n", int), ("--T", int),
-    ("--tau", int), ("--gamma", float), ("--gamma-mode", str),
-    ("--alpha", float), ("--eta0", float), ("--k", int), ("--melo", str),
-    ("--delta", float), ("--lambda-ridge", float), ("--ridge", float),
-    ("--c1", float), ("--clip-eps", float), ("--seed", int),
-    ("--matrix-seed", int), ("--replicates", int), ("--matrix", str),
-    ("--ks", str), ("--out", str), ("--workers", int),
-]
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """``--<field>`` for every RunConfig field, kept as text for
+    parse_config to convert."""
     p.add_argument("--config", help="key=value config file ('#' comments)")
-    for flag, typ in CONFIG_FLAGS:
-        p.add_argument(flag, type=typ, default=None,
-                       dest=flag[2:].replace("-", "_"))
+    for key in _field_types():
+        p.add_argument("--" + key.replace("_", "-"), dest=key)
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    keys = [f[0][2:].replace("-", "_") for f in CONFIG_FLAGS]
-    return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
+    return {k: getattr(args, k) for k in _field_types()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen(args) -> int:
-    m = harness.build_matrix(harness.RunConfig(
+    m = harness.build_matrix(RunConfig(
         game=args.game, n=args.n, rating_scale=args.rating_scale,
         noise=args.noise, seed=args.seed))
     np.savetxt(args.out, m.p, delimiter=",", fmt="%.17g")
@@ -79,7 +69,7 @@ def _print_summary(summary: harness.RunSummary) -> None:
 
 
 def cmd_run(args) -> int:
-    cfg = harness.parse_config(args.config, _overrides(args))
+    cfg = parse_config(args.config, _overrides(args))
     traces, summary = harness.simulate(cfg)
     if cfg.out:
         harness.report(traces, summary, cfg.out)
@@ -97,14 +87,14 @@ def _parse_grid(specs: list[str], field_types: dict) -> dict:
         typ = field_types.get(key)
         if typ is None:
             raise DuelRankError(f"unknown sweep key: {key}")
-        grid[key] = [harness._convert(key, v, typ)
+        grid[key] = [_convert(key, v, typ)
                      for v in raw.split(",") if v.strip()]
     return grid
 
 
 def cmd_sweep(args) -> int:
-    cfg = harness.parse_config(args.config, _overrides(args))
-    grid = _parse_grid(args.grid, harness._field_types())
+    cfg = parse_config(args.config, _overrides(args))
+    grid = _parse_grid(args.grid, _field_types())
     results = harness.sweep(cfg, grid)
     payload = json.dumps(results, indent=2) + "\n"
     if cfg.out:

@@ -47,15 +47,6 @@ class WinMatrix:
 
 
 @dataclass(frozen=True)
-class LogitMatrix:
-    """Antisymmetric logit matrix of a (clipped) win matrix."""
-
-    n: int
-    a: npt.NDArray[np.float64]
-    clip_eps: float
-
-
-@dataclass(frozen=True)
 class TrueRatings:
     """Transitive ratings and cyclic remainder of a game's logit matrix."""
 
@@ -157,7 +148,7 @@ def _make_unchecked(n: int, p: np.ndarray, name: str) -> WinMatrix:
     return m
 
 
-def logit_matrix(m: WinMatrix, clip_eps: float = DEFAULT_CLIP_EPS) -> LogitMatrix:
+def logit_matrix(m: WinMatrix, clip_eps: float = DEFAULT_CLIP_EPS) -> np.ndarray:
     """Antisymmetrized logits of the clipped win matrix."""
     if not 0.0 < clip_eps < 0.5:
         raise InvalidParameterError("clip_eps must lie in (0, 0.5)")
@@ -165,12 +156,12 @@ def logit_matrix(m: WinMatrix, clip_eps: float = DEFAULT_CLIP_EPS) -> LogitMatri
     a = np.log(q) - np.log1p(-q)
     a = 0.5 * (a - a.T)  # exact antisymmetry
     np.fill_diagonal(a, 0.0)
-    return LogitMatrix(n=m.n, a=a, clip_eps=clip_eps)
+    return a
 
 
 def true_ratings(m: WinMatrix, clip_eps: float = DEFAULT_CLIP_EPS) -> TrueRatings:
     """Split the logit matrix into ratings (divergence) plus cyclic part."""
-    a = logit_matrix(m, clip_eps).a
+    a = logit_matrix(m, clip_eps)
     r_star = a.mean(axis=1)
     rot = a - (r_star[:, None] - r_star[None, :])
     best = int(np.argmax(r_star))  # argmax takes the lowest index on ties

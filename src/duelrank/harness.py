@@ -12,143 +12,20 @@ import dataclasses
 import itertools
 import json
 import time
-import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import games
+from .config import RunConfig, _field_types
 from .errors import ConfigError, NotReadyError
 from .games import TrueRatings, WinMatrix
 from .metrics import RankScorer, instant_regret
 # Re-exported: perfbench/tracer.py looks the per-metric functions up here.
 from .metrics import hit_ratio_at_k, ndcg_at_k, reciprocal_rank  # noqa: F401
 from .ratings import RatingState
-from .schedulers import MatchEnv, SchedulerConfig, make_scheduler
-
-PRNG_NAME = "numpy-pcg64"
-
-
-@dataclass
-class RunConfig:
-    """Flat configuration of one simulation (or a replicate set)."""
-
-    algo: str = "maxin_elo"
-    game: str = "elo"            # elo | noisy_elo | triangular | cyclic
-    n: int = 20
-    rating_scale: float = 1.0
-    noise: float = 0.0
-    matrix: str | None = None    # CSV path; overrides the generator
-    T: int = 5000
-    tau: int | None = None
-    gamma: float = 1.0
-    gamma_mode: str = "fixed"
-    alpha: float | None = None
-    eta0: float = 1.0
-    k: int = 4
-    melo: bool = False
-    delta: float = 0.2
-    lambda_ridge: float = 1.0
-    ridge: float = 1e-4
-    c1: float = 0.25
-    clip_eps: float = 1e-3
-    seed: int = 0
-    matrix_seed: int | None = None    # defaults to seed
-    replicates: int = 1
-    ks: tuple[int, ...] = ()          # HR@k / NDCG@k cutoffs
-    out: str | None = None
-    workers: int = 1
-
-    def scheduler_config(self) -> SchedulerConfig:
-        return SchedulerConfig(
-            algo=self.algo, T=self.T, tau=self.tau, gamma=self.gamma,
-            gamma_mode=self.gamma_mode, alpha=self.alpha, eta0=self.eta0,
-            k=self.k, melo=self.melo, delta=self.delta,
-            lambda_ridge=self.lambda_ridge, ridge=self.ridge, c1=self.c1)
-
-    def digest(self) -> str:
-        """Identity of the experiment: every field but the output path and
-        the worker count, which do not change what is computed."""
-        items = []
-        for f in dataclasses.fields(self):
-            if f.name in ("out", "workers"):
-                continue
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                v = ",".join(str(x) for x in v)
-            items.append(f"{f.name}={v}")
-        return ";".join(items) + f";prng={PRNG_NAME}"
-
-
-_BOOL_VALUES = {"true": True, "1": True, "yes": True,
-                "false": False, "0": False, "no": False}
-
-
-def _convert(key: str, raw: str, target_type):
-    try:
-        if target_type is bool:
-            return _BOOL_VALUES[raw.strip().lower()]
-        if target_type is tuple:
-            return tuple(int(x) for x in raw.split(",") if x.strip())
-        return target_type(raw)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"bad value for {key}: {raw!r}", key=key) from exc
-
-
-def _field_types() -> dict:
-    """The type each RunConfig field's text converts to: X for ``X | None``,
-    otherwise the bare annotation (``tuple`` for ``tuple[int, ...]``)."""
-    types = {}
-    for name, t in typing.get_type_hints(RunConfig).items():
-        args = typing.get_args(t)
-        if type(None) in args:
-            t = next(a for a in args if a is not type(None))
-        types[name] = typing.get_origin(t) or t
-    return types
-
-
-def parse_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
-    """Build a RunConfig from a key=value file plus flag overrides.
-
-    Unknown keys are rejected; overrides win over file values.
-    """
-    types = _field_types()
-    values: dict = {}
-    if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
-                key, raw = (s.strip() for s in line.split("=", 1))
-                if key not in types:
-                    raise ConfigError(f"unknown config key: {key}", key=key)
-                values[key] = _convert(key, raw, types[key])
-    for key, v in (overrides or {}).items():
-        if key not in types:
-            raise ConfigError(f"unknown config key: {key}", key=key)
-        if v is None:
-            continue
-        values[key] = _convert(key, str(v), types[key]) if isinstance(v, str) else v
-    cfg = RunConfig(**values)
-    validate_config(cfg)
-    return cfg
-
-
-def validate_config(cfg: RunConfig) -> None:
-    if cfg.replicates < 1:
-        raise ConfigError("replicates must be at least 1", key="replicates")
-    if cfg.n < 2:
-        raise ConfigError("n must be at least 2", key="n")
-    if cfg.T < 2:
-        raise ConfigError("T must be at least 2", key="T")
-    for k in cfg.ks:
-        if not 1 <= k <= cfg.n:
-            raise ConfigError(f"metric cutoff k={k} outside [1, n]", key="ks")
-    cfg.scheduler_config().resolve(cfg.n)  # raises on scheduler-side issues
+from .schedulers import MatchEnv, make_scheduler
 
 
 def build_matrix(cfg: RunConfig) -> WinMatrix:
@@ -229,7 +106,7 @@ def run_replicate(cfg: RunConfig, matrix: WinMatrix, truth: TrueRatings,
     sched_rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, rep, 2]))
     env = MatchEnv(matrix, outcome_rng)
-    scheduler = make_scheduler(cfg.n, cfg.scheduler_config(), sched_rng)
+    scheduler = make_scheduler(cfg, sched_rng)
     zero_est = RatingState(r=np.zeros(cfg.n))
     scorer = RankScorer(truth, cfg.ks)
     T = cfg.T
@@ -265,9 +142,12 @@ def summarize(traces: list[Trace], config_digest: str = "") -> RunSummary:
 
 def simulate(cfg: RunConfig) -> tuple[list[Trace], RunSummary]:
     """Run every replicate of a config; deterministic given (config, seed)."""
-    validate_config(cfg)
+    cfg.resolve()  # validates; each scheduler resolves its own copy
     start = time.perf_counter()
     matrix = build_matrix(cfg)
+    if matrix.n != cfg.n:
+        raise ConfigError(f"matrix has {matrix.n} players, config n={cfg.n}",
+                          key="n")
     truth = games.true_ratings(matrix, clip_eps=cfg.clip_eps)
     traces = [run_replicate(cfg, matrix, truth, rep)
               for rep in range(cfg.replicates)]
@@ -310,10 +190,6 @@ def sweep(template: RunConfig, grid: dict[str, list]) -> list[dict]:
     return results
 
 
-def _fmt(v) -> str:
-    return repr(float(v)) if isinstance(v, float) else str(v)
-
-
 def trace_header(ks) -> str:
     cols = ["t", "x", "y", "outcome", "instant_regret", "cum_regret", "rr"]
     cols += [f"hr@{k}" for k in ks]
@@ -325,7 +201,8 @@ def write_trace_csv(trace: Trace, path) -> None:
     cols = [np.arange(1, len(trace.x) + 1), trace.x, trace.y, trace.outcome,
             trace.instant_regret, trace.cum_regret, trace.rr,
             *trace.hr.T, *trace.ndcg.T]
-    cells = [map(_fmt, c.tolist()) for c in cols]
+    cells = [map(repr if c.dtype.kind == "f" else str, c.tolist())
+             for c in cols]
     lines = [trace_header(trace.ks)]
     lines += [",".join(row) for row in zip(*cells)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -95,10 +95,6 @@ def predict_melo(state: RatingState, x: int, y: int) -> float:
     return float(sigmoid(state.r[x] - state.r[y] + cyclic_term(state.c, x, y)))
 
 
-def predict(state: RatingState, x: int, y: int) -> float:
-    return predict_melo(state, x, y) if state.c is not None else predict_elo(state, x, y)
-
-
 def elo_loss(o: float, p_hat: float) -> float:
     """Cross-entropy of an outcome against a predicted win probability."""
     return float(-o * np.log(p_hat) - (1.0 - o) * np.log(1.0 - p_hat))

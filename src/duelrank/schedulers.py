@@ -9,10 +9,10 @@ always recorded from the first-listed player's perspective.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import ConfigError, ContractViolationError, NotReadyError
 from .games import WinMatrix, sample_outcome
 from .ratings import (
@@ -27,78 +27,16 @@ from .ratings import (
 )
 from .tracker import DesignTracker
 
-ALGORITHMS = ("maxin_elo", "maxin_melo", "random", "rg_ucb", "dbgd", "maxinp")
 
-GAMMA_GRID = tuple(round(0.2 * i, 1) for i in range(1, 11))
-
-
-@dataclass
-class SchedulerConfig:
-    algo: str = "maxin_elo"
-    T: int = 5000
-    tau: int | None = None          # defaults to round(0.7 * n)
-    gamma: float = 1.0
-    gamma_mode: str = "fixed"       # "fixed" | "theoretical"
-    alpha: float | None = None      # defaults to tau
-    eta0: float = 1.0
-    k: int = 4                      # mElo half-dimension (2k features)
-    melo: bool = False              # baselines: learn mElo instead of Elo
-    delta: float = 0.2              # RG-UCB stopping confidence
-    n_max_per_pair: int = 200       # RG-UCB per-pair sample cap
-    lambda_ridge: float = 1.0
-    ridge: float = 1e-4             # MLE regularization
-    c1: float = 0.25                # link-derivative bound for gamma schedule
-
-    def resolve(self, n: int) -> "SchedulerConfig":
-        """Fill n-dependent defaults and validate."""
-        if self.algo not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm: {self.algo}", key="algo")
-        tau = self.tau if self.tau is not None else max(1, round(0.7 * n))
-        alpha = self.alpha if self.alpha is not None else float(tau)
-        cfg = SchedulerConfig(**{**self.__dict__, "tau": tau, "alpha": alpha})
-        if cfg.tau < 1:
-            raise ConfigError("tau must be at least 1", key="tau")
-        if cfg.tau >= cfg.T:
-            raise ConfigError("warmup tau must be smaller than horizon T",
-                              key="tau")
-        if cfg.gamma_mode == "fixed" and cfg.gamma <= 0:
-            raise ConfigError("gamma must be positive", key="gamma")
-        if cfg.gamma_mode not in ("fixed", "theoretical"):
-            raise ConfigError(f"unknown gamma_mode: {cfg.gamma_mode}",
-                              key="gamma_mode")
-        if not 0 < cfg.delta < 1:
-            raise ConfigError("delta must lie in (0, 1)", key="delta")
-        if not 0 < cfg.c1 <= 0.25:
-            raise ConfigError("c1 must lie in (0, 0.25]", key="c1")
-        if cfg.eta0 <= 0:
-            raise ConfigError("eta0 must be positive", key="eta0")
-        if cfg.alpha <= 0:
-            raise ConfigError("alpha must be positive", key="alpha")
-        if cfg.k < 0:
-            raise ConfigError("k must be non-negative", key="k")
-        return cfg
-
-
-@dataclass(frozen=True)
-class TheoryParams:
-    """Constants feeding the theoretical exploration schedule."""
-
-    c1: float = 0.25
-    T: int = 5000
-    n: int = 2
-    alpha: float = 1.0
-    tau: int = 1
-
-
-def g1(t: int, p: TheoryParams) -> float:
+def g1(t: int, n: int, T: int, c1: float) -> float:
     """Confidence width of the warm MLE estimate after t rounds."""
-    return (1.0 / (2.0 * p.c1)) * math.sqrt(
-        (p.n / 2.0) * math.log(1.0 + 2.0 * t / p.n) + 2.0 * math.log(p.T))
+    return (1.0 / (2.0 * c1)) * math.sqrt(
+        (n / 2.0) * math.log(1.0 + 2.0 * t / n) + 2.0 * math.log(T))
 
 
-def g2(j: int, p: TheoryParams) -> float:
+def g2(j: int, tau: int, alpha: float) -> float:
     """SGD-to-MLE gap factor after j batches."""
-    return (p.tau / p.alpha) * math.sqrt(1.0 + math.log(j))
+    return (tau / alpha) * math.sqrt(1.0 + math.log(j))
 
 
 class MatchEnv:
@@ -107,10 +45,6 @@ class MatchEnv:
     def __init__(self, matrix: WinMatrix, rng: np.random.Generator):
         self.matrix = matrix
         self.rng = rng
-
-    @property
-    def n(self) -> int:
-        return self.matrix.n
 
     def play(self, x: int, y: int) -> int:
         return sample_outcome(self.matrix, x, y, self.rng)
@@ -123,13 +57,12 @@ def _all_pairs(n: int) -> list[tuple[int, int]]:
 class Scheduler:
     """Common bookkeeping for all policies."""
 
-    def __init__(self, n: int, config: SchedulerConfig,
-                 rng: np.random.Generator):
-        self.n = n
-        self.config = config.resolve(n)
+    def __init__(self, config: RunConfig, rng: np.random.Generator):
+        self.config = config.resolve()
+        self.n = self.config.n
         self.rng = rng
         self.t = 0
-        self.pairs = _all_pairs(n)
+        self.pairs = _all_pairs(self.n)
 
     def uniform_pair(self) -> tuple[int, int]:
         return self.pairs[int(self.rng.integers(len(self.pairs)))]
@@ -144,9 +77,9 @@ class Scheduler:
 class _OnlineBaseline(Scheduler):
     """Baselines that apply a constant-step SGD update every round."""
 
-    def __init__(self, n, config, rng):
-        super().__init__(n, config, rng)
-        cfg = self.config
+    def __init__(self, config, rng):
+        super().__init__(config, rng)
+        cfg, n = self.config, self.n
         c = None
         if cfg.melo and cfg.k > 0:
             c = rng.uniform(-0.1, 0.1, size=(n, 2 * cfg.k))
@@ -185,8 +118,11 @@ class RgUcbScheduler(_OnlineBaseline):
     all pairs.
     """
 
-    def __init__(self, n, config, rng):
-        super().__init__(n, config, rng)
+    N_MAX_PER_PAIR = 200  # per-pair sample cap
+
+    def __init__(self, config, rng):
+        super().__init__(config, rng)
+        n = self.n
         self.counts = np.zeros((n, n), dtype=int)
         self.wins = np.zeros((n, n), dtype=float)
         self._log_term = math.log(2.0 / self.config.delta)
@@ -196,7 +132,7 @@ class RgUcbScheduler(_OnlineBaseline):
         n_xy = self.counts[x, y]
         if n_xy == 0:
             return True
-        if n_xy >= self.config.n_max_per_pair:
+        if n_xy >= self.N_MAX_PER_PAIR:
             return False
         half_width = math.sqrt(self._log_term / (2.0 * n_xy))
         p_hat = self.wins[x, y] / n_xy
@@ -223,9 +159,9 @@ class RgUcbScheduler(_OnlineBaseline):
 class DbgdScheduler(_OnlineBaseline):
     """Keeps a champion and duels it against a random opponent."""
 
-    def __init__(self, n, config, rng):
-        super().__init__(n, config, rng)
-        self.champion = int(rng.integers(n))
+    def __init__(self, config, rng):
+        super().__init__(config, rng)
+        self.champion = int(rng.integers(self.n))
 
     def step(self, env):
         self.t += 1
@@ -245,8 +181,9 @@ class DbgdScheduler(_OnlineBaseline):
 class _WarmupScheduler(Scheduler):
     """Shared warmup: tau uniform matches, then an MLE initial estimate."""
 
-    def __init__(self, n, config, rng):
-        super().__init__(n, config, rng)
+    def __init__(self, config, rng):
+        super().__init__(config, rng)
+        n = self.n
         self.tracker = DesignTracker(n, self.config.lambda_ridge)
         self.history: list[tuple[int, int, int]] = []
         self.warmed_up = False
@@ -305,9 +242,7 @@ class _WarmupScheduler(Scheduler):
     def _gamma(self) -> float:
         cfg = self.config
         if cfg.gamma_mode == "theoretical":
-            p = TheoryParams(c1=cfg.c1, T=cfg.T, n=self.n,
-                             alpha=cfg.alpha, tau=cfg.tau)
-            return 2.0 * g1(self.t, p)
+            return 2.0 * g1(self.t, self.n, cfg.T, cfg.c1)
         return cfg.gamma
 
 
@@ -316,7 +251,7 @@ class MaxInScheduler(_WarmupScheduler):
 
     After the warmup MLE, ratings follow projected batch SGD with step
     eta0/(alpha*j) at batch j; the reported estimate is the average of
-    SGD iterates. With use_melo, cyclic feature vectors are learned by
+    SGD iterates. For maxin_melo, cyclic feature vectors are learned by
     the same batch gradients, unprojected.
 
     Every post-warmup round selects afresh, self-pair rounds included.
@@ -325,10 +260,10 @@ class MaxInScheduler(_WarmupScheduler):
     player, which varies several-fold from one game matrix to the next.
     """
 
-    def __init__(self, n, config, rng, use_melo: bool = False):
-        super().__init__(n, config, rng)
-        self.use_melo = use_melo
-        if use_melo and self.config.k < 1:
+    def __init__(self, config, rng):
+        super().__init__(config, rng)
+        self.use_melo = self.config.algo == "maxin_melo"
+        if self.use_melo and self.config.k < 1:
             raise ConfigError("maxin_melo needs k >= 1", key="k")
         self.buffer = BatchBuffer(tau=self.config.tau)
         self.sgd: SgdState | None = None
@@ -385,8 +320,8 @@ class MaxInPScheduler(_WarmupScheduler):
     is meant to exhibit.
     """
 
-    def __init__(self, n, config, rng):
-        super().__init__(n, config, rng)
+    def __init__(self, config, rng):
+        super().__init__(config, rng)
         self.mle_state: RatingState | None = None
 
     def _finish_warmup(self):
@@ -410,19 +345,12 @@ class MaxInPScheduler(_WarmupScheduler):
         return self.mle_state
 
 
-def make_scheduler(n: int, config: SchedulerConfig,
-                   rng: np.random.Generator) -> Scheduler:
-    algo = config.algo
-    if algo == "maxin_elo":
-        return MaxInScheduler(n, config, rng, use_melo=False)
-    if algo == "maxin_melo":
-        return MaxInScheduler(n, config, rng, use_melo=True)
-    if algo == "random":
-        return RandomScheduler(n, config, rng)
-    if algo == "rg_ucb":
-        return RgUcbScheduler(n, config, rng)
-    if algo == "dbgd":
-        return DbgdScheduler(n, config, rng)
-    if algo == "maxinp":
-        return MaxInPScheduler(n, config, rng)
-    raise ConfigError(f"unknown algorithm: {algo}", key="algo")
+_SCHEDULERS = {"maxin_elo": MaxInScheduler, "maxin_melo": MaxInScheduler,
+               "random": RandomScheduler, "rg_ucb": RgUcbScheduler,
+               "dbgd": DbgdScheduler, "maxinp": MaxInPScheduler}
+
+
+def make_scheduler(config: RunConfig, rng: np.random.Generator) -> Scheduler:
+    if config.algo not in _SCHEDULERS:
+        raise ConfigError(f"unknown algorithm: {config.algo}", key="algo")
+    return _SCHEDULERS[config.algo](config, rng)

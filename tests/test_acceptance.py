@@ -32,7 +32,7 @@ from duelrank.ratings import (
     elo_loss,
     mle_fit,
 )
-from duelrank.schedulers import MatchEnv, SchedulerConfig, make_scheduler
+from duelrank.schedulers import MatchEnv, make_scheduler
 from duelrank.tracker import DesignTracker
 
 
@@ -112,7 +112,7 @@ def test_02_hodge_identity(capsys):
         np.fill_diagonal(p, 0.5)
         m = WinMatrix(n=n, p=p, name="random")
         truth = true_ratings(m)
-        logits = logit_matrix(m).a
+        logits = logit_matrix(m)
         grad = truth.r_star[:, None] - truth.r_star[None, :]
         ok &= np.max(np.abs(grad + truth.rot - logits)) <= 1e-9
         ok &= np.max(np.abs(truth.rot + truth.rot.T)) <= 1e-9
@@ -250,8 +250,8 @@ def _per_round_times(algo, T):
     matrix = gen_elo_game(n, 1.0, seed=80)
     rng = np.random.default_rng(808)
     env = MatchEnv(matrix, np.random.default_rng(809))
-    cfg = SchedulerConfig(algo=algo).resolve(n)
-    sched = make_scheduler(n, cfg, rng)
+    cfg = RunConfig(algo=algo, n=n).resolve()
+    sched = make_scheduler(cfg, rng)
     times = np.empty(T)
     for t in range(T):
         start = time.perf_counter()

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from duelrank import games, harness
+from duelrank.config import RunConfig, parse_config
 from duelrank.errors import ConfigError
 from duelrank.harness import (
-    RunConfig,
-    parse_config,
     read_trace_csv,
     report,
     simulate,
@@ -28,7 +27,7 @@ class TestParseConfig:
         assert cfg.algo == "maxin_elo"
         assert cfg.n == 20 and cfg.T == 5000 and cfg.seed == 7
         assert cfg.tau is None  # resolved to round(0.7*n) downstream
-        assert cfg.scheduler_config().resolve(cfg.n).tau == 14
+        assert cfg.resolve().tau == 14
         assert cfg.gamma == 1.0
 
     def test_comments_and_blank_lines(self, tmp_path):
@@ -100,6 +99,18 @@ class TestParseConfig:
         moved = dataclasses.replace(cfg, out="elsewhere", workers=4)
         assert moved.digest() == cfg.digest()
         assert dataclasses.replace(cfg, seed=4).digest() != cfg.digest()
+
+    def test_digest_pinned(self):
+        # guards the field order and spelling that name every experiment
+        cfg = RunConfig(algo="maxinp", n=8, T=300, tau=5, gamma=1.8,
+                        melo=True, seed=7, matrix_seed=3, ks=(1, 4), out="x",
+                        workers=2)
+        assert cfg.digest() == (
+            "algo=maxinp;game=elo;n=8;rating_scale=1.0;noise=0.0;"
+            "matrix=None;T=300;tau=5;gamma=1.8;gamma_mode=fixed;alpha=None;"
+            "eta0=1.0;k=4;melo=True;delta=0.2;lambda_ridge=1.0;"
+            "ridge=0.0001;c1=0.25;clip_eps=0.001;seed=7;matrix_seed=3;"
+            "replicates=1;ks=1,4;prng=numpy-pcg64")
 
 
 class TestSimulate:
@@ -430,3 +441,46 @@ class TestCli:
              str(tmp_path / "r1.csv")], capsys)
         assert code == 1 and out == ""
         assert json.loads(err)["key"] == "ks"
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize(
+        "key", [f.name for f in dataclasses.fields(RunConfig)])
+    def test_flag_for_every_config_field(self, command, key):
+        from duelrank.cli import build_parser
+        flag = "--" + key.replace("_", "-")
+        args = build_parser().parse_args([command, flag, "7"])
+        assert getattr(args, key) == "7"
+
+    def test_run_noise_and_rating_scale_flags(self, capsys):
+        code, out, _ = self._main(
+            ["run", "--algo", "random", "--game", "noisy_elo", "--n", "6",
+             "--T", "40", "--seed", "2", "--noise", "0.05",
+             "--rating-scale", "2", "--ks", "2"], capsys)
+        assert code == 0
+        _, summary = simulate(RunConfig(
+            algo="random", game="noisy_elo", n=6, T=40, seed=2, noise=0.05,
+            rating_scale=2.0, ks=(2,)))
+        expected = summary.stats()
+        printed = json.loads(out)
+        del printed["wall_time"], expected["wall_time"]
+        assert printed == json.loads(json.dumps(expected))
+
+    def test_bad_flag_value_is_json_config_error(self, capsys):
+        code, out, err = self._main(["run", "--n", "abc"], capsys)
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigError"
+        assert payload["key"] == "n"
+
+    @pytest.mark.parametrize("flags", [[], ["--n", "5", "--ks", "3"]])
+    def test_matrix_size_differs_from_n(self, tmp_path, capsys, flags):
+        path = tmp_path / "m7.csv"
+        np.savetxt(path, games.gen_elo_game(7, 1.0, 3).p, delimiter=",",
+                   fmt="%.17g")
+        code, out, err = self._main(
+            ["run", "--matrix", str(path), "--algo", "random", *flags],
+            capsys)
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigError"
+        assert payload["key"] == "n"

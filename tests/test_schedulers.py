@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from duelrank import games
+from duelrank.config import RunConfig
 from duelrank.errors import ConfigError, ContractViolationError, NotReadyError
 from duelrank.schedulers import (
     DbgdScheduler,
@@ -14,8 +15,6 @@ from duelrank.schedulers import (
     MaxInScheduler,
     RandomScheduler,
     RgUcbScheduler,
-    SchedulerConfig,
-    TheoryParams,
     g1,
     g2,
     make_scheduler,
@@ -23,8 +22,8 @@ from duelrank.schedulers import (
 
 
 def build(algo, n, T=500, seed=0, **kw):
-    cfg = SchedulerConfig(algo=algo, T=T, **kw)
-    return make_scheduler(n, cfg, np.random.default_rng(seed))
+    cfg = RunConfig(algo=algo, n=n, T=T, **kw)
+    return make_scheduler(cfg, np.random.default_rng(seed))
 
 
 def env_for(matrix, seed=0):
@@ -33,47 +32,42 @@ def env_for(matrix, seed=0):
 
 class TestTheorySchedule:
     def test_g1_hand_value(self):
-        p = TheoryParams(c1=0.25, n=2, T=math.e, alpha=1.0, tau=1)
         expected = 2.0 * math.sqrt(math.log(2.0) + 2.0)
-        assert g1(1, p) == pytest.approx(expected)
-        assert g1(1, p) == pytest.approx(3.2822, abs=1e-4)
+        assert g1(1, 2, math.e, 0.25) == pytest.approx(expected)
+        assert g1(1, 2, math.e, 0.25) == pytest.approx(3.2822, abs=1e-4)
 
     def test_g1_increasing_in_t(self):
-        p = TheoryParams(c1=0.25, n=10, T=1000, alpha=1.0, tau=7)
-        vals = [g1(t, p) for t in range(1, 50)]
+        vals = [g1(t, 10, 1000, 0.25) for t in range(1, 50)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_g1_inverse_in_c1(self):
-        a = TheoryParams(c1=0.25, n=4, T=100, alpha=1.0, tau=3)
-        b = TheoryParams(c1=0.125, n=4, T=100, alpha=1.0, tau=3)
-        assert g1(5, b) == pytest.approx(2.0 * g1(5, a))
+        assert g1(5, 4, 100, 0.125) == pytest.approx(
+            2.0 * g1(5, 4, 100, 0.25))
 
     def test_g2_values(self):
-        p = TheoryParams(tau=14, alpha=14.0)
-        assert g2(1, p) == pytest.approx(1.0)
+        assert g2(1, 14, 14.0) == pytest.approx(1.0)
         j = math.exp(3.0)
-        assert g2(j, p) == pytest.approx(2.0)
-        doubled = TheoryParams(tau=28, alpha=14.0)
-        assert g2(5, doubled) == pytest.approx(2.0 * g2(5, p))
+        assert g2(j, 14, 14.0) == pytest.approx(2.0)
+        assert g2(5, 28, 14.0) == pytest.approx(2.0 * g2(5, 14, 14.0))
 
 
 class TestConfig:
     def test_tau_default(self):
-        cfg = SchedulerConfig(algo="maxin_elo", T=100).resolve(20)
+        cfg = RunConfig(algo="maxin_elo", n=20, T=100).resolve()
         assert cfg.tau == 14
         assert cfg.alpha == 14.0
 
     def test_tau_must_fit_horizon(self):
         with pytest.raises(ConfigError):
-            SchedulerConfig(algo="maxin_elo", T=10, tau=10).resolve(20)
+            RunConfig(algo="maxin_elo", n=20, T=10, tau=10).resolve()
 
     def test_unknown_algo(self):
         with pytest.raises(ConfigError):
-            SchedulerConfig(algo="alpha_ig").resolve(5)
+            RunConfig(algo="alpha_ig", n=5).resolve()
 
     def test_bad_delta(self):
         with pytest.raises(ConfigError):
-            SchedulerConfig(algo="rg_ucb", delta=1.5).resolve(5)
+            RunConfig(algo="rg_ucb", n=5, delta=1.5).resolve()
 
 
 class TestWarmup:
@@ -399,9 +393,9 @@ class TestRgUcb:
         fallback = reopened = 0
         for cap in (3, 10, 200):
             for delta in (0.05, 0.2, 0.5):
-                kw = dict(T=rounds + 1, seed=cap, delta=delta,
-                          n_max_per_pair=cap)
+                kw = dict(T=rounds + 1, seed=cap, delta=delta)
                 sched, ref = build("rg_ucb", n, **kw), build("rg_ucb", n, **kw)
+                sched.N_MAX_PER_PAIR = ref.N_MAX_PER_PAIR = cap
                 env, ref_env = env_for(matrix, 7), env_for(matrix, 7)
                 for _ in range(rounds):
                     before = sched._open.copy()
@@ -449,7 +443,8 @@ class TestRgUcb:
                        for x in range(n) for y in range(x + 1, n))
 
     def test_cap_forces_resolution(self):
-        sched = build("rg_ucb", 3, n_max_per_pair=10)
+        sched = build("rg_ucb", 3)
+        sched.N_MAX_PER_PAIR = 10
         sched.counts[0, 1] = sched.counts[1, 0] = 10
         sched.wins[0, 1] = 5.0  # p_hat exactly 0.5, only the cap resolves it
         assert not sched._unresolved(0, 1)
