@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""A/B benchmark of two source checkouts, in alternating order.
+
+Example:
+    python3 scripts/ab_bench.py --base /path/to/parent --change . \\
+        --workload paper-n20-io --seeds 2101-2110 --seconds 20
+
+For each seed it runs ``perfbench/run.py --trace 0`` once in each
+checkout, base first on the 1st, 3rd, ... pair and change first on the
+others, so slow phases of the machine fall on both sides. It then prints,
+per side, the median and quartiles of every end-to-end metric, how many
+pairs the change won, and whether ``trace_sha256`` and the ``failed``
+count matched in every pair. Metric names and their better direction are
+read from the change checkout's ``BENCHMARK.json``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def parse_run(stdout: str) -> dict:
+    """One benchmark run's metric values, trace digest and failed count,
+    from its printed report (a ``trace_sha256 <workload> <hex>`` line and
+    a final JSON line)."""
+    lines = stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    sha = next((ln.split()[2] for ln in lines
+                if ln.startswith("trace_sha256 ")), None)
+    return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            "sha256": sha, "failed": result["failed"],
+            "correct": result["correct"]}
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return q1, q2, q3
+
+
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
+    """Per metric: base and change (q1, median, q3), the pairs the change
+    won, and the median ratio change/base; plus whether every pair agreed
+    on trace bytes and failed operations. ``pairs`` holds (base, change)
+    results of ``parse_run``; ``better`` maps a metric to higher|lower."""
+    out = {"pairs": len(pairs), "metrics": {},
+           "sha256_equal": all(b["sha256"] == c["sha256"] for b, c in pairs),
+           "failed_equal": all(b["failed"] == c["failed"] for b, c in pairs),
+           "all_correct": all(b["correct"] and c["correct"]
+                              for b, c in pairs)}
+    for name, direction in better.items():
+        base = [b["metrics"][name] for b, _ in pairs]
+        change = [c["metrics"][name] for _, c in pairs]
+        sign = 1.0 if direction == "higher" else -1.0
+        won = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+        qb, qc = quartiles(base), quartiles(change)
+        out["metrics"][name] = {"base": qb, "change": qc, "won": won,
+                                "ratio": qc[1] / qb[1] if qb[1] else None}
+    return out
+
+
+def format_summary(workload: str, summary: dict) -> str:
+    rows = [f"{workload}: {summary['pairs']} pairs, trace_sha256 "
+            f"{'equal' if summary['sha256_equal'] else 'DIFFERENT'}, failed "
+            f"{'equal' if summary['failed_equal'] else 'DIFFERENT'}, "
+            f"{'all correct' if summary['all_correct'] else 'NOT CORRECT'}"]
+    for name, m in summary["metrics"].items():
+        (b1, b2, b3), (c1, c2, c3) = m["base"], m["change"]
+        ratio = f"x{m['ratio']:.3f}" if m["ratio"] is not None else "-"
+        rows.append(f"  {name:14s} base {b2:.6g} [{b1:.6g}, {b3:.6g}]  "
+                    f"change {c2:.6g} [{c1:.6g}, {c3:.6g}]  {ratio}  "
+                    f"won {m['won']}/{summary['pairs']}")
+    return "\n".join(rows)
+
+
+def parse_seeds(text: str) -> list[int]:
+    """'1,2,5-7' -> [1, 2, 5, 6, 7]."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += range(int(lo), int(hi or lo) + 1)
+    return seeds
+
+
+def run_one(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout} seed {seed}: exit {proc.returncode}\n"
+                           f"{proc.stderr}")
+    return parse_run(proc.stdout)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--base", type=Path, required=True)
+    ap.add_argument("--change", type=Path, default=Path("."))
+    ap.add_argument("--workload", action="append", required=True,
+                    help="benchmark workload name (repeatable)")
+    ap.add_argument("--seeds", required=True, help="e.g. 2101-2110 or 1,5,9")
+    ap.add_argument("--seconds", type=float, default=20.0)
+    args = ap.parse_args(argv)
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    for workload in args.workload:
+        pairs = []
+        for i, seed in enumerate(parse_seeds(args.seeds)):
+            order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
+            res = {side: run_one(getattr(args, side), workload, seed,
+                                 args.seconds) for side in order}
+            pairs.append((res["base"], res["change"]))
+            print(f"{workload} seed {seed} ({order[0]} first): " + "  ".join(
+                f"{name} {res['base']['metrics'][name]:.6g} -> "
+                f"{res['change']['metrics'][name]:.6g}" for name in better),
+                flush=True)
+        summary = summarize(pairs, better)
+        print(format_summary(workload, summary), flush=True)
+        print(json.dumps({"workload": workload, **summary}), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

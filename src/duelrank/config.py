@@ -8,6 +8,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 from dataclasses import dataclass
 
@@ -63,6 +64,9 @@ class RunConfig:
 
     def resolve(self) -> RunConfig:
         """Validate, and return a copy with tau and alpha filled in."""
+        for key, v in vars(self).items():
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConfigError(f"{key} must be finite", key=key)
         if self.replicates < 1:
             raise ConfigError("replicates must be at least 1", key="replicates")
         if self.n < 2:
@@ -97,6 +101,8 @@ class RunConfig:
             raise ConfigError("alpha must be positive", key="alpha")
         if cfg.k < 0:
             raise ConfigError("k must be non-negative", key="k")
+        if cfg.lambda_ridge <= 0:
+            raise ConfigError("lambda_ridge must be positive", key="lambda_ridge")
         return cfg
 
 

@@ -113,13 +113,18 @@ def run_replicate(cfg: RunConfig, matrix: WinMatrix, truth: TrueRatings,
     x, y, outcome = (np.empty(T, dtype=np.int64) for _ in range(3))
     rr = np.empty(T)
     hr, ndcg = np.empty((T, len(cfg.ks))), np.empty((T, len(cfg.ks)))
+    src, last = np.zeros(T, dtype=np.intp), None  # src[t] = t if t was scored
     for t in range(T):
         x[t], y[t], outcome[t] = scheduler.step(env)
         try:
             est = scheduler.estimate()
         except NotReadyError:
             est = zero_est
-        rr[t], hr[t], ndcg[t] = _metric_snapshot(scorer, est)
+        if est is not last:  # a new estimate; see Scheduler.estimate
+            rr[t], hr[t], ndcg[t] = _metric_snapshot(scorer, est)
+            last, src[t] = est, t
+    src = np.maximum.accumulate(src)  # other rounds copy the last scored row
+    rr, hr, ndcg = rr[src], hr[src], ndcg[src]
     # np.cumsum adds in round order, as a running total would
     regret = instant_regret(truth, x, y)
     return Trace(x=x, y=y, outcome=outcome, instant_regret=regret,

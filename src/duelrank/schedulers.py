@@ -71,6 +71,8 @@ class Scheduler:
         raise NotImplementedError
 
     def estimate(self) -> RatingState:
+        """The current estimate: the same object for as long as it is
+        unchanged, and a new object whenever it may have changed."""
         raise NotImplementedError
 
 
@@ -205,13 +207,19 @@ class _WarmupScheduler(Scheduler):
     def _finish_warmup(self):
         raise NotImplementedError
 
-    def _candidate_mask(self, u: np.ndarray, r: np.ndarray,
-                        c: np.ndarray | None, gamma: float) -> np.ndarray:
-        """Players not confidently dominated under the optimistic score."""
-        h = r[:, None] - r[None, :] + gamma * u
-        if c is not None:
-            h = h + c @ self._omega @ c.T
-        np.fill_diagonal(h, np.inf)
+    def _rating_gap(self, r: np.ndarray, c: np.ndarray | None):
+        """(D, C): r_i - r_j with an inf diagonal, and c Omega c' or None."""
+        d = r[:, None] - r[None, :]
+        np.fill_diagonal(d, np.inf)
+        return d, None if c is None else c @ self._omega @ c.T
+
+    def _candidate_mask(self, u: np.ndarray, gap, gamma: float) -> np.ndarray:
+        """Players not confidently dominated under the optimistic score.
+        u's diagonal is 0, so h's is inf + gamma * 0 = inf."""
+        d, c_term = gap
+        h = d + gamma * u
+        if c_term is not None:
+            h = h + c_term
         return h.min(axis=1) > 0.0
 
     def _select_pair(self, u: np.ndarray,
@@ -233,11 +241,10 @@ class _WarmupScheduler(Scheduler):
             vals = np.where(mask[self._iu] & mask[self._ju], vals, -1.0)
         return self.pairs[int(np.argmax(vals))]
 
-    def _select(self, r: np.ndarray, c: np.ndarray | None,
-                gamma: float) -> tuple[int, int]:
+    def _select(self, gap, gamma: float) -> tuple[int, int]:
         """One round's pair from one uncertainty matrix."""
         u = self.tracker.uncertainty_matrix()
-        return self._select_pair(u, self._candidate_mask(u, r, c, gamma))
+        return self._select_pair(u, self._candidate_mask(u, gap, gamma))
 
     def _gamma(self) -> float:
         cfg = self.config
@@ -254,6 +261,7 @@ class MaxInScheduler(_WarmupScheduler):
     SGD iterates. For maxin_melo, cyclic feature vectors are learned by
     the same batch gradients, unprojected.
 
+    The estimate and rating gap change only per batch (see _refresh).
     Every post-warmup round selects afresh, self-pair rounds included.
     Holding a self-pair instead would skip that work, but it makes a
     run's cost depend on how early its candidate set collapses to one
@@ -288,12 +296,22 @@ class MaxInScheduler(_WarmupScheduler):
                             center=r_hat.copy(), radius=2.0,
                             eta0=cfg.eta0, alpha=cfg.alpha,
                             c_tilde=c, c_bar=c_bar)
+        self._refresh()
+
+    def _refresh(self):
+        """Estimate and rating gap of a new SGD state; every caller shares
+        the estimate, whose arrays are made read-only."""
+        r, c = self.sgd.r_bar, self.sgd.c_bar
+        for a in (r, c) if c is not None else (r,):
+            a.flags.writeable = False
+        self._estimate = RatingState(r=r, c=c, k=self.config.k if self.use_melo else 0)
+        self._gap = self._rating_gap(r, c)
 
     def step(self, env):
         self.t += 1
         if not self.warmed_up:
             return self._warmup_step(env)
-        x, y = self._select(self.sgd.r_bar, self.sgd.c_bar, self._gamma())
+        x, y = self._select(self._gap, self._gamma())
         o = env.play(x, y)
         if x != y:  # self-pairs carry zero information
             self.buffer.append(x, y, o)
@@ -301,15 +319,13 @@ class MaxInScheduler(_WarmupScheduler):
             if self.buffer.full():
                 self.sgd = batch_update(self.sgd, self.buffer)
                 self.buffer.clear()
+                self._refresh()
         return x, y, o
 
     def estimate(self) -> RatingState:
         if self.sgd is None:
             raise NotReadyError("warmup has not completed")
-        k = self.config.k if self.use_melo else 0
-        return RatingState(r=self.sgd.r_bar.copy(),
-                           c=None if self.sgd.c_bar is None
-                           else self.sgd.c_bar.copy(), k=k)
+        return self._estimate
 
 
 class MaxInPScheduler(_WarmupScheduler):
@@ -332,7 +348,8 @@ class MaxInPScheduler(_WarmupScheduler):
         if not self.warmed_up:
             return self._warmup_step(env)
         self.mle_state = mle_fit(self.history, self.n, ridge=self.config.ridge)
-        x, y = self._select(self.mle_state.r, None, self._gamma())
+        x, y = self._select(self._rating_gap(self.mle_state.r, None),
+                            self._gamma())
         o = env.play(x, y)
         self.history.append((x, y, o))
         if x != y:

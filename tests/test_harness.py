@@ -1,14 +1,16 @@
 """Config parsing, simulation loop, sweeps, and file emission."""
 
 import dataclasses
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
 from duelrank import games, harness
-from duelrank.config import RunConfig, parse_config
-from duelrank.errors import ConfigError
+from duelrank.config import RunConfig, _field_types, parse_config
+from duelrank.errors import ConfigError, NotReadyError
 from duelrank.harness import (
     read_trace_csv,
     report,
@@ -111,6 +113,20 @@ class TestParseConfig:
             "eta0=1.0;k=4;melo=True;delta=0.2;lambda_ridge=1.0;"
             "ridge=0.0001;c1=0.25;clip_eps=0.001;seed=7;matrix_seed=3;"
             "replicates=1;ks=1,4;prng=numpy-pcg64")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "key", [k for k, t in _field_types().items() if t is float])
+    def test_non_finite_float_rejected(self, key, value):
+        with pytest.raises(ConfigError) as exc:
+            RunConfig(algo="maxin_elo", n=6, T=40, **{key: value}).resolve()
+        assert exc.value.key == key
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_lambda_ridge_must_be_positive(self, value):
+        with pytest.raises(ConfigError) as exc:
+            RunConfig(n=6, T=40, lambda_ridge=value).resolve()
+        assert exc.value.key == "lambda_ridge"
 
 
 class TestSimulate:
@@ -272,6 +288,113 @@ class TestTraceBytes:
         back = read_trace_csv(tmp_path / "t.csv")
         assert reference_trace_csv(back) == got
         assert self._bytes(back, tmp_path / "back.csv") == got
+
+    # SHA-256 of write_trace_csv bytes, one small config per algorithm.
+    # Trace bytes are the determinism contract: a change that moves one of
+    # these digests changes results and must be declared as such. They
+    # were taken with numpy 2.4 on x86-64.
+    DIGESTS = [
+        (dict(algo="maxin_elo", n=12, T=400, tau=8, gamma=1.0,
+              rating_scale=2.0, ks=(1, 4, 10), seed=3),
+         "10ceb736271e97f9a84657daac0e7a6b91d3ca43a5a6769953b6f4bd625f4b6c"),
+        (dict(algo="maxin_melo", n=8, T=300, tau=6, gamma=1.8, k=2, ks=(4,),
+              seed=4),
+         "e1d33a7e77ebf8c415fb9b59cbbfe423c6e901a6a05d42ed17e918d9b987ceba"),
+        (dict(algo="random", n=8, T=200, melo=True, k=2, ks=(4,), seed=5),
+         "97b6c800a1019074c5f40ebf6046e451b0e88d9090834d80a081b62d56742c0a"),
+        (dict(algo="rg_ucb", n=6, T=200, ks=(2,), seed=6),
+         "3ebd2c7b1fe01a671bf0441e1a59f1efc76862a9bb41be721820818070b10572"),
+        (dict(algo="dbgd", n=8, T=200, ks=(4,), seed=7),
+         "7e63cc8b61e3a443e7f06869144daf5d99843da177cb4ac66de180603d125985"),
+        (dict(algo="maxinp", n=6, T=80, tau=5, gamma=1.8, ks=(2,), seed=8),
+         "69c64ad543bd3ccd38a421b0284cbf616104e402734d7faef8d0b3e4d823f890"),
+    ]
+
+    @pytest.mark.parametrize("kw,digest", DIGESTS,
+                             ids=[kw["algo"] for kw, _ in DIGESTS])
+    def test_digest_pinned(self, tmp_path, kw, digest):
+        traces, _ = simulate(RunConfig(**kw))
+        if kw["algo"] == "maxin_elo":
+            assert (traces[0].x == traces[0].y).sum() > kw["T"] // 2
+        got = self._bytes(traces[0], tmp_path / "t.csv")
+        assert hashlib.sha256(got).hexdigest() == digest
+
+
+def reference_run(cfg: RunConfig):
+    """run_replicate's rounds, scoring every estimate with RankScorer.
+
+    Also checks the estimate contract: an estimate returned again on the
+    next round has the same bits as when it first appeared. Returns the
+    per-round (rr, hr, ndcg), the scheduler, and the number of distinct
+    estimates returned after warmup.
+    """
+    from duelrank.metrics import RankScorer
+    from duelrank.schedulers import MatchEnv, make_scheduler
+    cfg = cfg.resolve()
+    matrix = harness.build_matrix(cfg)
+    truth = games.true_ratings(matrix, clip_eps=cfg.clip_eps)
+    env = MatchEnv(matrix, np.random.default_rng(
+        np.random.SeedSequence([cfg.seed, 0, 1])))
+    sched = make_scheduler(cfg, np.random.default_rng(
+        np.random.SeedSequence([cfg.seed, 0, 2])))
+    scorer = RankScorer(truth, cfg.ks)
+    rows, last, first_bits, distinct = [], None, None, 0
+    for _ in range(cfg.T):
+        sched.step(env)
+        try:
+            est = sched.estimate()
+        except NotReadyError:
+            rows.append(scorer.score(np.zeros(cfg.n)))
+            continue
+        bits = (est.r.tobytes(), None if est.c is None else est.c.tobytes())
+        if est is last:
+            assert bits == first_bits
+        else:
+            last, first_bits, distinct = est, bits, distinct + 1
+        rows.append(scorer.score(est.r))
+    return rows, sched, distinct
+
+
+class TestEstimateContract:
+    CASES = [
+        dict(algo="maxin_elo", n=12, T=400, tau=8, gamma=1.0,
+             rating_scale=2.0, ks=(1, 4, 10), seed=3),
+        dict(algo="maxin_elo", n=8, T=300, tau=6, gamma_mode="theoretical",
+             ks=(2,), seed=1),
+        dict(algo="maxin_melo", n=8, T=300, tau=6, gamma=1.8, k=2, ks=(4,),
+             seed=4),
+        dict(algo="random", n=8, T=150, ks=(4,), seed=5),
+        dict(algo="random", n=8, T=150, melo=True, k=2, ks=(4,), seed=5),
+        dict(algo="rg_ucb", n=6, T=150, ks=(2,), seed=6),
+        dict(algo="dbgd", n=8, T=150, melo=True, k=1, ks=(4,), seed=7),
+        dict(algo="maxinp", n=6, T=60, tau=5, gamma=1.8, ks=(2,), seed=8),
+        dict(algo="maxinp", n=6, T=60, tau=5, gamma_mode="theoretical",
+             ks=(2,), seed=8),
+    ]
+
+    @pytest.mark.parametrize("kw", CASES, ids=lambda kw: "-".join(
+        str(kw.get(k)) for k in ("algo", "melo", "gamma_mode") if k in kw))
+    def test_scores_match_every_round_reference(self, kw):
+        cfg = RunConfig(**kw)
+        rows, sched, distinct = reference_run(cfg)
+        if kw["algo"].startswith("maxin_"):
+            assert sched.sgd.j >= 2
+            assert distinct == 1 + sched.sgd.j
+        cfg = cfg.resolve()
+        matrix = harness.build_matrix(cfg)
+        truth = games.true_ratings(matrix, clip_eps=cfg.clip_eps)
+        trace = harness.run_replicate(cfg, matrix, truth, 0)
+        rr, hr, ndcg = zip(*rows)
+        assert np.array_equal(trace.rr, np.array(rr))
+        assert np.array_equal(trace.hr, np.array(hr).reshape(cfg.T, -1))
+        assert np.array_equal(trace.ndcg, np.array(ndcg).reshape(cfg.T, -1))
+
+    def test_maxin_estimate_is_read_only(self):
+        _, sched, _ = reference_run(RunConfig(**self.CASES[2]))
+        est = sched.estimate()
+        for a in (est.r, est.c):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
 
 class TestReport:
@@ -471,6 +594,18 @@ class TestCli:
         payload = json.loads(err)
         assert payload["error"] == "ConfigError"
         assert payload["key"] == "n"
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--gamma", "nan"), ("--gamma", "inf"), ("--eta0", "nan"),
+        ("--lambda-ridge", "nan"), ("--lambda-ridge", "0"),
+        ("--ridge", "nan")])
+    def test_bad_number_is_json_config_error(self, capsys, flag, value):
+        code, out, err = self._main(
+            ["run", "--n", "6", "--T", "40", flag, value], capsys)
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigError"
+        assert payload["key"] == flag[2:].replace("-", "_")
 
     @pytest.mark.parametrize("flags", [[], ["--n", "5", "--ks", "3"]])
     def test_matrix_size_differs_from_n(self, tmp_path, capsys, flags):

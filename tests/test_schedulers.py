@@ -116,7 +116,8 @@ def mask_of(members, n):
 def candidates(sched, r, c, gamma):
     """The candidate set S as a sorted list of players."""
     u = sched.tracker.uncertainty_matrix()
-    return [int(x) for x in np.flatnonzero(sched._candidate_mask(u, r, c, gamma))]
+    gap = sched._rating_gap(r, c)
+    return [int(x) for x in np.flatnonzero(sched._candidate_mask(u, gap, gamma))]
 
 
 class TestCandidateSet:
@@ -172,7 +173,7 @@ class TestCandidateSet:
     def test_nan_ratings_are_a_contract_violation(self):
         sched = self._warm(5)
         with pytest.raises(ContractViolationError):
-            sched._select(np.full(5, np.nan), None, 1.0)
+            sched._select(sched._rating_gap(np.full(5, np.nan), None), 1.0)
 
 
 class TestSelectPair:
@@ -254,13 +255,65 @@ class TestSelectionOracle:
             gamma = float(10.0 ** rng.uniform(-6, 3))
             u = sched.tracker.uncertainty_matrix()
             expected = reference_pair(u, r, c, omega_k, gamma)
+            gap = sched._rating_gap(r, c)
             if expected is None:
                 with pytest.raises(ContractViolationError):
-                    sched._select(r, c, gamma)
+                    sched._select(gap, gamma)
                 continue
-            assert sched._select(r, c, gamma) == expected
-            sizes.add(int(sched._candidate_mask(u, r, c, gamma).sum()))
+            assert sched._select(gap, gamma) == expected
+            sizes.add(int(sched._candidate_mask(u, gap, gamma).sum()))
         assert 1 in sizes and n in sizes
+
+
+class TestRunSelectionOracle:
+    """Whole runs: every post-warmup pair equals reference_pair on u, the
+    learner's current estimate and gamma, all recomputed that round."""
+
+    # (config, whether the run plays self-pairs)
+    CASES = [
+        (dict(algo="maxin_elo", n=12, T=400, tau=8, gamma=1.0,
+              rating_scale=2.0), True),
+        (dict(algo="maxin_elo", n=8, T=300, tau=6, gamma=1.8), False),
+        (dict(algo="maxin_elo", n=8, T=300, tau=6,
+              gamma_mode="theoretical"), False),
+        (dict(algo="maxin_melo", n=8, T=300, tau=6, gamma=1.0, k=2), True),
+        (dict(algo="maxin_melo", n=8, T=300, tau=6, gamma_mode="theoretical",
+              k=2), False),
+        (dict(algo="maxinp", n=6, T=80, tau=5, gamma=1.8), True),
+        (dict(algo="maxinp", n=6, T=60, tau=5, gamma_mode="theoretical"),
+         False),
+    ]
+
+    @pytest.mark.parametrize("kw,plays_self_pairs", CASES, ids=[
+        "-".join(str(kw.get(k, "")) for k in ("algo", "gamma", "gamma_mode"))
+        for kw, _ in CASES])
+    def test_every_pair_matches_reference(self, kw, plays_self_pairs):
+        from duelrank.ratings import mle_fit, omega
+        sched = build(seed=3, **kw)
+        cfg = sched.config
+        omega_k = omega(cfg.k)
+        env = env_for(games.gen_elo_game(cfg.n, cfg.rating_scale, 2), seed=4)
+        self_pairs = 0
+        for _ in range(cfg.T):
+            if not sched.warmed_up:
+                sched.step(env)
+                continue
+            if cfg.algo == "maxinp":
+                r = mle_fit(sched.history, cfg.n, ridge=cfg.ridge).r
+                c = None
+            else:
+                r, c = sched.sgd.r_bar, sched.sgd.c_bar
+            gamma = cfg.gamma
+            if cfg.gamma_mode == "theoretical":
+                gamma = 2.0 * g1(sched.t + 1, cfg.n, cfg.T, cfg.c1)
+            u = sched.tracker.uncertainty_matrix().copy()
+            expected = reference_pair(u, r, c, omega_k, gamma)
+            x, y, _ = sched.step(env)
+            assert (x, y) == expected
+            self_pairs += x == y
+        if cfg.algo != "maxinp":
+            assert sched.sgd.j >= 2
+        assert (self_pairs > cfg.T // 2) == plays_self_pairs
 
 
 class TestMaxInStep:
@@ -280,8 +333,8 @@ class TestMaxInStep:
         seen = []
         original = MaxInScheduler._candidate_mask
 
-        def spy(self, u, r, c, gamma):
-            mask = original(self, u, r, c, gamma)
+        def spy(self, u, gap, gamma):
+            mask = original(self, u, gap, gamma)
             seen.append([int(x) for x in np.flatnonzero(mask)])
             return mask
 
@@ -306,9 +359,9 @@ class TestMaxInStep:
         cls = MaxInPScheduler if algo == "maxinp" else MaxInScheduler
         original = cls._select
 
-        def spy(self, r, c, gamma):
+        def spy(self, gap, gamma):
             calls.append(gamma)
-            x, y = original(self, r, c, gamma)
+            x, y = original(self, gap, gamma)
             return (x, x) if len(calls) % 2 else (x, y)
 
         monkeypatch.setattr(cls, "_select", spy)

@@ -1,5 +1,7 @@
-"""The example scripts run end to end on a tiny configuration."""
+"""The example scripts run end to end on a tiny configuration, and
+ab_bench.py summarizes canned benchmark output."""
 
+import json
 import os
 import subprocess
 import sys
@@ -24,3 +26,61 @@ def test_script_prints_table(script, header):
         capture_output=True, text=True, env=env, timeout=300, check=False)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[0] == header
+
+
+def _ab_bench():
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "ab_bench", ROOT / "scripts" / "ab_bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _canned_run(rounds, rss, sha="ab12", failed=0):
+    metrics = {"rounds_per_s": {"value": rounds, "unit": "rounds/s"},
+               "peak_rss_mb": {"value": rss, "unit": "MiB"}}
+    return "\n".join([
+        "environment {}",
+        "pass 1 untraced wall=1.0s rounds/s=1.0 sha256=x",
+        f"trace_sha256 paper-n20-io {sha}",
+        "  rounds_per_s = 1 rounds/s",
+        '{"correct": %s, "attempted": 6, "failed": %d, "metrics": %s}'
+        % ("true" if failed == 0 else "false", failed, json.dumps(metrics)),
+    ]) + "\n"
+
+
+def test_ab_bench_summary_of_canned_runs():
+    ab = _ab_bench()
+    base = [ab.parse_run(_canned_run(r, 58.0)) for r in (100, 110, 90, 105)]
+    change = [ab.parse_run(_canned_run(r, m))
+              for r, m in ((150, 59.0), (100, 57.0), (160, 59.0), (140, 58.0))]
+    assert base[0] == {"metrics": {"rounds_per_s": 100, "peak_rss_mb": 58.0},
+                       "sha256": "ab12", "failed": 0, "correct": True}
+    out = ab.summarize(list(zip(base, change)),
+                       {"rounds_per_s": "higher", "peak_rss_mb": "lower"})
+    assert out["pairs"] == 4
+    assert out["sha256_equal"] and out["failed_equal"] and out["all_correct"]
+    rounds = out["metrics"]["rounds_per_s"]
+    assert rounds["won"] == 3                  # 100 < 110 is a loss
+    assert rounds["base"][1] == 102.5 and rounds["change"][1] == 145.0
+    assert rounds["base"][0] <= 102.5 <= rounds["base"][2]
+    assert rounds["ratio"] == 145.0 / 102.5
+    assert out["metrics"]["peak_rss_mb"]["won"] == 1   # only 57 < 58
+    text = ab.format_summary("paper-n20-io", out)
+    assert "won 3/4" in text and "trace_sha256 equal" in text
+
+
+def test_ab_bench_flags_differing_bytes_and_failures():
+    ab = _ab_bench()
+    pairs = [(ab.parse_run(_canned_run(100, 58.0)),
+              ab.parse_run(_canned_run(120, 58.0, sha="cd34", failed=1)))]
+    out = ab.summarize(pairs, {"rounds_per_s": "higher"})
+    assert not out["sha256_equal"] and not out["failed_equal"]
+    assert not out["all_correct"]
+    assert out["metrics"]["rounds_per_s"]["base"] == (100, 100, 100)
+    assert "DIFFERENT" in ab.format_summary("w", out)
+
+
+def test_ab_bench_seed_ranges():
+    assert _ab_bench().parse_seeds("1,5-7,10") == [1, 5, 6, 7, 10]
