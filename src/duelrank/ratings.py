@@ -147,20 +147,31 @@ def project(r: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
 
 def _batch_gradients(r: np.ndarray, c: np.ndarray | None,
                      records) -> tuple[np.ndarray, np.ndarray | None]:
-    """Summed loss gradients over a batch, evaluated at (r, c)."""
-    n = len(r)
-    grad_r = np.zeros(n)
-    grad_c = np.zeros_like(c) if c is not None else None
-    for x, y, o in records:
-        z = r[x] - r[y]
-        if c is not None:
-            z += cyclic_term(c, x, y)
-        delta = o - float(sigmoid(z))
-        grad_r[x] -= delta
-        grad_r[y] += delta
-        if grad_c is not None:
-            grad_c[x] -= delta * _omega_dot(c[y])
-            grad_c[y] += delta * _omega_dot(c[x])
+    """Summed loss gradients over a batch, evaluated at (r, c).
+
+    Each record adds -delta to its x row and +delta to its y row, in
+    record order, so the sums round exactly as a per-record loop would.
+    """
+    recs = np.array(records, dtype=float).reshape(-1, 3)
+    xy = recs[:, :2].astype(np.intp)
+    xs, ys = xy[:, 0], xy[:, 1]
+    z = r[xs] - r[ys]
+    if c is not None:
+        cx, cy = c[xs], c[ys]
+        z = z + (cx[:, 0::2] * cy[:, 1::2] - cx[:, 1::2] * cy[:, 0::2]).sum(axis=1)
+    delta = recs[:, 2] - sigmoid(z)
+    # rows x1, y1, x2, y2, ... with weights -delta1, delta1, -delta2, ...
+    rows = xy.ravel()
+    w = np.stack((-delta, delta), axis=1).ravel()
+    grad_r = np.bincount(rows, weights=w, minlength=len(r))
+    grad_c = None
+    if c is not None:
+        omega_c = np.empty_like(c)
+        omega_c[:, 0::2] = c[:, 1::2]
+        omega_c[:, 1::2] = -c[:, 0::2]
+        grad_c = np.zeros_like(c)
+        # x's row takes -delta * Omega c_y, y's row delta * Omega c_x
+        np.add.at(grad_c, rows, w[:, None] * omega_c[xy[:, ::-1].ravel()])
     return grad_r, grad_c
 
 
@@ -187,67 +198,74 @@ def mle_fit(history, n: int, ridge: float = 1e-4,
             tol: float = 1e-8, max_iter: int = 100) -> RatingState:
     """Ridge-regularized pairwise-logistic maximum likelihood.
 
-    Newton iteration with step halving. The ridge makes the optimum
-    unique and finite on any history (including disconnected comparison
-    graphs); the solution is mean-centered, which the shift-invariant
-    data term plus ridge already forces at the optimum.
+    history is a sequence of (x, y, o) records or an m x 3 integer array,
+    with every outcome o in {0, 1}. Newton iteration with step halving.
+    The ridge makes the optimum unique and finite on any history
+    (including disconnected comparison graphs); the solution is
+    mean-centered, which the shift-invariant data term plus ridge already
+    forces at the optimum. Each iteration is one pass over the history.
     """
     if ridge <= 0:
         raise ConfigError("ridge must be positive", key="ridge")
-    records = list(history)
-    if not records:
+    h = np.asarray(history)
+    if h.size == 0:
         return RatingState(r=np.zeros(n))
-    xs = np.array([rec[0] for rec in records])
-    ys = np.array([rec[1] for rec in records])
-    os_ = np.array([rec[2] for rec in records], dtype=float)
+    if h.ndim != 2 or h.shape[1] != 3 or not ((h[:, 2] == 0) | (h[:, 2] == 1)).all():
+        raise ContractViolationError(
+            "history must be (x, y, o) rows with o in {0, 1}")
+    h = h.astype(np.int64, copy=False)
+    xs, ys = h[:, 0], h[:, 1]
+    os_ = h[:, 2].astype(float)
+    # -log sigma of the outcome, o softplus(-z) + (1 - o) softplus(z), is
+    # softplus(sign z) bit for bit when o is 0 or 1
+    sign = 1.0 - 2.0 * os_
+    # gradient: all -delta at x, then all +delta at y; Hessian, flattened:
+    # ridge on the diagonal, then w at (x, x), (y, y), -w at (x, y), (y, x)
+    g_idx = np.concatenate((xs, ys))
+    h_idx = np.concatenate((np.arange(n) * (n + 1), xs * (n + 1), ys * (n + 1),
+                            xs * n + ys, ys * n + xs))
+    ridge_diag = np.full(n, ridge)
 
-    def objective(r):
-        z = r[xs] - r[ys]
-        # stable -log sigma(z) terms: softplus(-z) and softplus(z)
-        return float(np.sum(os_ * np.logaddexp(0.0, -z)
-                            + (1.0 - os_) * np.logaddexp(0.0, z))
+    def objective(r, z=None):
+        if z is None:
+            z = r[xs] - r[ys]
+        return float(np.logaddexp(0.0, sign * z).sum()
                      + 0.5 * ridge * np.dot(r, r))
 
-    def gradient(r):
-        delta = os_ - sigmoid(r[xs] - r[ys])
-        g = np.zeros(n)
-        np.subtract.at(g, xs, delta)
-        np.add.at(g, ys, delta)
-        return g + ridge * r
+    def gradient(r, s):
+        delta = os_ - s
+        weights = np.concatenate((-delta, delta))
+        return np.bincount(g_idx, weights=weights, minlength=n) + ridge * r
 
-    def hessian(r):
-        w = sigmoid(r[xs] - r[ys])
-        w = w * (1.0 - w)
-        hess = ridge * np.eye(n)
-        np.add.at(hess, (xs, xs), w)
-        np.add.at(hess, (ys, ys), w)
-        np.add.at(hess, (xs, ys), -w)
-        np.add.at(hess, (ys, xs), -w)
-        return hess
+    def hessian(s):
+        w = s * (1.0 - s)
+        nw = -w
+        weights = np.concatenate((ridge_diag, w, w, nw, nw))
+        return np.bincount(h_idx, weights=weights, minlength=n * n).reshape(n, n)
 
     r = np.zeros(n)
-    for _ in range(max_iter):
+    for it in range(max_iter + 1):
         # centering never increases the objective (data term is
         # shift-invariant, ridge shrinks) and keeps the output canonical
-        r = r - r.mean()
-        g = gradient(r)
+        r = r - r.sum() / n
+        z = r[xs] - r[ys]
+        s = sigmoid(z)
+        g = gradient(r, s)
         if np.linalg.norm(g) <= tol:
             return RatingState(r=r)
-        step = np.linalg.solve(hessian(r), g)
-        f0 = objective(r)
+        if it == max_iter:
+            break
+        step = np.linalg.solve(hessian(s), g)
+        f0 = objective(r, z)
         scale = 1.0
         while objective(r - scale * step) > f0 and scale > 1e-12:
             scale *= 0.5
         r = r - scale * step
-    r = r - r.mean()
-    g = gradient(r)
-    if np.linalg.norm(g) <= tol:
-        return RatingState(r=r)
     # Near the optimum the decrease Newton still predicts, g'H^-1 g / 2,
     # can fall below the objective's rounding; the line search then sees
     # no change and |g| stalls just above tol. Such r is as good as the
     # objective can tell apart.
-    decrement = 0.5 * float(g @ np.linalg.solve(hessian(r), g))
-    if decrement <= 4.0 * np.finfo(float).eps * abs(objective(r)):
+    decrement = 0.5 * float(g @ np.linalg.solve(hessian(s), g))
+    if decrement <= 4.0 * np.finfo(float).eps * abs(objective(r, z)):
         return RatingState(r=r)
     raise SolverError("MLE did not converge", last_iterate=r)

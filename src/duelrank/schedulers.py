@@ -187,17 +187,30 @@ class _WarmupScheduler(Scheduler):
         super().__init__(config, rng)
         n = self.n
         self.tracker = DesignTracker(n, self.config.lambda_ridge)
-        self.history: list[tuple[int, int, int]] = []
+        # match log as (x, y, o) rows; grows by doubling past config.T rows
+        self._log = np.empty((self.config.T, 3), dtype=np.int64)
+        self._logged = 0
         self.warmed_up = False
         self._omega = omega(self.config.k)
         # flat indices of u[x, y] for x < y, in the same order as self.pairs
         iu, ju = np.triu_indices(n, 1)
         self._iu, self._ju, self._flat = iu, ju, iu * n + ju
 
+    @property
+    def history(self) -> np.ndarray:
+        """Every match logged so far, as an m x 3 (x, y, o) view."""
+        return self._log[:self._logged]
+
+    def _record(self, x: int, y: int, o: int) -> None:
+        if self._logged == len(self._log):
+            self._log = np.concatenate((self._log, np.empty_like(self._log)))
+        self._log[self._logged] = x, y, o
+        self._logged += 1
+
     def _warmup_step(self, env):
         x, y = self.uniform_pair()
         o = env.play(x, y)
-        self.history.append((x, y, o))
+        self._record(x, y, o)
         self.tracker.update(x, y)
         if self.t == self.config.tau:
             self._finish_warmup()
@@ -331,9 +344,9 @@ class MaxInScheduler(_WarmupScheduler):
 class MaxInPScheduler(_WarmupScheduler):
     """Full-history MLE refit per round, same candidate/pair rule.
 
-    Kept deliberately O(t) per round: the entire match log is refit
-    from scratch each time, which is the cost profile this baseline
-    is meant to exhibit.
+    Kept deliberately O(t) per round: every refit starts from zero and
+    each of its Newton iterations passes over the whole match log, which
+    is the cost profile this baseline is meant to exhibit.
     """
 
     def __init__(self, config, rng):
@@ -351,7 +364,7 @@ class MaxInPScheduler(_WarmupScheduler):
         x, y = self._select(self._rating_gap(self.mle_state.r, None),
                             self._gamma())
         o = env.play(x, y)
-        self.history.append((x, y, o))
+        self._record(x, y, o)
         if x != y:
             self.tracker.update(x, y)
         return x, y, o

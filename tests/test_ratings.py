@@ -378,3 +378,155 @@ class TestMleFit:
     def test_still_raises_far_from_optimum(self):
         with pytest.raises(SolverError):
             mle_fit(self.STALL_HISTORY, 20, ridge=2.0, max_iter=1)
+
+    def test_array_history_matches_list(self):
+        h = self.STALL_HISTORY
+        out = mle_fit(np.array(h, dtype=np.int64), 20, ridge=2.0)
+        assert out.r.tobytes() == mle_fit(h, 20, ridge=2.0).r.tobytes()
+
+    def test_empty_array_history(self):
+        assert mle_fit(np.empty((0, 3), dtype=np.int64), 4).r.tobytes() \
+            == np.zeros(4).tobytes()
+
+    @pytest.mark.parametrize("history", [
+        [(0, 1, 0.5)],             # would truncate to 0 as an integer
+        [(0, 1, 1), (1, 2, 2)],
+        [(0, 1, -1)],
+        [(0, 1)],
+    ])
+    def test_non_binary_outcome_is_a_contract_violation(self, history):
+        with pytest.raises(ContractViolationError):
+            mle_fit(history, 3)
+
+
+# The loop implementations these functions had before they were
+# vectorised, kept as the references their results must equal bit for bit.
+
+def reference_batch_gradients(r, c, records):
+    n = len(r)
+    grad_r = np.zeros(n)
+    grad_c = np.zeros_like(c) if c is not None else None
+    for x, y, o in records:
+        z = r[x] - r[y]
+        if c is not None:
+            z += ratings.cyclic_term(c, x, y)
+        delta = o - float(1.0 / (1.0 + np.exp(-np.asarray(z, dtype=float))))
+        grad_r[x] -= delta
+        grad_r[y] += delta
+        if grad_c is not None:
+            grad_c[x] -= delta * ratings._omega_dot(c[y])
+            grad_c[y] += delta * ratings._omega_dot(c[x])
+    return grad_r, grad_c
+
+
+def reference_mle_fit(history, n, ridge=1e-4, tol=1e-8, max_iter=100):
+    sigmoid = ratings.sigmoid
+    records = list(history)
+    if not records:
+        return np.zeros(n)
+    xs = np.array([rec[0] for rec in records])
+    ys = np.array([rec[1] for rec in records])
+    os_ = np.array([rec[2] for rec in records], dtype=float)
+
+    def objective(r):
+        z = r[xs] - r[ys]
+        return float(np.sum(os_ * np.logaddexp(0.0, -z)
+                            + (1.0 - os_) * np.logaddexp(0.0, z))
+                     + 0.5 * ridge * np.dot(r, r))
+
+    def gradient(r):
+        delta = os_ - sigmoid(r[xs] - r[ys])
+        g = np.zeros(n)
+        np.subtract.at(g, xs, delta)
+        np.add.at(g, ys, delta)
+        return g + ridge * r
+
+    def hessian(r):
+        w = sigmoid(r[xs] - r[ys])
+        w = w * (1.0 - w)
+        hess = ridge * np.eye(n)
+        np.add.at(hess, (xs, xs), w)
+        np.add.at(hess, (ys, ys), w)
+        np.add.at(hess, (xs, ys), -w)
+        np.add.at(hess, (ys, xs), -w)
+        return hess
+
+    r = np.zeros(n)
+    for _ in range(max_iter):
+        r = r - r.mean()
+        g = gradient(r)
+        if np.linalg.norm(g) <= tol:
+            return r
+        step = np.linalg.solve(hessian(r), g)
+        f0 = objective(r)
+        scale = 1.0
+        while objective(r - scale * step) > f0 and scale > 1e-12:
+            scale *= 0.5
+        r = r - scale * step
+    r = r - r.mean()
+    g = gradient(r)
+    if np.linalg.norm(g) <= tol:
+        return r
+    decrement = 0.5 * float(g @ np.linalg.solve(hessian(r), g))
+    if decrement <= 4.0 * np.finfo(float).eps * abs(objective(r)):
+        return r
+    raise SolverError("MLE did not converge", last_iterate=r)
+
+
+def _fit_bytes(fit, *args, **kw):
+    """The fitted ratings' bytes, or the failed fit's last iterate's."""
+    try:
+        out = fit(*args, **kw)
+    except SolverError as exc:
+        return "SolverError", exc.last_iterate.tobytes()
+    return "ok", getattr(out, "r", out).tobytes()
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("ridge", [1e-4, 0.1, 2.0])
+    def test_mle_fit_random_histories(self, ridge):
+        rng = np.random.default_rng(int(ridge * 1e4) + 17)
+        outcomes = set()
+        for _ in range(100):
+            n = int(rng.integers(2, 31))
+            m = int(rng.integers(1, 401))
+            xy = rng.integers(0, n, size=(m, 2))
+            # a share of self-pairs, as a MaxInP log has
+            self_pair = rng.random(m) < 0.2
+            xy[self_pair, 1] = xy[self_pair, 0]
+            history = [(int(x), int(y), int(rng.integers(2))) for x, y in xy]
+            # few iterations also reach the post-loop checks and SolverError
+            kw = {"ridge": ridge, "max_iter": int(rng.choice([1, 3, 100]))}
+            got = _fit_bytes(mle_fit, history, n, **kw)
+            assert got == _fit_bytes(reference_mle_fit, history, n, **kw)
+            outcomes.add(got[0])
+        assert outcomes == {"ok", "SolverError"}
+
+    def test_mle_fit_stall_history(self):
+        h = TestMleFit.STALL_HISTORY
+        got = _fit_bytes(mle_fit, h, 20, ridge=2.0)
+        assert got == ("ok", reference_mle_fit(h, 20, ridge=2.0).tobytes())
+
+    def test_mle_fit_solver_error_last_iterate(self):
+        h = TestMleFit.STALL_HISTORY
+        got = _fit_bytes(mle_fit, h, 20, ridge=2.0, max_iter=1)
+        assert got[0] == "SolverError"
+        assert got == _fit_bytes(reference_mle_fit, h, 20, ridge=2.0, max_iter=1)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 5, 8, 12])
+    def test_batch_gradients(self, k):
+        rng = np.random.default_rng(300 + k)
+        for _ in range(40):
+            n = int(rng.integers(2, 121))
+            r = rng.normal(scale=1.5, size=n)
+            c = rng.normal(scale=0.7, size=(n, 2 * k)) if k else None
+            records = [(int(x), int(y), int(rng.integers(2)))
+                       for x, y in (rng.choice(n, size=2, replace=False)
+                                    for _ in range(int(rng.integers(1, 90))))]
+            got_r, got_c = ratings._batch_gradients(r, c, records)
+            ref_r, ref_c = reference_batch_gradients(r, c, records)
+            assert got_r.tobytes() == ref_r.tobytes()
+            if k:
+                assert got_c.tobytes() == ref_c.tobytes()
+            else:
+                assert got_c is None

@@ -534,9 +534,12 @@ class TestMaxInP:
         n, T = 6, 60
         sched = build("maxinp", n, T=T, tau=4)
         env = env_for(games.gen_elo_game(n, 1.0, 5))
-        for _ in range(T):
-            sched.step(env)
-        assert len(sched.history) == T
+        played = []
+        # past T, the log outgrows its first allocation twice
+        for t in range(1, 2 * T + 2):
+            played.append(sched.step(env))
+            assert len(sched.history) == t
+        assert sched.history.tolist() == [list(m) for m in played]
 
     def test_same_estimate_gives_same_candidates(self):
         elo = build("maxin_elo", 6, T=100, tau=4, seed=1)
