@@ -101,6 +101,8 @@ class RunConfig:
             raise ConfigError("alpha must be positive", key="alpha")
         if cfg.k < 0:
             raise ConfigError("k must be non-negative", key="k")
+        if cfg.algo == "maxin_melo" and cfg.k < 1:
+            raise ConfigError("maxin_melo needs k >= 1", key="k")
         if cfg.lambda_ridge <= 0:
             raise ConfigError("lambda_ridge must be positive", key="lambda_ridge")
         return cfg

@@ -51,7 +51,3 @@ class SolverError(DuelRankError):
 
 class ContractViolationError(DuelRankError):
     """An operation was called outside its stated contract."""
-
-
-class NotReadyError(DuelRankError):
-    """An estimate was requested before warmup produced one."""

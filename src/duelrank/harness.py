@@ -19,7 +19,7 @@ import numpy as np
 
 from . import games
 from .config import RunConfig, _field_types
-from .errors import ConfigError, NotReadyError
+from .errors import ConfigError
 from .games import TrueRatings, WinMatrix
 from .metrics import RankScorer, instant_regret
 # Re-exported: perfbench/tracer.py looks the per-metric functions up here.
@@ -107,7 +107,6 @@ def run_replicate(cfg: RunConfig, matrix: WinMatrix, truth: TrueRatings,
         np.random.SeedSequence([cfg.seed, rep, 2]))
     env = MatchEnv(matrix, outcome_rng)
     scheduler = make_scheduler(cfg, sched_rng)
-    zero_est = RatingState(r=np.zeros(cfg.n))
     scorer = RankScorer(truth, cfg.ks)
     T = cfg.T
     x, y, outcome = (np.empty(T, dtype=np.int64) for _ in range(3))
@@ -116,10 +115,7 @@ def run_replicate(cfg: RunConfig, matrix: WinMatrix, truth: TrueRatings,
     src, last = np.zeros(T, dtype=np.intp), None  # src[t] = t if t was scored
     for t in range(T):
         x[t], y[t], outcome[t] = scheduler.step(env)
-        try:
-            est = scheduler.estimate()
-        except NotReadyError:
-            est = zero_est
+        est = scheduler.estimate()
         if est is not last:  # a new estimate; see Scheduler.estimate
             rr[t], hr[t], ndcg[t] = _metric_snapshot(scorer, est)
             last, src[t] = est, t

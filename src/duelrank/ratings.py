@@ -8,7 +8,7 @@ All update operations return new states; nothing is mutated in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import numpy.typing as npt
@@ -28,25 +28,6 @@ class RatingState:
     @property
     def n(self) -> int:
         return len(self.r)
-
-
-@dataclass
-class BatchBuffer:
-    """Match records accumulated for the current SGD batch."""
-
-    tau: int
-    records: list[tuple[int, int, int]] = field(default_factory=list)
-
-    def append(self, x: int, y: int, o) -> None:
-        if len(self.records) >= self.tau:
-            raise ContractViolationError("batch buffer already full")
-        self.records.append((x, y, o))
-
-    def full(self) -> bool:
-        return len(self.records) == self.tau
-
-    def clear(self) -> None:
-        self.records = []
 
 
 @dataclass
@@ -175,14 +156,12 @@ def _batch_gradients(r: np.ndarray, c: np.ndarray | None,
     return grad_r, grad_c
 
 
-def batch_update(sgd: SgdState, buf: BatchBuffer) -> SgdState:
-    """Projected SGD step on a full batch, with running-average refresh."""
-    if not buf.full():
-        raise ContractViolationError(
-            f"batch has {len(buf.records)} of {buf.tau} records")
+def batch_update(sgd: SgdState, records) -> SgdState:
+    """Projected SGD step on one batch of (x, y, o) records (a sequence or
+    an m x 3 array), with running-average refresh."""
     j = sgd.j + 1
     eta_j = sgd.eta0 / (sgd.alpha * j)
-    grad_r, grad_c = _batch_gradients(sgd.r_tilde, sgd.c_tilde, buf.records)
+    grad_r, grad_c = _batch_gradients(sgd.r_tilde, sgd.c_tilde, records)
     r_tilde = project(sgd.r_tilde - eta_j * grad_r, sgd.center, sgd.radius)
     r_bar = (sgd.r_bar * (j - 1) + r_tilde) / j
     c_tilde = c_bar = None

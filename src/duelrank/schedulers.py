@@ -13,10 +13,9 @@ import math
 import numpy as np
 
 from .config import RunConfig
-from .errors import ConfigError, ContractViolationError, NotReadyError
+from .errors import ConfigError, ContractViolationError
 from .games import WinMatrix, sample_outcome
 from .ratings import (
-    BatchBuffer,
     RatingState,
     SgdState,
     batch_update,
@@ -63,6 +62,7 @@ class Scheduler:
         self.rng = rng
         self.t = 0
         self.pairs = _all_pairs(self.n)
+        self._estimate = RatingState(r=np.zeros(self.n))
 
     def uniform_pair(self) -> tuple[int, int]:
         return self.pairs[int(self.rng.integers(len(self.pairs)))]
@@ -71,9 +71,10 @@ class Scheduler:
         raise NotImplementedError
 
     def estimate(self) -> RatingState:
-        """The current estimate: the same object for as long as it is
-        unchanged, and a new object whenever it may have changed."""
-        raise NotImplementedError
+        """The current estimate, zero ratings until the policy has learned:
+        the same object for as long as it is unchanged, and a new object
+        whenever it may have changed."""
+        return self._estimate
 
 
 class _OnlineBaseline(Scheduler):
@@ -82,19 +83,15 @@ class _OnlineBaseline(Scheduler):
     def __init__(self, config, rng):
         super().__init__(config, rng)
         cfg, n = self.config, self.n
-        c = None
         if cfg.melo and cfg.k > 0:
             c = rng.uniform(-0.1, 0.1, size=(n, 2 * cfg.k))
-        self.state = RatingState(r=np.zeros(n), c=c, k=cfg.k if c is not None else 0)
+            self._estimate = RatingState(r=np.zeros(n), c=c, k=cfg.k)
 
     def _learn(self, x: int, y: int, o: int) -> None:
-        if self.state.c is not None:
-            self.state = sgd_step_melo(self.state, x, y, o, self.config.eta0)
+        if self._estimate.c is not None:
+            self._estimate = sgd_step_melo(self._estimate, x, y, o, self.config.eta0)
         else:
-            self.state = sgd_step_elo(self.state, x, y, o, self.config.eta0)
-
-    def estimate(self) -> RatingState:
-        return self.state
+            self._estimate = sgd_step_elo(self._estimate, x, y, o, self.config.eta0)
 
 
 class RandomScheduler(_OnlineBaseline):
@@ -181,14 +178,18 @@ class DbgdScheduler(_OnlineBaseline):
 
 
 class _WarmupScheduler(Scheduler):
-    """Shared warmup: tau uniform matches, then an MLE initial estimate."""
+    """Shared warmup: tau uniform matches, then an MLE initial estimate.
+
+    The match log holds the (x, y, o) records the next fit reads. MaxIn
+    empties it at each fit, so it never outgrows its first tau rows;
+    MaxInP keeps every match, and the log doubles whenever it is full.
+    """
 
     def __init__(self, config, rng):
         super().__init__(config, rng)
         n = self.n
         self.tracker = DesignTracker(n, self.config.lambda_ridge)
-        # match log as (x, y, o) rows; grows by doubling past config.T rows
-        self._log = np.empty((self.config.T, 3), dtype=np.int64)
+        self._log = np.empty((self.config.tau, 3), dtype=np.int64)
         self._logged = 0
         self.warmed_up = False
         self._omega = omega(self.config.k)
@@ -198,7 +199,7 @@ class _WarmupScheduler(Scheduler):
 
     @property
     def history(self) -> np.ndarray:
-        """Every match logged so far, as an m x 3 (x, y, o) view."""
+        """The logged records as an m x 3 (x, y, o) view."""
         return self._log[:self._logged]
 
     def _record(self, x: int, y: int, o: int) -> None:
@@ -284,9 +285,6 @@ class MaxInScheduler(_WarmupScheduler):
     def __init__(self, config, rng):
         super().__init__(config, rng)
         self.use_melo = self.config.algo == "maxin_melo"
-        if self.use_melo and self.config.k < 1:
-            raise ConfigError("maxin_melo needs k >= 1", key="k")
-        self.buffer = BatchBuffer(tau=self.config.tau)
         self.sgd: SgdState | None = None
 
     # The warmup batch has ~0.7n records over n(n-1)/2 pairs and is almost
@@ -300,6 +298,7 @@ class MaxInScheduler(_WarmupScheduler):
         cfg = self.config
         r_hat = mle_fit(self.history, self.n,
                         ridge=max(cfg.ridge, self.WARMUP_RIDGE)).r
+        self._logged = 0
         c = c_bar = None
         if self.use_melo:
             # zero init is a saddle point of the cyclic term; break it
@@ -327,18 +326,13 @@ class MaxInScheduler(_WarmupScheduler):
         x, y = self._select(self._gap, self._gamma())
         o = env.play(x, y)
         if x != y:  # self-pairs carry zero information
-            self.buffer.append(x, y, o)
+            self._record(x, y, o)
             self.tracker.update(x, y)
-            if self.buffer.full():
-                self.sgd = batch_update(self.sgd, self.buffer)
-                self.buffer.clear()
+            if self._logged == self.config.tau:
+                self.sgd = batch_update(self.sgd, self.history)
+                self._logged = 0
                 self._refresh()
         return x, y, o
-
-    def estimate(self) -> RatingState:
-        if self.sgd is None:
-            raise NotReadyError("warmup has not completed")
-        return self._estimate
 
 
 class MaxInPScheduler(_WarmupScheduler):
@@ -349,30 +343,21 @@ class MaxInPScheduler(_WarmupScheduler):
     is the cost profile this baseline is meant to exhibit.
     """
 
-    def __init__(self, config, rng):
-        super().__init__(config, rng)
-        self.mle_state: RatingState | None = None
-
     def _finish_warmup(self):
-        self.mle_state = mle_fit(self.history, self.n, ridge=self.config.ridge)
+        self._estimate = mle_fit(self.history, self.n, ridge=self.config.ridge)
 
     def step(self, env):
         self.t += 1
         if not self.warmed_up:
             return self._warmup_step(env)
-        self.mle_state = mle_fit(self.history, self.n, ridge=self.config.ridge)
-        x, y = self._select(self._rating_gap(self.mle_state.r, None),
+        self._estimate = mle_fit(self.history, self.n, ridge=self.config.ridge)
+        x, y = self._select(self._rating_gap(self._estimate.r, None),
                             self._gamma())
         o = env.play(x, y)
         self._record(x, y, o)
         if x != y:
             self.tracker.update(x, y)
         return x, y, o
-
-    def estimate(self) -> RatingState:
-        if self.mle_state is None:
-            raise NotReadyError("warmup has not completed")
-        return self.mle_state
 
 
 _SCHEDULERS = {"maxin_elo": MaxInScheduler, "maxin_melo": MaxInScheduler,

@@ -23,7 +23,6 @@ from duelrank.games import (
 from duelrank.harness import RunConfig, simulate, write_trace_csv
 from duelrank.metrics import hit_ratio_at_k, ndcg_at_k, reciprocal_rank
 from duelrank.ratings import (
-    BatchBuffer,
     RatingState,
     SgdState,
     _batch_gradients,
@@ -162,13 +161,11 @@ def test_04_sgd_tracks_mle(capsys):
                        center=center, eta0=1.0, alpha=float(tau))
         gaps = {}
         for j in range(1, 201):
-            buf = BatchBuffer(tau)
             for _ in range(tau):
                 x, y = (int(v) for v in rng.choice(n, 2, replace=False))
                 o = int(rng.random() < matrix.p[x, y])
-                buf.append(x, y, o)
                 history.append((x, y, o))
-            sgd = batch_update(sgd, buf)
+            sgd = batch_update(sgd, history[-tau:])
             if j in (10, 200):
                 ref = mle_fit(history, n).r
                 gaps[j] = float(np.linalg.norm(

@@ -10,7 +10,7 @@ import pytest
 
 from duelrank import games, harness
 from duelrank.config import RunConfig, _field_types, parse_config
-from duelrank.errors import ConfigError, NotReadyError
+from duelrank.errors import ConfigError
 from duelrank.harness import (
     read_trace_csv,
     report,
@@ -289,6 +289,14 @@ class TestTraceBytes:
         assert reference_trace_csv(back) == got
         assert self._bytes(back, tmp_path / "back.csv") == got
 
+    def test_maxin_melo_ignores_melo_flag(self, tmp_path):
+        # MaxIn takes mElo from algo, so one sweep over algo serves all six
+        kw = dict(algo="maxin_melo", n=8, T=300, tau=6, gamma=1.8, k=2,
+                  ks=(4,), seed=4)
+        got = [self._bytes(simulate(RunConfig(**kw, melo=melo))[0][0],
+                           tmp_path / f"{melo}.csv") for melo in (False, True)]
+        assert got[0] == got[1]
+
     # SHA-256 of write_trace_csv bytes, one small config per algorithm.
     # Trace bytes are the determinism contract: a change that moves one of
     # these digests changes results and must be declared as such. They
@@ -326,7 +334,7 @@ def reference_run(cfg: RunConfig):
     Also checks the estimate contract: an estimate returned again on the
     next round has the same bits as when it first appeared. Returns the
     per-round (rr, hr, ndcg), the scheduler, and the number of distinct
-    estimates returned after warmup.
+    estimates returned, the warmup's zero ratings included.
     """
     from duelrank.metrics import RankScorer
     from duelrank.schedulers import MatchEnv, make_scheduler
@@ -341,11 +349,7 @@ def reference_run(cfg: RunConfig):
     rows, last, first_bits, distinct = [], None, None, 0
     for _ in range(cfg.T):
         sched.step(env)
-        try:
-            est = sched.estimate()
-        except NotReadyError:
-            rows.append(scorer.score(np.zeros(cfg.n)))
-            continue
+        est = sched.estimate()
         bits = (est.r.tobytes(), None if est.c is None else est.c.tobytes())
         if est is last:
             assert bits == first_bits
@@ -379,7 +383,7 @@ class TestEstimateContract:
         rows, sched, distinct = reference_run(cfg)
         if kw["algo"].startswith("maxin_"):
             assert sched.sgd.j >= 2
-            assert distinct == 1 + sched.sgd.j
+            assert distinct == 2 + sched.sgd.j
         cfg = cfg.resolve()
         matrix = harness.build_matrix(cfg)
         truth = games.true_ratings(matrix, clip_eps=cfg.clip_eps)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from duelrank import ratings
 from duelrank.errors import ConfigError, ContractViolationError, SolverError
 from duelrank.ratings import (
-    BatchBuffer,
     RatingState,
     SgdState,
     batch_update,
@@ -216,44 +215,30 @@ def fresh_sgd(n, center=None, alpha=1.0, eta0=1.0, melo_k=0, seed=0):
 class TestBatchUpdate:
     def test_zero_gradient_batch(self):
         sgd = fresh_sgd(2, center=[0.3, -0.3])
-        buf = BatchBuffer(tau=2)
         p = float(1 / (1 + np.exp(-0.6)))
-        buf.append(0, 1, p)
-        buf.append(0, 1, p)
-        out = batch_update(sgd, buf)
+        out = batch_update(sgd, [(0, 1, p), (0, 1, p)])
         np.testing.assert_allclose(out.r_tilde, sgd.r_tilde, atol=1e-12)
 
     def test_single_record_step(self):
         sgd = fresh_sgd(2, alpha=1.0, eta0=1.0)
-        buf = BatchBuffer(tau=1)
-        buf.append(0, 1, 1)
-        out = batch_update(sgd, buf)
+        out = batch_update(sgd, [(0, 1, 1)])
         np.testing.assert_allclose(out.r_tilde, [0.5, -0.5])
         np.testing.assert_allclose(out.r_bar, [0.5, -0.5])
         assert out.j == 1
 
-    def test_incomplete_batch_rejected(self):
-        buf = BatchBuffer(tau=3)
-        buf.append(0, 1, 1)
-        with pytest.raises(ContractViolationError):
-            batch_update(fresh_sgd(2), buf)
-
     def test_projection_safety(self):
         sgd = fresh_sgd(2, alpha=0.01, eta0=1.0)  # huge step forces projection
-        buf = BatchBuffer(tau=4)
-        for _ in range(4):
-            buf.append(0, 1, 1)
-        out = batch_update(sgd, buf)
+        out = batch_update(sgd, [(0, 1, 1)] * 4)
         assert np.linalg.norm(out.r_tilde - out.center) <= 2.0 + 1e-12
 
     def test_sum_conserved_without_projection(self):
         rng = np.random.default_rng(4)
         sgd = fresh_sgd(5, center=rng.normal(scale=0.1, size=5), alpha=10.0)
-        buf = BatchBuffer(tau=3)
+        batch = []
         for _ in range(3):
             x, y = rng.choice(5, size=2, replace=False)
-            buf.append(int(x), int(y), int(rng.integers(2)))
-        out = batch_update(sgd, buf)
+            batch.append((int(x), int(y), int(rng.integers(2))))
+        out = batch_update(sgd, batch)
         assert out.r_tilde.sum() == pytest.approx(sgd.r_tilde.sum(), abs=1e-12)
 
     def test_converges_toward_mle(self):
@@ -264,16 +249,13 @@ class TestBatchUpdate:
         rng = np.random.default_rng(11)
         history = []
         sgd = fresh_sgd(n, alpha=float(tau))
-        buf = BatchBuffer(tau=tau)
         gaps = {}
         for j in range(1, batches + 1):
             for _ in range(tau):
                 x, y = sorted(rng.choice(n, size=2, replace=False))
                 o = games.sample_outcome(m, int(x), int(y), rng)
-                buf.append(int(x), int(y), o)
                 history.append((int(x), int(y), o))
-            sgd = batch_update(sgd, buf)
-            buf.clear()
+            sgd = batch_update(sgd, history[-tau:])
             if j in (10, batches):
                 ref = mle_fit(history, n).r
                 gaps[j] = float(np.linalg.norm(sgd.r_bar - ref))

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from duelrank import games
+from duelrank import games, schedulers
 from duelrank.config import RunConfig
-from duelrank.errors import ConfigError, ContractViolationError, NotReadyError
+from duelrank.errors import ConfigError, ContractViolationError, MatrixLoadError
+from duelrank.ratings import mle_fit
 from duelrank.schedulers import (
     DbgdScheduler,
     MatchEnv,
@@ -69,6 +70,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig(algo="rg_ucb", n=5, delta=1.5).resolve()
 
+    def test_melo_needs_k_before_the_matrix_is_read(self, tmp_path):
+        from duelrank.harness import simulate
+        with pytest.raises(ConfigError) as err:
+            RunConfig(algo="maxin_melo", n=5, k=0).resolve()
+        assert err.value.key == "k"
+        # resolve() runs first, so the missing matrix file is never opened
+        missing = str(tmp_path / "missing.csv")
+        with pytest.raises(ConfigError):
+            simulate(RunConfig(algo="maxin_melo", n=5, k=0, matrix=missing))
+        with pytest.raises(MatrixLoadError):
+            simulate(RunConfig(algo="maxin_melo", n=5, k=1, matrix=missing))
+
 
 class TestWarmup:
     def test_tracker_and_buffer_after_warmup(self):
@@ -78,7 +91,7 @@ class TestWarmup:
         for _ in range(tau):
             sched.step(env)
         assert sched.tracker.t == tau
-        assert sched.buffer.records == []
+        assert sched.history.shape == (0, 3)  # the warmup fit consumed it
         assert sched.warmed_up
 
     def test_deterministic_initial_estimate(self):
@@ -93,11 +106,17 @@ class TestWarmup:
         np.testing.assert_array_equal(results[0], results[1])
 
     def test_estimate_before_warmup(self):
-        sched = build("maxin_elo", 10, T=100, tau=7)
-        env = env_for(games.gen_elo_game(10, 1.0, 0))
-        sched.step(env)
-        with pytest.raises(NotReadyError):
-            sched.estimate()
+        for algo in ("maxin_elo", "maxin_melo", "maxinp"):
+            sched = build(algo, 10, T=100, tau=7, k=2)
+            env = env_for(games.gen_elo_game(10, 1.0, 0))
+            first = sched.estimate()
+            np.testing.assert_array_equal(first.r, np.zeros(10))
+            assert first.c is None
+            for _ in range(6):
+                sched.step(env)
+                assert sched.estimate() is first  # scored once by the run loop
+            sched.step(env)
+            assert sched.estimate() is not first
 
     def test_estimate_right_after_warmup_is_mle_center(self):
         sched = build("maxin_elo", 10, T=100, tau=7)
@@ -376,6 +395,32 @@ class TestMaxInStep:
         with pytest.raises(ConfigError):
             build("maxin_melo", 5, k=0)
 
+    @pytest.mark.parametrize("algo", ["maxin_elo", "maxin_melo"])
+    def test_each_batch_is_tau_informative_records(self, monkeypatch, algo):
+        # gamma 1.0 on a spread-out game plays self-pairs, which must not
+        # reach a batch
+        n, tau, T = 8, 6, 400
+        sched = build(algo, n, T=T, tau=tau, gamma=1.0, k=2, seed=3)
+        env = env_for(games.gen_elo_game(n, 2.0, 2), seed=4)
+        batches = []
+        original = schedulers.batch_update
+
+        def spy(sgd, records):
+            batches.append(np.array(records).tolist())
+            return original(sgd, records)
+
+        monkeypatch.setattr(schedulers, "batch_update", spy)
+        played = [sched.step(env) for _ in range(T)]
+        informative = [list(m) for m in played[tau:] if m[0] != m[1]]
+        assert len(informative) < T - tau  # self-pairs were played
+        assert len(batches) == len(informative) // tau >= 2
+        assert batches == [informative[i * tau:(i + 1) * tau]
+                           for i in range(len(batches))]
+        assert sched.sgd.j == len(batches)
+        # the log never grew past the batch it holds
+        assert len(sched._log) == tau
+        assert len(sched.history) == len(informative) % tau
+
     def test_estimate_mean_tracks_center_when_unprojected(self):
         n = 8
         sched = build("maxin_elo", n, T=400, tau=5, alpha=50.0)
@@ -557,7 +602,9 @@ class TestMaxInP:
         env = env_for(games.gen_elo_game(5, 1.0, 1))
         for _ in range(10):
             sched.step(env)
-        assert sched.estimate() is sched.mle_state
+        # the last step refit before it logged its own match
+        ref = mle_fit(sched.history[:-1], 5, ridge=sched.config.ridge)
+        assert sched.estimate().r.tobytes() == ref.r.tobytes()
 
 
 class TestDeterminism:

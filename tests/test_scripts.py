@@ -13,7 +13,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("script,header", [
-    ("compare_schedulers.py", "algorithm"),
     ("gamma_sweep.py", "gamma"),
 ])
 def test_script_prints_table(script, header):
