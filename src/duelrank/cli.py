@@ -63,8 +63,8 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _print_summary(summary: harness.RunSummary) -> None:
-    json.dump(summary.stats(), sys.stdout, indent=2)
+def _print_summary(summary: dict) -> None:
+    json.dump(summary, sys.stdout, indent=2)
     sys.stdout.write("\n")
 
 

@@ -13,7 +13,7 @@ import itertools
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,40 +60,6 @@ class Trace:
     tau: int | None = None       # warmup rounds; CSVs do not store it
 
 
-@dataclass
-class RunSummary:
-    config_digest: str
-    replicates: int
-    ks: tuple[int, ...]
-    final_cum_regret: list[float] = field(default_factory=list)
-    final_rr: list[float] = field(default_factory=list)
-    final_hr: list[list[float]] = field(default_factory=list)
-    final_ndcg: list[list[float]] = field(default_factory=list)
-    wall_time: float = 0.0
-
-    def stats(self) -> dict:
-        def ms(vals):
-            a = np.asarray(vals, dtype=float)
-            axis = 0
-            return {"mean": np.mean(a, axis=axis).tolist(),
-                    "std": np.std(a, axis=axis).tolist()}
-
-        return {
-            "config": self.config_digest,
-            "replicates": self.replicates,
-            "ks": list(self.ks),
-            "final_cum_regret": self.final_cum_regret,
-            "final_rr": self.final_rr,
-            "final_hr": self.final_hr,
-            "final_ndcg": self.final_ndcg,
-            "cum_regret": ms(self.final_cum_regret),
-            "rr": ms(self.final_rr),
-            "hr": ms(self.final_hr) if self.final_hr and self.ks else None,
-            "ndcg": ms(self.final_ndcg) if self.final_ndcg and self.ks else None,
-            "wall_time": self.wall_time,
-        }
-
-
 def _metric_snapshot(scorer: RankScorer, est: RatingState):
     return scorer.score(est.r)
 
@@ -128,20 +94,39 @@ def run_replicate(cfg: RunConfig, matrix: WinMatrix, truth: TrueRatings,
                  ks=cfg.ks, tau=scheduler.config.tau)
 
 
-def summarize(traces: list[Trace], config_digest: str = "") -> RunSummary:
-    """Final-round metrics of each trace, in order."""
+def summarize(traces: list[Trace], config_digest: str = "",
+              wall_time: float = 0.0) -> dict:
+    """Final-round metrics of each trace, in order, with their mean and
+    std: the summary `run` and `report` write as JSON."""
+    def ms(vals):
+        a = np.asarray(vals, dtype=float)
+        return {"mean": np.mean(a, axis=0).tolist(),
+                "std": np.std(a, axis=0).tolist()}
+
     ks = traces[0].ks
     if any(tr.ks != ks for tr in traces):
         raise ConfigError("traces have different metric cutoffs", key="ks")
-    return RunSummary(
-        config_digest=config_digest, replicates=len(traces), ks=ks,
-        final_cum_regret=[float(tr.cum_regret[-1]) for tr in traces],
-        final_rr=[float(tr.rr[-1]) for tr in traces],
-        final_hr=[tr.hr[-1].tolist() for tr in traces],
-        final_ndcg=[tr.ndcg[-1].tolist() for tr in traces])
+    final_cum_regret = [float(tr.cum_regret[-1]) for tr in traces]
+    final_rr = [float(tr.rr[-1]) for tr in traces]
+    final_hr = [tr.hr[-1].tolist() for tr in traces]
+    final_ndcg = [tr.ndcg[-1].tolist() for tr in traces]
+    return {
+        "config": config_digest,
+        "replicates": len(traces),
+        "ks": list(ks),
+        "final_cum_regret": final_cum_regret,
+        "final_rr": final_rr,
+        "final_hr": final_hr,
+        "final_ndcg": final_ndcg,
+        "cum_regret": ms(final_cum_regret),
+        "rr": ms(final_rr),
+        "hr": ms(final_hr) if ks else None,
+        "ndcg": ms(final_ndcg) if ks else None,
+        "wall_time": wall_time,
+    }
 
 
-def simulate(cfg: RunConfig) -> tuple[list[Trace], RunSummary]:
+def simulate(cfg: RunConfig) -> tuple[list[Trace], dict]:
     """Run every replicate of a config; deterministic given (config, seed)."""
     cfg.resolve()  # validates; each scheduler resolves its own copy
     start = time.perf_counter()
@@ -152,15 +137,13 @@ def simulate(cfg: RunConfig) -> tuple[list[Trace], RunSummary]:
     truth = games.true_ratings(matrix, clip_eps=cfg.clip_eps)
     traces = [run_replicate(cfg, matrix, truth, rep)
               for rep in range(cfg.replicates)]
-    summary = summarize(traces, cfg.digest())
-    summary.wall_time = time.perf_counter() - start
-    return traces, summary
+    return traces, summarize(traces, cfg.digest(),
+                             time.perf_counter() - start)
 
 
 def _sweep_point(cfg: RunConfig) -> dict:
     try:
-        _, summary = simulate(cfg)
-        return {"ok": True, "summary": summary.stats()}
+        return {"ok": True, "summary": simulate(cfg)[1]}
     except Exception as exc:  # record, don't abort the sweep
         return {"ok": False, "error": type(exc).__name__, "message": str(exc),
                 "config": cfg.digest()}
@@ -229,13 +212,13 @@ def read_trace_csv(path) -> Trace:
                  ndcg=floats(cols[7 + len(ks):]).T, ks=ks)
 
 
-def write_summary_json(summary: RunSummary, path) -> None:
+def write_summary_json(summary: dict, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary.stats(), fh, indent=2)
+        json.dump(summary, fh, indent=2)
         fh.write("\n")
 
 
-def report(traces: list[Trace], summary: RunSummary | None,
+def report(traces: list[Trace], summary: dict | None,
            out_prefix: str) -> list[str]:
     """Emit trace CSVs (one per replicate) and the summary JSON."""
     written = []

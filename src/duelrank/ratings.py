@@ -23,11 +23,6 @@ class RatingState:
 
     r: npt.NDArray[np.float64]
     c: npt.NDArray[np.float64] | None = None
-    k: int = 0
-
-    @property
-    def n(self) -> int:
-        return len(self.r)
 
 
 @dataclass

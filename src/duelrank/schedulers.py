@@ -85,7 +85,7 @@ class _OnlineBaseline(Scheduler):
         cfg, n = self.config, self.n
         if cfg.melo and cfg.k > 0:
             c = rng.uniform(-0.1, 0.1, size=(n, 2 * cfg.k))
-            self._estimate = RatingState(r=np.zeros(n), c=c, k=cfg.k)
+            self._estimate = RatingState(r=np.zeros(n), c=c)
 
     def _learn(self, x: int, y: int, o: int) -> None:
         if self._estimate.c is not None:
@@ -111,30 +111,30 @@ class RgUcbScheduler(_OnlineBaseline):
     A pair is resolved once its Hoeffding interval around the empirical
     win rate excludes 0.5, or once it has hit the per-pair sample cap
     (which guarantees termination on exactly-even matchups). A pair's
-    status depends only on its own counts and wins, so `_open` (one flag
-    per entry of `self.pairs`) is kept up to date by re-checking just the
-    pair played each round. When no pair is open, the draw is uniform over
-    all pairs.
+    status depends only on its own count and wins, so `_open` is kept up
+    to date by re-checking just the pair played each round. `counts`,
+    `wins` and `_open` hold one entry per pair of `self.pairs`; `wins`
+    counts wins by the first-listed player. When no pair is open, the
+    draw is uniform over all pairs.
     """
 
     N_MAX_PER_PAIR = 200  # per-pair sample cap
 
     def __init__(self, config, rng):
         super().__init__(config, rng)
-        n = self.n
-        self.counts = np.zeros((n, n), dtype=int)
-        self.wins = np.zeros((n, n), dtype=float)
+        self.counts = np.zeros(len(self.pairs), dtype=int)
+        self.wins = np.zeros(len(self.pairs), dtype=float)
         self._log_term = math.log(2.0 / self.config.delta)
         self._open = np.ones(len(self.pairs), dtype=bool)
 
-    def _unresolved(self, x: int, y: int) -> bool:
-        n_xy = self.counts[x, y]
+    def _unresolved(self, idx: int) -> bool:
+        n_xy = self.counts[idx]
         if n_xy == 0:
             return True
         if n_xy >= self.N_MAX_PER_PAIR:
             return False
         half_width = math.sqrt(self._log_term / (2.0 * n_xy))
-        p_hat = self.wins[x, y] / n_xy
+        p_hat = self.wins[idx] / n_xy
         return abs(p_hat - 0.5) <= half_width
 
     def step(self, env):
@@ -146,11 +146,9 @@ class RgUcbScheduler(_OnlineBaseline):
             idx = int(self.rng.integers(len(self.pairs)))
         x, y = self.pairs[idx]
         o = env.play(x, y)
-        self.counts[x, y] += 1
-        self.counts[y, x] += 1
-        self.wins[x, y] += o
-        self.wins[y, x] += 1 - o
-        self._open[idx] = self._unresolved(x, y)
+        self.counts[idx] += 1
+        self.wins[idx] += o
+        self._open[idx] = self._unresolved(idx)
         self._learn(x, y, o)
         return x, y, o
 
@@ -316,7 +314,7 @@ class MaxInScheduler(_WarmupScheduler):
         r, c = self.sgd.r_bar, self.sgd.c_bar
         for a in (r, c) if c is not None else (r,):
             a.flags.writeable = False
-        self._estimate = RatingState(r=r, c=c, k=self.config.k if self.use_melo else 0)
+        self._estimate = RatingState(r=r, c=c)
         self._gap = self._rating_gap(r, c)
 
     def step(self, env):

@@ -197,8 +197,8 @@ def test_05_sublinear_regret(capsys, elo_runs):
     early = np.mean([t.cum_regret[1249] for t in traces])
     late = np.mean([t.cum_regret[4999] for t in traces])
     sublinear = late / 5000.0 < 0.6 * early / 1250.0
-    rand_late = np.mean(elo_runs["random"][1].final_cum_regret)
-    beats_random = np.mean(summary.final_cum_regret) < rand_late
+    rand_late = np.mean(elo_runs["random"][1]["final_cum_regret"])
+    beats_random = np.mean(summary["final_cum_regret"]) < rand_late
     _verdict(capsys, 5, "regret grows sublinearly and beats random",
              sublinear and beats_random and elo_runs["elapsed"] < 120.0)
 

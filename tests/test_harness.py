@@ -187,8 +187,8 @@ class TestSimulate:
         cfg = RunConfig(algo="random", n=8, T=30, seed=0, replicates=3)
         traces, summary = simulate(cfg)
         assert len(traces) == 3
-        assert summary.replicates == 3
-        assert len(summary.final_cum_regret) == 3
+        assert summary["replicates"] == 3
+        assert len(summary["final_cum_regret"]) == 3
         seqs = {tuple(zip(t.x.tolist(), t.y.tolist(), t.outcome.tolist()))
                 for t in traces}
         assert len(seqs) == 3
@@ -216,7 +216,7 @@ class TestSweep:
 
     def test_single_point_equals_direct_simulate(self):
         cfg = RunConfig(algo="maxin_elo", n=8, T=50, tau=5, seed=1)
-        direct = simulate(cfg)[1].stats()
+        direct = simulate(cfg)[1]
         swept = sweep(cfg, {})[0]["summary"]
         assert swept["final_cum_regret"] == direct["final_cum_regret"]
         assert swept["final_rr"] == direct["final_rr"]
@@ -435,7 +435,7 @@ class TestReport:
         payload = json.loads((tmp_path / "run.summary.json").read_text())
         assert payload["replicates"] == 1
         assert len(payload["final_cum_regret"]) == 1
-        assert payload["rr"]["mean"] == summary.final_rr[0]
+        assert payload["rr"]["mean"] == summary["final_rr"][0]
         assert "config" in payload
 
     def test_header_without_ks(self):
@@ -541,7 +541,7 @@ class TestCli:
         payload = json.loads(out)
         assert len(payload["final_cum_regret"]) == 2
         assert payload["cum_regret"]["mean"] == pytest.approx(
-            np.mean(summary.final_cum_regret))
+            np.mean(summary["final_cum_regret"]))
 
     def test_report_prints_run_summary_shape(self, tmp_path, capsys):
         flags = ["--algo", "maxin_elo", "--n", "8", "--T", "30", "--tau", "5",
@@ -557,6 +557,21 @@ class TestCli:
         assert reported.keys() == ran.keys()
         for key in ran.keys() - {"config", "wall_time"}:
             assert reported[key] == ran[key], key
+
+    @pytest.mark.parametrize("ks", ["2,3", ""])
+    def test_run_summary_json_key_order(self, tmp_path, capsys, ks):
+        code, _, _ = self._main(
+            ["run", "--algo", "random", "--n", "5", "--T", "20", "--seed", "1",
+             "--replicates", "2", "--ks", ks, "--out", str(tmp_path / "exp")],
+            capsys)
+        assert code == 0
+        payload = json.loads((tmp_path / "exp.summary.json").read_text())
+        # the key order sets the JSON bytes
+        assert list(payload) == [
+            "config", "replicates", "ks", "final_cum_regret", "final_rr",
+            "final_hr", "final_ndcg", "cum_regret", "rr", "hr", "ndcg",
+            "wall_time"]
+        assert (payload["hr"] is None) == (payload["ndcg"] is None) == (ks == "")
 
     def test_report_rejects_mixed_cutoffs(self, tmp_path, capsys):
         for i, ks in enumerate([(2,), (3,)]):
@@ -587,7 +602,7 @@ class TestCli:
         _, summary = simulate(RunConfig(
             algo="random", game="noisy_elo", n=6, T=40, seed=2, noise=0.05,
             rating_scale=2.0, ks=(2,)))
-        expected = summary.stats()
+        expected = summary
         printed = json.loads(out)
         del printed["wall_time"], expected["wall_time"]
         assert printed == json.loads(json.dumps(expected))

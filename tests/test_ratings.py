@@ -23,9 +23,9 @@ from duelrank.ratings import (
 )
 
 
-def melo_state(r, c, k):
+def melo_state(r, c):
     return RatingState(r=np.asarray(r, dtype=float),
-                       c=np.asarray(c, dtype=float), k=k)
+                       c=np.asarray(c, dtype=float))
 
 
 class TestPredict:
@@ -47,22 +47,22 @@ class TestPredict:
                     pytest.approx(1.0, abs=1e-12)
 
     def test_melo_zero_features_reduce_to_elo(self):
-        s = melo_state([0.7, -0.2], np.zeros((2, 4)), k=2)
+        s = melo_state([0.7, -0.2], np.zeros((2, 4)))
         assert predict_melo(s, 0, 1) == predict_elo(s, 0, 1)
 
     def test_melo_unit_cyclic_term(self):
-        s = melo_state([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], k=1)
+        s = melo_state([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
         assert predict_melo(s, 0, 1) == pytest.approx(0.731059, abs=1e-6)
 
     def test_melo_self_pair(self):
         rng = np.random.default_rng(0)
-        s = melo_state(rng.normal(size=3), rng.normal(size=(3, 4)), k=2)
+        s = melo_state(rng.normal(size=3), rng.normal(size=(3, 4)))
         for x in range(3):
             assert predict_melo(s, x, x) == 0.5
 
     def test_melo_antisymmetry(self):
         rng = np.random.default_rng(1)
-        s = melo_state(rng.normal(size=4), rng.normal(size=(4, 8)), k=4)
+        s = melo_state(rng.normal(size=4), rng.normal(size=(4, 8)))
         for x in range(4):
             for y in range(4):
                 assert predict_melo(s, x, y) + predict_melo(s, y, x) == \
@@ -117,8 +117,8 @@ def numeric_gradient(f, v, h=1e-6):
     return g
 
 
-def melo_loss_at(r, c, x, y, o, k):
-    s = melo_state(r, c, k)
+def melo_loss_at(r, c, x, y, o):
+    s = melo_state(r, c)
     return elo_loss(o, predict_melo(s, x, y))
 
 
@@ -147,30 +147,30 @@ class TestGradientOracle:
         x, y = rng.choice(n, size=2, replace=False)
         o = int(rng.integers(2))
         eta = 1.0
-        stepped = sgd_step_melo(melo_state(r, c, k), x, y, o, eta)
+        stepped = sgd_step_melo(melo_state(r, c), x, y, o, eta)
         grad_r = (stepped.r - r) / -eta
         grad_c = (stepped.c - c) / -eta
-        num_r = numeric_gradient(lambda v: melo_loss_at(v, c, x, y, o, k), r)
+        num_r = numeric_gradient(lambda v: melo_loss_at(v, c, x, y, o), r)
         np.testing.assert_allclose(grad_r, num_r, rtol=1e-4, atol=1e-8)
         for player in (x, y):
             def loss_wrt_row(row, player=player):
                 cc = c.copy()
                 cc[player] = row
-                return melo_loss_at(r, cc, x, y, o, k)
+                return melo_loss_at(r, cc, x, y, o)
             num = numeric_gradient(loss_wrt_row, c[player].copy())
             np.testing.assert_allclose(grad_c[player], num,
                                        rtol=1e-4, atol=1e-8)
 
     def test_zero_delta_no_change(self):
         rng = np.random.default_rng(3)
-        s = melo_state(rng.normal(size=3), rng.normal(size=(3, 2)), k=1)
+        s = melo_state(rng.normal(size=3), rng.normal(size=(3, 2)))
         p = predict_melo(s, 0, 2)
         out = sgd_step_melo(s, 0, 2, o=p, eta=0.7)
         np.testing.assert_allclose(out.r, s.r)
         np.testing.assert_allclose(out.c, s.c)
 
     def test_melo_zero_features_match_elo(self):
-        s = melo_state([0.5, -0.5], np.zeros((2, 2)), k=1)
+        s = melo_state([0.5, -0.5], np.zeros((2, 2)))
         melo_out = sgd_step_melo(s, 0, 1, o=1, eta=0.2)
         elo_out = sgd_step_elo(s, 0, 1, o=1, eta=0.2)
         np.testing.assert_allclose(melo_out.r, elo_out.r)

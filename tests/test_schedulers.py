@@ -464,14 +464,14 @@ class TestRandomBaseline:
 def reference_rg_ucb_step(sched, env):
     """The rg_ucb step the open-pair mask replaced: scan every pair."""
     sched.t += 1
-    open_pairs = [pq for pq in sched.pairs if sched._unresolved(*pq)]
-    pool = open_pairs if open_pairs else sched.pairs
-    x, y = pool[int(sched.rng.integers(len(pool)))]
+    every = range(len(sched.pairs))
+    open_idx = [i for i in every if sched._unresolved(i)]
+    pool = open_idx if open_idx else every
+    idx = pool[int(sched.rng.integers(len(pool)))]
+    x, y = sched.pairs[idx]
     o = env.play(x, y)
-    sched.counts[x, y] += 1
-    sched.counts[y, x] += 1
-    sched.wins[x, y] += o
-    sched.wins[y, x] += 1 - o
+    sched.counts[idx] += 1
+    sched.wins[idx] += o
     sched._learn(x, y, o)
     return x, y, o
 
@@ -501,7 +501,7 @@ class TestRgUcb:
                     assert sched.step(env) == reference_rg_ucb_step(ref,
                                                                      ref_env)
                     assert sched._open.tolist() == [
-                        sched._unresolved(*pq) for pq in sched.pairs]
+                        sched._unresolved(i) for i in range(len(sched.pairs))]
                     reopened += bool((sched._open & ~before).any())
                 assert (sched.estimate().r.tobytes()
                         == ref.estimate().r.tobytes())
@@ -513,21 +513,23 @@ class TestRgUcb:
 
     def test_unseen_pair_unresolved(self):
         sched = build("rg_ucb", 4)
-        assert sched._unresolved(0, 1)
+        assert sched._unresolved(sched.pairs.index((0, 1)))
 
     def test_hoeffding_hand_value(self):
         sched = build("rg_ucb", 4, delta=0.2)
-        sched.counts[0, 1] = sched.counts[1, 0] = 20
-        sched.wins[0, 1] = 20.0
+        idx = sched.pairs.index((0, 1))
+        sched.counts[idx] = 20
+        sched.wins[idx] = 20.0
         half_width = math.sqrt(math.log(10.0) / 40.0)
         assert half_width == pytest.approx(0.2399, abs=1e-4)
-        assert not sched._unresolved(0, 1)  # [0.760, 1] excludes 0.5
+        assert not sched._unresolved(idx)  # [0.760, 1] excludes 0.5
 
     def test_borderline_stays_unresolved(self):
         sched = build("rg_ucb", 4, delta=0.2)
-        sched.counts[0, 1] = sched.counts[1, 0] = 20
-        sched.wins[0, 1] = 11.0  # p_hat 0.55, inside the interval
-        assert sched._unresolved(0, 1)
+        idx = sched.pairs.index((0, 1))
+        sched.counts[idx] = 20
+        sched.wins[idx] = 11.0  # p_hat 0.55, inside the interval
+        assert sched._unresolved(idx)
 
     def test_deterministic_game_resolves_all_pairs(self):
         n = 4
@@ -537,15 +539,16 @@ class TestRgUcb:
         needed = math.ceil(math.log(2 / 0.2) / 0.5)
         for _ in range(needed * n * (n - 1)):
             sched.step(env)
-        assert not any(sched._unresolved(x, y)
-                       for x in range(n) for y in range(x + 1, n))
+        assert sched.counts.shape == (n * (n - 1) // 2,)
+        assert not any(sched._unresolved(i) for i in range(len(sched.pairs)))
 
     def test_cap_forces_resolution(self):
         sched = build("rg_ucb", 3)
         sched.N_MAX_PER_PAIR = 10
-        sched.counts[0, 1] = sched.counts[1, 0] = 10
-        sched.wins[0, 1] = 5.0  # p_hat exactly 0.5, only the cap resolves it
-        assert not sched._unresolved(0, 1)
+        idx = sched.pairs.index((0, 1))
+        sched.counts[idx] = 10
+        sched.wins[idx] = 5.0  # p_hat exactly 0.5, only the cap resolves it
+        assert not sched._unresolved(idx)
 
 
 class TestDbgd:
