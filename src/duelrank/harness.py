@@ -181,35 +181,62 @@ def trace_header(ks) -> str:
     return ",".join(cols)
 
 
+def _cell_text(col: np.ndarray) -> list[str]:
+    """`repr` of each float or `str` of each int in a column, formatted
+    once per distinct value and expanded through the inverse index.
+
+    Floats are told apart by bit pattern, so -0.0 and 0.0 keep their own
+    text.
+    """
+    if col.dtype.kind == "f":
+        bits, fmt = np.asarray(col, np.float64).view(np.int64), repr
+        uniq, inv = np.unique(bits, return_inverse=True)
+        uniq = uniq.view(np.float64)
+    else:
+        fmt = str
+        uniq, inv = np.unique(col, return_inverse=True)
+    return np.array(list(map(fmt, uniq.tolist())), dtype=object)[inv].tolist()
+
+
 def write_trace_csv(trace: Trace, path) -> None:
-    cols = [np.arange(1, len(trace.x) + 1), trace.x, trace.y, trace.outcome,
-            trace.instant_regret, trace.cum_regret, trace.rr,
-            *trace.hr.T, *trace.ndcg.T]
-    cells = [map(repr if c.dtype.kind == "f" else str, c.tolist())
-             for c in cols]
-    lines = [trace_header(trace.ks)]
-    lines += [",".join(row) for row in zip(*cells)]
+    """Write a trace as CSV, byte for byte: the `trace_header` line, then
+    one line per round holding `str` of each int column (`t`, `x`, `y`,
+    `outcome`) and `repr` of each float column, so floats read back
+    exactly. Lines end in LF; `tau` is not stored."""
+    cols = [trace.x, trace.y, trace.outcome, trace.instant_regret,
+            trace.cum_regret, trace.rr, *trace.hr.T, *trace.ndcg.T]
+    cells = [map(str, range(1, len(trace.x) + 1))]
+    cells += [_cell_text(c) for c in cols]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(trace_header(trace.ks) + "\n")
+        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def read_trace_csv(path) -> Trace:
+    """Read a trace written by `write_trace_csv`; blank lines are skipped.
+
+    Raises ValueError if the header is not a `trace_header`, if there are
+    no rows, or if a row's width differs from the header's or a cell does
+    not parse as its column's type (an int for `t`, `x`, `y`, `outcome`).
+    """
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    ks = tuple(int(c.split("@")[1]) for c in header if c.startswith("hr@"))
-    cols = list(zip(*(ln.split(",") for ln in lines[1:])))
-
-    def floats(block):
-        return np.array([[float(v) for v in c] for c in block]).reshape(
-            len(block), len(lines) - 1)
-
-    x, y, outcome = (np.array([int(v) for v in c], dtype=np.int64)
-                     for c in cols[1:4])
-    regret, cum, rr = floats(cols[4:7])
-    return Trace(x=x, y=y, outcome=outcome, instant_regret=regret,
-                 cum_regret=cum, rr=rr, hr=floats(cols[7:7 + len(ks)]).T,
-                 ndcg=floats(cols[7 + len(ks):]).T, ks=ks)
+        lines = [ln for ln in fh if ln.strip()]
+    if len(lines) < 2:
+        raise ValueError(f"{path}: trace CSV has no rows")
+    header = lines[0].rstrip("\n")
+    ks = tuple(int(c.split("@")[1]) for c in header.split(",")
+               if c.startswith("hr@"))
+    if header != trace_header(ks):
+        raise ValueError(f"{path}: not a trace header: {header!r}")
+    row = np.dtype([("int", np.int64, (4,)),
+                    ("float", np.float64, (3 + 2 * len(ks),))])
+    body = np.loadtxt(lines[1:], dtype=row, delimiter=",", comments=None,
+                      ndmin=1)
+    _, x, y, outcome = np.ascontiguousarray(body["int"].T)
+    f = np.ascontiguousarray(body["float"].T)
+    return Trace(x=x, y=y, outcome=outcome, instant_regret=f[0],
+                 cum_regret=f[1], rr=f[2], hr=f[3:3 + len(ks)].T,
+                 ndcg=f[3 + len(ks):].T, ks=ks)
 
 
 def write_summary_json(summary: dict, path) -> None:

@@ -8,7 +8,7 @@ All update operations return new states; nothing is mutated in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
@@ -90,7 +90,7 @@ def sgd_step_elo(state: RatingState, x: int, y: int, o, eta: float) -> RatingSta
     r = state.r.copy()
     r[x] += eta * delta
     r[y] -= eta * delta
-    return replace(state, r=r)
+    return RatingState(r=r, c=state.c)
 
 
 def sgd_step_melo(state: RatingState, x: int, y: int, o, eta: float) -> RatingState:
@@ -109,7 +109,7 @@ def sgd_step_melo(state: RatingState, x: int, y: int, o, eta: float) -> RatingSt
     cx_old, cy_old = state.c[x].copy(), state.c[y].copy()
     c[x] = cx_old + eta * delta * _omega_dot(cy_old)
     c[y] = cy_old - eta * delta * _omega_dot(cx_old)
-    return replace(state, r=r, c=c)
+    return RatingState(r=r, c=c)
 
 
 def project(r: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:

@@ -259,15 +259,16 @@ def _per_round_times(algo, T):
 
 @pytest.mark.parametrize("_", [None])
 def test_08_complexity_contract(capsys, _):
-    fast = _per_round_times("maxin_elo", 5000)
-    slow = _per_round_times("maxinp", 5000)
-    fast_ratio = np.median(fast[4900:5000]) / np.median(fast[450:550])
-    slow_ratio = np.median(slow[4900:5000]) / np.median(slow[450:550])
-    ok = fast_ratio <= 2.0 and slow_ratio >= 3.0
-    if not ok:  # timing is noisy; allow one retry before failing
-        fast = _per_round_times("maxin_elo", 5000)
-        fast_ratio = np.median(fast[4900:5000]) / np.median(fast[450:550])
-        ok = fast_ratio <= 2.0 and slow_ratio >= 3.0
+    def late_over_early(algo):
+        times = _per_round_times(algo, 5000)
+        return np.median(times[4900:5000]) / np.median(times[450:550])
+
+    # timing is noisy; allow one retry, which re-times both schedulers
+    for _attempt in range(2):
+        ok = (late_over_early("maxin_elo") <= 2.0
+              and late_over_early("maxinp") >= 3.0)
+        if ok:
+            break
     _verdict(capsys, 8, "constant per-round cost vs linear-in-history refit",
              ok)
 

@@ -7,9 +7,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from duelrank import games, harness
-from duelrank.config import RunConfig, _field_types, parse_config
+from duelrank.config import ALGORITHMS, RunConfig, _field_types, parse_config
 from duelrank.errors import ConfigError
 from duelrank.harness import (
     read_trace_csv,
@@ -440,6 +443,166 @@ class TestReport:
 
     def test_header_without_ks(self):
         assert trace_header(()) == "t,x,y,outcome,instant_regret,cum_regret,rr"
+
+
+class TestReadTraceCsv:
+    HEADER = "t,x,y,outcome,instant_regret,cum_regret,rr,hr@1,hr@2,ndcg@1,ndcg@2"
+    ROW = "{t},3,1,1,0.25,{cum},1.0,0.0,1.0,0.0,0.5"
+
+    def _csv(self, tmp_path, rows, header=HEADER):
+        path = tmp_path / "t.csv"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        return path
+
+    def _rows(self, count=3):
+        return [self.ROW.format(t=t, cum=0.25 * t) for t in range(1, count + 1)]
+
+    def test_reads_columns(self, tmp_path):
+        back = read_trace_csv(self._csv(tmp_path, self._rows()))
+        assert back.ks == (1, 2) and back.tau is None
+        assert back.x.tolist() == [3, 3, 3] and back.x.dtype == np.int64
+        assert back.cum_regret.tolist() == [0.25, 0.5, 0.75]
+        assert back.hr.shape == back.ndcg.shape == (3, 2)
+        assert back.ndcg[:, 1].tolist() == [0.5, 0.5, 0.5]
+
+    def test_short_row_rejected(self, tmp_path):
+        rows = self._rows()
+        rows[1] = rows[1].rsplit(",", 1)[0]
+        with pytest.raises(ValueError):
+            read_trace_csv(self._csv(tmp_path, rows))
+
+    def test_long_row_rejected(self, tmp_path):
+        rows = self._rows()
+        rows[2] += ",0.5"
+        with pytest.raises(ValueError):
+            read_trace_csv(self._csv(tmp_path, rows))
+
+    def test_non_integer_x_rejected(self, tmp_path):
+        rows = self._rows()
+        rows[0] = rows[0].replace(",3,", ",1.5,", 1)
+        with pytest.raises(ValueError):
+            read_trace_csv(self._csv(tmp_path, rows))
+
+    def test_blank_lines_skipped(self, tmp_path):
+        rows = self._rows()
+        gappy = ["", rows[0], "  ", rows[1], "", "\t", rows[2], ""]
+        back = read_trace_csv(self._csv(tmp_path, gappy))
+        plain = read_trace_csv(self._csv(tmp_path, rows))
+        for name in ("x", "cum_regret", "hr", "ndcg"):
+            assert np.array_equal(getattr(back, name), getattr(plain, name))
+
+    @pytest.mark.parametrize("header", [
+        "t,x,y,outcome,instant_regret,cum_regret,rr,hr@1,ndcg@1,ndcg@2",
+        "t,x,y,instant_regret,cum_regret,rr,hr@1,hr@2,ndcg@1,ndcg@2,outcome",
+    ])
+    def test_foreign_header_rejected(self, tmp_path, header):
+        with pytest.raises(ValueError):
+            read_trace_csv(self._csv(tmp_path, self._rows(), header=header))
+
+    def test_header_only_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            read_trace_csv(self._csv(tmp_path, []))
+
+
+# Floats the codec must keep apart or render specially; a small pool per
+# trace makes most cells repeat, as in real traces.
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                  1.1125369292536007e-308, float("inf"), float("-inf"),
+                  1.0, 0.1, 1e16, -1.7976931348623157e308,
+                  # NaNs: the default, a negative one and one with a payload
+                  *np.array([0x7FF8000000000000, 0xFFF8000000000000,
+                             0x7FF0000000000123], dtype=np.uint64)
+                  .view(np.float64).tolist()]
+
+
+@st.composite
+def random_traces(draw):
+    T = draw(st.integers(1, 40))
+    ks = tuple(draw(st.lists(st.integers(1, 30), max_size=3, unique=True)))
+    pool = draw(st.lists(st.sampled_from(SPECIAL_FLOATS), max_size=6))
+    pool += draw(st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                                    allow_subnormal=True),
+                          min_size=0 if pool else 1, max_size=3))
+    ints = st.integers(-2**63, 2**63 - 1) | st.integers(-3, 30)
+
+    def floats(*shape):
+        return draw(arrays(np.float64, shape, elements=st.sampled_from(pool)))
+
+    x, y, outcome = (draw(arrays(np.int64, T, elements=ints)) for _ in range(3))
+    return harness.Trace(x=x, y=y, outcome=outcome, instant_regret=floats(T),
+                         cum_regret=floats(T), rr=floats(T),
+                         hr=floats(T, len(ks)), ndcg=floats(T, len(ks)), ks=ks)
+
+
+def same_bits_but_nan_payload(a, b):
+    """Bitwise equal arrays, except that any NaN matches any NaN."""
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    if a.dtype.kind != "f":
+        return np.array_equal(a, b)
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+def every_special_float():
+    cells = np.array(SPECIAL_FLOATS * 2)
+    T = len(cells)
+    return harness.Trace(
+        x=np.arange(T), y=np.zeros(T, dtype=np.int64),
+        outcome=np.full(T, -2**63), instant_regret=cells,
+        cum_regret=cells[::-1].copy(), rr=np.roll(cells, 1),
+        hr=np.stack([cells, -cells], axis=1), ndcg=np.stack([cells] * 2, 1),
+        ks=(2, 7))
+
+
+class TestTraceCodecProperties:
+    @given(trace=random_traces())
+    @example(trace=every_special_float())
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_and_round_trip(self, tmp_path_factory, trace):
+        path = tmp_path_factory.mktemp("codec") / "t.csv"
+        write_trace_csv(trace, path)
+        raw = path.read_bytes()
+        assert raw == reference_trace_csv(trace)
+        back = read_trace_csv(path)
+        assert back.ks == trace.ks
+        for name in ("x", "y", "outcome", "instant_regret", "cum_regret",
+                     "rr", "hr", "ndcg"):
+            assert same_bits_but_nan_payload(getattr(back, name),
+                                             getattr(trace, name)), name
+        write_trace_csv(back, path)
+        assert path.read_bytes() == raw
+
+
+@st.composite
+def small_configs(draw):
+    algo = draw(st.sampled_from(ALGORITHMS))
+    n = draw(st.integers(3, 12))
+    T = draw(st.integers(2, 60 if algo == "maxinp" else 120))
+    kw = dict(algo=algo, n=n, T=T, tau=draw(st.integers(1, T - 1)),
+              seed=draw(st.integers(0, 2**32 - 1)),
+              matrix_seed=draw(st.integers(0, 2**32 - 1)),
+              game=draw(st.sampled_from(["elo", "noisy_elo", "triangular",
+                                         "cyclic"])),
+              noise=draw(st.sampled_from([0.0, 0.1])),
+              k=draw(st.integers(1, 3)), melo=draw(st.booleans()),
+              gamma_mode=draw(st.sampled_from(["fixed", "theoretical"])),
+              gamma=draw(st.floats(0.05, 5.0)),
+              ks=tuple(draw(st.lists(st.integers(1, n), max_size=2))))
+    return RunConfig(**kw)
+
+
+@given(cfg=small_configs())
+@settings(max_examples=25, deadline=None)
+def test_repeated_simulate_gives_same_bytes(tmp_path_factory, cfg):
+    path = tmp_path_factory.mktemp("det") / "t.csv"
+    blobs = []
+    for _ in range(2):
+        write_trace_csv(simulate(cfg)[0][0], path)
+        blobs.append(path.read_bytes())
+    assert blobs[0] == blobs[1]
+
 
 class TestCli:
     def _main(self, argv, capsys):

@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duelrank.errors import InvalidParameterError, InvalidSizeError
 from duelrank.tracker import DesignTracker
@@ -188,6 +190,27 @@ class TestBuffersMatchReference:
         first = tr.uncertainty_matrix()
         tr.update(0, 1)
         assert tr.uncertainty_matrix() is first
+
+
+@st.composite
+def pair_sequences(draw):
+    n = draw(st.integers(2, 30))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)).map(
+        lambda p: (p[0], (p[0] + p[1]) % n))  # never a self-pair
+    pairs = draw(st.lists(pair, max_size=60))
+    return n, draw(st.sampled_from([0.1, 0.5, 1.0, 3.0])), pairs
+
+
+@given(case=pair_sequences())
+@settings(max_examples=60, deadline=None)
+def test_v_inv_symmetric_and_zero_uncertainty_diagonal(case):
+    n, lam, pairs = case
+    tr = DesignTracker(n, lam)
+    for x, y in pairs:
+        tr.update(x, y)
+        assert np.array_equal(tr.v_inv, tr.v_inv.T)
+        u = tr.uncertainty_matrix()
+        assert np.array_equal(np.diag(u), np.zeros(n))
 
 
 def _time_updates(n, count):
