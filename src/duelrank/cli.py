@@ -107,8 +107,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     """Rebuild the run summary, in `run`'s JSON shape, from trace CSVs."""
-    summary = harness.summarize(
-        [harness.read_trace_csv(path) for path in args.traces])
+    traces = []
+    for path in args.traces:
+        try:
+            traces.append(harness.read_trace_csv(path))
+        except ValueError as exc:  # a malformed file, not a program fault
+            raise DuelRankError(f"{path}: {exc}") from exc
+    summary = harness.summarize(traces)
     if args.out:
         harness.write_summary_json(summary, args.out)
     else:

@@ -101,10 +101,18 @@ class RunConfig:
             raise ConfigError("alpha must be positive", key="alpha")
         if cfg.k < 0:
             raise ConfigError("k must be non-negative", key="k")
-        if cfg.algo == "maxin_melo" and cfg.k < 1:
-            raise ConfigError("maxin_melo needs k >= 1", key="k")
+        # MaxIn takes mElo from algo; only the three online baselines read melo
+        melo = cfg.melo and cfg.algo in ("random", "rg_ucb", "dbgd")
+        if cfg.k < 1 and (melo or cfg.algo == "maxin_melo"):
+            raise ConfigError(f"mElo {cfg.algo} needs k >= 1", key="k")
         if cfg.lambda_ridge <= 0:
             raise ConfigError("lambda_ridge must be positive", key="lambda_ridge")
+        if cfg.rating_scale < 0:
+            raise ConfigError("rating_scale must be non-negative", key="rating_scale")
+        if cfg.noise < 0:
+            raise ConfigError("noise must be non-negative", key="noise")
+        if not 0 < cfg.clip_eps < 0.5:
+            raise ConfigError("clip_eps must lie in (0, 0.5)", key="clip_eps")
         return cfg
 
 

@@ -38,7 +38,6 @@ class WinMatrix:
 
     n: int
     p: npt.NDArray[np.float64]
-    name: str = ""
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
@@ -69,8 +68,7 @@ def _validate(n: int, p: np.ndarray, tol: float) -> None:
         raise AntisymmetryError("p[i][j] + p[j][i] != 1 beyond tolerance")
 
 
-def gen_elo_game(n: int, rating_scale: float, seed: int,
-                 name: str = "elo") -> WinMatrix:
+def gen_elo_game(n: int, rating_scale: float, seed: int) -> WinMatrix:
     """Synthetic transitive game from i.i.d. uniform latent ratings."""
     if n < 2:
         raise InvalidSizeError(f"need at least 2 players, got {n}")
@@ -82,7 +80,7 @@ def gen_elo_game(n: int, rating_scale: float, seed: int,
     # exact antisymmetry despite floating-point sigmoid asymmetry
     p = 0.5 * (p + (1.0 - p.T))
     np.fill_diagonal(p, 0.5)
-    return WinMatrix(n=n, p=p, name=name)
+    return WinMatrix(n=n, p=p)
 
 
 def gen_noisy_elo_game(n: int, rating_scale: float, eps: float, seed: int,
@@ -90,15 +88,14 @@ def gen_noisy_elo_game(n: int, rating_scale: float, eps: float, seed: int,
     """Elo game with Gaussian noise on the upper triangle, mirrored below."""
     if eps < 0:
         raise InvalidParameterError("eps must be non-negative")
-    base = gen_elo_game(n, rating_scale, seed, name=f"elo+noise={eps}")
-    p = base.p.copy()
+    p = gen_elo_game(n, rating_scale, seed).p.copy()
     noise_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     iu = np.triu_indices(n, k=1)
     noisy = p[iu] + eps * noise_rng.standard_normal(len(iu[0]))
     noisy = np.clip(noisy, clip_eps, 1.0 - clip_eps)
     p[iu] = noisy
     p.T[iu] = 1.0 - noisy
-    return WinMatrix(n=n, p=p, name=base.name)
+    return WinMatrix(n=n, p=p)
 
 
 def gen_triangular(n: int) -> WinMatrix:
@@ -107,7 +104,7 @@ def gen_triangular(n: int) -> WinMatrix:
         raise InvalidSizeError(f"need at least 2 players, got {n}")
     p = np.where(np.arange(n)[:, None] < np.arange(n)[None, :], 1.0, 0.0)
     np.fill_diagonal(p, 0.5)
-    return WinMatrix(n=n, p=p, name="triangular")
+    return WinMatrix(n=n, p=p)
 
 
 def gen_cyclic(n: int) -> WinMatrix:
@@ -118,10 +115,10 @@ def gen_cyclic(n: int) -> WinMatrix:
     idx = np.arange(n)
     p[idx, (idx + 1) % n] = 0.9
     p[(idx + 1) % n, idx] = 0.1
-    return WinMatrix(n=n, p=p, name="cyclic")
+    return WinMatrix(n=n, p=p)
 
 
-def load_matrix(path, clip_eps: float = DEFAULT_CLIP_EPS) -> WinMatrix:
+def load_matrix(path) -> WinMatrix:
     """Read a headerless CSV of win probabilities and validate it.
 
     Entries are stored as-is; clipping only applies later when logits
@@ -136,15 +133,10 @@ def load_matrix(path, clip_eps: float = DEFAULT_CLIP_EPS) -> WinMatrix:
         raise NonSquareMatrixError(f"matrix in {path} is {p.shape[0]}x{p.shape[1]}")
     n = p.shape[0]
     _validate(n, p, tol=_LOAD_TOL)
-    return _make_unchecked(n, p, str(path))
-
-
-def _make_unchecked(n: int, p: np.ndarray, name: str) -> WinMatrix:
-    # bypass the 1e-9 constructor check; the loader already validated at 1e-6
+    # bypass the 1e-9 constructor check; the file passed at 1e-6
     m = object.__new__(WinMatrix)
     object.__setattr__(m, "n", n)
-    object.__setattr__(m, "p", np.asarray(p, dtype=float))
-    object.__setattr__(m, "name", name)
+    object.__setattr__(m, "p", p)
     return m
 
 

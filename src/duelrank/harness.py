@@ -30,7 +30,7 @@ from .schedulers import MatchEnv, make_scheduler
 
 def build_matrix(cfg: RunConfig) -> WinMatrix:
     if cfg.matrix is not None:
-        return games.load_matrix(cfg.matrix, clip_eps=cfg.clip_eps)
+        return games.load_matrix(cfg.matrix)
     seed = cfg.matrix_seed if cfg.matrix_seed is not None else cfg.seed
     if cfg.game == "elo":
         return games.gen_elo_game(cfg.n, cfg.rating_scale, seed)
@@ -222,12 +222,12 @@ def read_trace_csv(path) -> Trace:
     with open(path, encoding="utf-8") as fh:
         lines = [ln for ln in fh if ln.strip()]
     if len(lines) < 2:
-        raise ValueError(f"{path}: trace CSV has no rows")
+        raise ValueError("trace CSV has no rows")
     header = lines[0].rstrip("\n")
     ks = tuple(int(c.split("@")[1]) for c in header.split(",")
                if c.startswith("hr@"))
     if header != trace_header(ks):
-        raise ValueError(f"{path}: not a trace header: {header!r}")
+        raise ValueError(f"not a trace header: {header!r}")
     row = np.dtype([("int", np.int64, (4,)),
                     ("float", np.float64, (3 + 2 * len(ks),))])
     body = np.loadtxt(lines[1:], dtype=row, delimiter=",", comments=None,

@@ -77,10 +77,10 @@ def elo_loss(o: float, p_hat: float) -> float:
 
 
 def _omega_dot(v: np.ndarray) -> np.ndarray:
-    """Omega @ v for the block pairing matrix."""
+    """Omega @ v for the block pairing matrix, row by row if v is 2-D."""
     out = np.empty_like(v)
-    out[0::2] = v[1::2]
-    out[1::2] = -v[0::2]
+    out[..., 0::2] = v[..., 1::2]
+    out[..., 1::2] = -v[..., 0::2]
     return out
 
 
@@ -142,12 +142,9 @@ def _batch_gradients(r: np.ndarray, c: np.ndarray | None,
     grad_r = np.bincount(rows, weights=w, minlength=len(r))
     grad_c = None
     if c is not None:
-        omega_c = np.empty_like(c)
-        omega_c[:, 0::2] = c[:, 1::2]
-        omega_c[:, 1::2] = -c[:, 0::2]
         grad_c = np.zeros_like(c)
         # x's row takes -delta * Omega c_y, y's row delta * Omega c_x
-        np.add.at(grad_c, rows, w[:, None] * omega_c[xy[:, ::-1].ravel()])
+        np.add.at(grad_c, rows, w[:, None] * _omega_dot(c)[xy[:, ::-1].ravel()])
     return grad_r, grad_c
 
 

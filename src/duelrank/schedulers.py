@@ -49,23 +49,22 @@ class MatchEnv:
         return sample_outcome(self.matrix, x, y, self.rng)
 
 
-def _all_pairs(n: int) -> list[tuple[int, int]]:
-    return [(x, y) for x in range(n) for y in range(x + 1, n)]
-
-
 class Scheduler:
-    """Common bookkeeping for all policies."""
+    """Common bookkeeping for all policies; pair i is (_iu[i], _ju[i])."""
 
     def __init__(self, config: RunConfig, rng: np.random.Generator):
         self.config = config.resolve()
         self.n = self.config.n
         self.rng = rng
         self.t = 0
-        self.pairs = _all_pairs(self.n)
+        self._iu, self._ju = np.triu_indices(self.n, 1)
         self._estimate = RatingState(r=np.zeros(self.n))
 
+    def _pair(self, i) -> tuple[int, int]:
+        return int(self._iu[i]), int(self._ju[i])
+
     def uniform_pair(self) -> tuple[int, int]:
-        return self.pairs[int(self.rng.integers(len(self.pairs)))]
+        return self._pair(self.rng.integers(len(self._iu)))
 
     def step(self, env: MatchEnv) -> tuple[int, int, int]:
         raise NotImplementedError
@@ -83,7 +82,7 @@ class _OnlineBaseline(Scheduler):
     def __init__(self, config, rng):
         super().__init__(config, rng)
         cfg, n = self.config, self.n
-        if cfg.melo and cfg.k > 0:
+        if cfg.melo:
             c = rng.uniform(-0.1, 0.1, size=(n, 2 * cfg.k))
             self._estimate = RatingState(r=np.zeros(n), c=c)
 
@@ -113,19 +112,19 @@ class RgUcbScheduler(_OnlineBaseline):
     (which guarantees termination on exactly-even matchups). A pair's
     status depends only on its own count and wins, so `_open` is kept up
     to date by re-checking just the pair played each round. `counts`,
-    `wins` and `_open` hold one entry per pair of `self.pairs`; `wins`
-    counts wins by the first-listed player. When no pair is open, the
-    draw is uniform over all pairs.
+    `wins` and `_open` hold one entry per pair index; `wins` counts wins
+    by the first-listed player. When no pair is open, the draw is uniform
+    over all pairs.
     """
 
     N_MAX_PER_PAIR = 200  # per-pair sample cap
 
     def __init__(self, config, rng):
         super().__init__(config, rng)
-        self.counts = np.zeros(len(self.pairs), dtype=int)
-        self.wins = np.zeros(len(self.pairs), dtype=float)
+        self.counts = np.zeros(len(self._iu), dtype=int)
+        self.wins = np.zeros(len(self._iu), dtype=float)
         self._log_term = math.log(2.0 / self.config.delta)
-        self._open = np.ones(len(self.pairs), dtype=bool)
+        self._open = np.ones(len(self._iu), dtype=bool)
 
     def _unresolved(self, idx: int) -> bool:
         n_xy = self.counts[idx]
@@ -143,8 +142,8 @@ class RgUcbScheduler(_OnlineBaseline):
         if len(open_idx):
             idx = int(open_idx[self.rng.integers(len(open_idx))])
         else:
-            idx = int(self.rng.integers(len(self.pairs)))
-        x, y = self.pairs[idx]
+            idx = int(self.rng.integers(len(self._iu)))
+        x, y = self._pair(idx)
         o = env.play(x, y)
         self.counts[idx] += 1
         self.wins[idx] += o
@@ -185,15 +184,10 @@ class _WarmupScheduler(Scheduler):
 
     def __init__(self, config, rng):
         super().__init__(config, rng)
-        n = self.n
-        self.tracker = DesignTracker(n, self.config.lambda_ridge)
+        self.tracker = DesignTracker(self.n, self.config.lambda_ridge)
         self._log = np.empty((self.config.tau, 3), dtype=np.int64)
         self._logged = 0
-        self.warmed_up = False
-        self._omega = omega(self.config.k)
-        # flat indices of u[x, y] for x < y, in the same order as self.pairs
-        iu, ju = np.triu_indices(n, 1)
-        self._iu, self._ju, self._flat = iu, ju, iu * n + ju
+        self._flat = self._iu * self.n + self._ju  # u.take(_flat)[i]: pair i
 
     @property
     def history(self) -> np.ndarray:
@@ -206,24 +200,11 @@ class _WarmupScheduler(Scheduler):
         self._log[self._logged] = x, y, o
         self._logged += 1
 
-    def _warmup_step(self, env):
-        x, y = self.uniform_pair()
-        o = env.play(x, y)
-        self._record(x, y, o)
-        self.tracker.update(x, y)
-        if self.t == self.config.tau:
-            self._finish_warmup()
-            self.warmed_up = True
-        return x, y, o
-
-    def _finish_warmup(self):
-        raise NotImplementedError
-
     def _rating_gap(self, r: np.ndarray, c: np.ndarray | None):
         """(D, C): r_i - r_j with an inf diagonal, and c Omega c' or None."""
         d = r[:, None] - r[None, :]
         np.fill_diagonal(d, np.inf)
-        return d, None if c is None else c @ self._omega @ c.T
+        return d, None if c is None else c @ omega(c.shape[1] // 2) @ c.T
 
     def _candidate_mask(self, u: np.ndarray, gap, gamma: float) -> np.ndarray:
         """Players not confidently dominated under the optimistic score.
@@ -251,7 +232,7 @@ class _WarmupScheduler(Scheduler):
         vals = u.take(self._flat)
         if size < self.n:
             vals = np.where(mask[self._iu] & mask[self._ju], vals, -1.0)
-        return self.pairs[int(np.argmax(vals))]
+        return self._pair(np.argmax(vals))
 
     def _select(self, gap, gamma: float) -> tuple[int, int]:
         """One round's pair from one uncertainty matrix."""
@@ -268,10 +249,11 @@ class _WarmupScheduler(Scheduler):
 class MaxInScheduler(_WarmupScheduler):
     """UCB candidate set + max-uncertainty pair, learning by batch SGD.
 
-    After the warmup MLE, ratings follow projected batch SGD with step
-    eta0/(alpha*j) at batch j; the reported estimate is the average of
-    SGD iterates. For maxin_melo, cyclic feature vectors are learned by
-    the same batch gradients, unprojected.
+    The warmup plays tau uniform pairs, never self-pairs, so the first
+    full log is its batch: it gives the MLE center. Each later batch of
+    tau informative records is one projected SGD step, eta0/(alpha*j) at
+    batch j; the estimate is the average of SGD iterates. For maxin_melo,
+    cyclic feature vectors are learned by the same gradients, unprojected.
 
     The estimate and rating gap change only per batch (see _refresh).
     Every post-warmup round selects afresh, self-pair rounds included.
@@ -280,10 +262,7 @@ class MaxInScheduler(_WarmupScheduler):
     player, which varies several-fold from one game matrix to the next.
     """
 
-    def __init__(self, config, rng):
-        super().__init__(config, rng)
-        self.use_melo = self.config.algo == "maxin_melo"
-        self.sgd: SgdState | None = None
+    sgd: SgdState | None = None  # None until the warmup fit
 
     # The warmup batch has ~0.7n records over n(n-1)/2 pairs and is almost
     # always linearly separable, so a weak ridge lets the center estimate
@@ -292,20 +271,25 @@ class MaxInScheduler(_WarmupScheduler):
     # ratings within reach of the fixed-radius projection ball.
     WARMUP_RIDGE = 2.0
 
-    def _finish_warmup(self):
+    def _fit_batch(self):
+        """The warmup MLE center from the first full log, an SGD step from
+        every later one; then empty the log."""
         cfg = self.config
-        r_hat = mle_fit(self.history, self.n,
-                        ridge=max(cfg.ridge, self.WARMUP_RIDGE)).r
+        if self.sgd is None:
+            r_hat = mle_fit(self.history, self.n,
+                            ridge=max(cfg.ridge, self.WARMUP_RIDGE)).r
+            c = c_bar = None
+            if cfg.algo == "maxin_melo":
+                # zero init is a saddle point of the cyclic term; break it
+                c = self.rng.uniform(-0.1, 0.1, size=(self.n, 2 * cfg.k))
+                c_bar = c.copy()
+            self.sgd = SgdState(r_tilde=r_hat.copy(), r_bar=r_hat.copy(),
+                                center=r_hat.copy(), radius=2.0,
+                                eta0=cfg.eta0, alpha=cfg.alpha,
+                                c_tilde=c, c_bar=c_bar)
+        else:
+            self.sgd = batch_update(self.sgd, self.history)
         self._logged = 0
-        c = c_bar = None
-        if self.use_melo:
-            # zero init is a saddle point of the cyclic term; break it
-            c = self.rng.uniform(-0.1, 0.1, size=(self.n, 2 * cfg.k))
-            c_bar = c.copy()
-        self.sgd = SgdState(r_tilde=r_hat.copy(), r_bar=r_hat.copy(),
-                            center=r_hat.copy(), radius=2.0,
-                            eta0=cfg.eta0, alpha=cfg.alpha,
-                            c_tilde=c, c_bar=c_bar)
         self._refresh()
 
     def _refresh(self):
@@ -319,42 +303,42 @@ class MaxInScheduler(_WarmupScheduler):
 
     def step(self, env):
         self.t += 1
-        if not self.warmed_up:
-            return self._warmup_step(env)
-        x, y = self._select(self._gap, self._gamma())
+        if self.sgd is None:
+            x, y = self.uniform_pair()
+        else:
+            x, y = self._select(self._gap, self._gamma())
         o = env.play(x, y)
         if x != y:  # self-pairs carry zero information
             self._record(x, y, o)
             self.tracker.update(x, y)
             if self._logged == self.config.tau:
-                self.sgd = batch_update(self.sgd, self.history)
-                self._logged = 0
-                self._refresh()
+                self._fit_batch()
         return x, y, o
 
 
 class MaxInPScheduler(_WarmupScheduler):
     """Full-history MLE refit per round, same candidate/pair rule.
 
-    Kept deliberately O(t) per round: every refit starts from zero and
-    each of its Newton iterations passes over the whole match log, which
-    is the cost profile this baseline is meant to exhibit.
+    The tau warmup rounds play uniform pairs and end with one fit. Kept
+    deliberately O(t) per round: every refit starts from zero and each of
+    its Newton iterations passes over the whole match log, which is the
+    cost profile this baseline is meant to exhibit.
     """
-
-    def _finish_warmup(self):
-        self._estimate = mle_fit(self.history, self.n, ridge=self.config.ridge)
 
     def step(self, env):
         self.t += 1
-        if not self.warmed_up:
-            return self._warmup_step(env)
-        self._estimate = mle_fit(self.history, self.n, ridge=self.config.ridge)
-        x, y = self._select(self._rating_gap(self._estimate.r, None),
-                            self._gamma())
+        if self.t <= self.config.tau:
+            x, y = self.uniform_pair()
+        else:
+            self._estimate = mle_fit(self.history, self.n, ridge=self.config.ridge)
+            x, y = self._select(self._rating_gap(self._estimate.r, None),
+                                self._gamma())
         o = env.play(x, y)
         self._record(x, y, o)
         if x != y:
             self.tracker.update(x, y)
+        if self.t == self.config.tau:
+            self._estimate = mle_fit(self.history, self.n, ridge=self.config.ridge)
         return x, y, o
 
 

@@ -27,7 +27,6 @@ class DesignTracker:
         if lambda_ridge <= 0:
             raise InvalidParameterError("lambda_ridge must be positive")
         self.n = n
-        self.lambda_ridge = lambda_ridge
         self.v_inv = (1.0 / lambda_ridge) * np.eye(n)
         # n x n work buffers, reused by every call; fresh 80 kB arrays at
         # n=100 make run time depend on when glibc trims the heap

@@ -109,7 +109,7 @@ def test_02_hodge_identity(capsys):
         a = a - a.T
         p = sigmoid(a)
         np.fill_diagonal(p, 0.5)
-        m = WinMatrix(n=n, p=p, name="random")
+        m = WinMatrix(n=n, p=p)
         truth = true_ratings(m)
         logits = logit_matrix(m)
         grad = truth.r_star[:, None] - truth.r_star[None, :]

@@ -319,13 +319,33 @@ class TestTraceBytes:
          "7e63cc8b61e3a443e7f06869144daf5d99843da177cb4ac66de180603d125985"),
         (dict(algo="maxinp", n=6, T=80, tau=5, gamma=1.8, ks=(2,), seed=8),
          "69c64ad543bd3ccd38a421b0284cbf616104e402734d7faef8d0b3e4d823f890"),
+        # matrix=True: play on MATRIX_CSV, read by load_matrix
+        (dict(algo="maxinp", matrix=True, n=5, T=80, tau=12, gamma=4.0,
+              ks=(2,), seed=9),
+         "7223a62169269db9830d0f3a28d51a26966a776066358e4ef2e488c4d9ad1241"),
+        (dict(algo="rg_ucb", n=6, T=200, melo=True, k=2, ks=(2,), seed=10),
+         "2ce0d4e6ab7d7d20405b0600e744fe56cfa6c82593d1d1f0aa1de9dad665b827"),
+        (dict(algo="maxin_elo", game="noisy_elo", noise=0.1, n=8, T=300,
+              tau=6, gamma_mode="theoretical", ks=(4,), seed=11),
+         "b9d0f0f57d9130a704681fa3bc03417df21b1f451eb8f88b92fd1f668f3f6687"),
     ]
+    DIGEST_IDS = [kw["algo"] for kw, _ in DIGESTS[:6]] + [
+        "maxinp-matrix", "rg_ucb-melo", "maxin_elo-theoretical"]
+    # one upset (4 beats 0) on an otherwise ordered 5-player game
+    MATRIX_CSV = ("0.5,0.6,0.7,0.8,0.35\n"
+                  "0.4,0.5,0.6,0.7,0.8\n"
+                  "0.3,0.4,0.5,0.6,0.7\n"
+                  "0.2,0.3,0.4,0.5,0.6\n"
+                  "0.65,0.2,0.3,0.4,0.5\n")
 
-    @pytest.mark.parametrize("kw,digest", DIGESTS,
-                             ids=[kw["algo"] for kw, _ in DIGESTS])
+    @pytest.mark.parametrize("kw,digest", DIGESTS, ids=DIGEST_IDS)
     def test_digest_pinned(self, tmp_path, kw, digest):
+        if kw.get("matrix"):
+            path = tmp_path / "matrix.csv"
+            path.write_text(self.MATRIX_CSV)
+            kw = {**kw, "matrix": str(path)}
         traces, _ = simulate(RunConfig(**kw))
-        if kw["algo"] == "maxin_elo":
+        if kw["algo"] == "maxin_elo" and "gamma_mode" not in kw:
             assert (traces[0].x == traces[0].y).sum() > kw["T"] // 2
         got = self._bytes(traces[0], tmp_path / "t.csv")
         assert hashlib.sha256(got).hexdigest() == digest
@@ -747,6 +767,23 @@ class TestCli:
         assert code == 1 and out == ""
         assert json.loads(err)["key"] == "ks"
 
+    @pytest.mark.parametrize("fault", ["short_row", "foreign_header"])
+    def test_report_malformed_trace_is_json_error(self, tmp_path, capsys,
+                                                  fault):
+        header, row = trace_header((2,)), "1,0,1,1,0.25,0.25,1.0,0.5,0.5"
+        if fault == "short_row":
+            lines = [header, row, row.rsplit(",", 1)[0]]
+        else:
+            lines = [header.replace("outcome", "result"), row]
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = self._main(["report", "--traces", str(path)], capsys)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == "DuelRankError"
+        assert str(path) in payload["message"]
+
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize(
         "key", [f.name for f in dataclasses.fields(RunConfig)])
@@ -780,7 +817,8 @@ class TestCli:
     @pytest.mark.parametrize("flag,value", [
         ("--gamma", "nan"), ("--gamma", "inf"), ("--eta0", "nan"),
         ("--lambda-ridge", "nan"), ("--lambda-ridge", "0"),
-        ("--ridge", "nan")])
+        ("--ridge", "nan"), ("--clip-eps", "0.7"), ("--clip-eps", "0"),
+        ("--rating-scale", "-1"), ("--noise", "-0.5")])
     def test_bad_number_is_json_config_error(self, capsys, flag, value):
         code, out, err = self._main(
             ["run", "--n", "6", "--T", "40", flag, value], capsys)

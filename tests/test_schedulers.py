@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duelrank import games, schedulers
 from duelrank.config import RunConfig
@@ -72,15 +74,18 @@ class TestConfig:
 
     def test_melo_needs_k_before_the_matrix_is_read(self, tmp_path):
         from duelrank.harness import simulate
-        with pytest.raises(ConfigError) as err:
-            RunConfig(algo="maxin_melo", n=5, k=0).resolve()
-        assert err.value.key == "k"
-        # resolve() runs first, so the missing matrix file is never opened
         missing = str(tmp_path / "missing.csv")
-        with pytest.raises(ConfigError):
-            simulate(RunConfig(algo="maxin_melo", n=5, k=0, matrix=missing))
-        with pytest.raises(MatrixLoadError):
-            simulate(RunConfig(algo="maxin_melo", n=5, k=1, matrix=missing))
+        # MaxIn takes mElo from algo, the three online baselines from melo
+        for kw in (dict(algo="maxin_melo"), dict(algo="random", melo=True),
+                   dict(algo="rg_ucb", melo=True), dict(algo="dbgd", melo=True)):
+            with pytest.raises(ConfigError) as err:
+                RunConfig(n=5, k=0, **kw).resolve()
+            assert err.value.key == "k"
+            # resolve() runs first, so the missing matrix file is never opened
+            with pytest.raises(ConfigError):
+                simulate(RunConfig(n=5, k=0, matrix=missing, **kw))
+            with pytest.raises(MatrixLoadError):
+                simulate(RunConfig(n=5, k=1, matrix=missing, **kw))
 
 
 class TestWarmup:
@@ -92,7 +97,7 @@ class TestWarmup:
             sched.step(env)
         assert sched.tracker.t == tau
         assert sched.history.shape == (0, 3)  # the warmup fit consumed it
-        assert sched.warmed_up
+        assert sched.sgd is not None
 
     def test_deterministic_initial_estimate(self):
         n = 10
@@ -284,6 +289,26 @@ class TestSelectionOracle:
         assert 1 in sizes and n in sizes
 
 
+@st.composite
+def round_cases(draw):
+    """A small MaxIn or MaxInP run: its config keywords (the matrix seed is
+    `seed`) and the seed of its outcome stream."""
+    algo = draw(st.sampled_from(["maxin_elo", "maxin_melo", "maxinp"]))
+    n = draw(st.integers(3, 16))
+    tau = draw(st.integers(1, 2 * n))
+    T = tau + draw(st.integers(1, 25 if algo == "maxinp" else 80))
+    kw = dict(algo=algo, n=n, T=T, tau=tau, k=draw(st.integers(1, 3)),
+              game=draw(st.sampled_from(["elo", "noisy_elo", "triangular",
+                                         "cyclic"])),
+              rating_scale=draw(st.sampled_from([0.5, 1.0, 3.0])),
+              noise=0.1, seed=draw(st.integers(0, 1000)))
+    if draw(st.booleans()):
+        kw["gamma_mode"] = "theoretical"
+    else:
+        kw["gamma"] = draw(st.sampled_from([0.2, 1.0, 1.8, 10.0]))
+    return kw, draw(st.integers(0, 1000))
+
+
 class TestRunSelectionOracle:
     """Whole runs: every post-warmup pair equals reference_pair on u, the
     learner's current estimate and gamma, all recomputed that round."""
@@ -314,7 +339,7 @@ class TestRunSelectionOracle:
         env = env_for(games.gen_elo_game(cfg.n, cfg.rating_scale, 2), seed=4)
         self_pairs = 0
         for _ in range(cfg.T):
-            if not sched.warmed_up:
+            if sched.t < cfg.tau:
                 sched.step(env)
                 continue
             if cfg.algo == "maxinp":
@@ -333,6 +358,55 @@ class TestRunSelectionOracle:
         if cfg.algo != "maxinp":
             assert sched.sgd.j >= 2
         assert (self_pairs > cfg.T // 2) == plays_self_pairs
+
+    @given(case=round_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_random_runs(self, case):
+        """Random small runs, round by round: also the warmup fit lands in
+        round tau, estimate() keeps its identity rule, and instant regret
+        is >= 0."""
+        from duelrank.harness import build_matrix
+        from duelrank.metrics import instant_regret
+        from duelrank.ratings import omega
+        kw, env_seed = case
+        sched = build(**kw)
+        cfg = sched.config
+        matrix = build_matrix(cfg)
+        truth = games.true_ratings(matrix, clip_eps=cfg.clip_eps)
+        env = env_for(matrix, seed=env_seed)
+        omega_k = omega(cfg.k)
+        last = sched.estimate()
+        bits = last.r.tobytes()
+        fits = 0  # learner updates so far: the warmup fit, then batches
+        for t in range(1, cfg.T + 1):
+            if t > cfg.tau:
+                if cfg.algo == "maxinp":
+                    r, c = mle_fit(sched.history, cfg.n, ridge=cfg.ridge).r, None
+                else:
+                    r, c = sched.sgd.r_bar, sched.sgd.c_bar
+                gamma = cfg.gamma
+                if cfg.gamma_mode == "theoretical":
+                    gamma = 2.0 * g1(t, cfg.n, cfg.T, cfg.c1)
+                u = sched.tracker.uncertainty_matrix().copy()
+                expected = reference_pair(u, r, c, omega_k, gamma)
+            x, y, _ = sched.step(env)
+            assert sched.t == t
+            if t <= cfg.tau:
+                assert x < y  # a uniform warmup pair
+            else:
+                assert (x, y) == expected
+            assert instant_regret(truth, x, y) >= 0.0
+            if cfg.algo == "maxinp":
+                refit = t >= cfg.tau
+            else:
+                assert (sched.sgd is None) == (t < cfg.tau)
+                now = 0 if sched.sgd is None else 1 + sched.sgd.j
+                refit, fits = now > fits, now
+            est = sched.estimate()
+            assert (est is not last) == refit
+            if est is last:
+                assert est.r.tobytes() == bits
+            last, bits = est, est.r.tobytes()
 
 
 class TestMaxInStep:
@@ -394,6 +468,10 @@ class TestMaxInStep:
     def test_melo_requires_k(self):
         with pytest.raises(ConfigError):
             build("maxin_melo", 5, k=0)
+        for algo in ("random", "rg_ucb", "dbgd"):
+            with pytest.raises(ConfigError):
+                build(algo, 5, k=0, melo=True)
+            build(algo, 5, k=0)  # Elo baselines do not read k
 
     @pytest.mark.parametrize("algo", ["maxin_elo", "maxin_melo"])
     def test_each_batch_is_tau_informative_records(self, monkeypatch, algo):
@@ -461,14 +539,19 @@ class TestRandomBaseline:
         assert sched.estimate().r.sum() == pytest.approx(0.0, abs=1e-10)
 
 
+def pair_index(sched, x, y):
+    """Index of pair (x, y) in the scheduler's pair table."""
+    return int(np.flatnonzero((sched._iu == x) & (sched._ju == y))[0])
+
+
 def reference_rg_ucb_step(sched, env):
     """The rg_ucb step the open-pair mask replaced: scan every pair."""
     sched.t += 1
-    every = range(len(sched.pairs))
+    every = range(len(sched._iu))
     open_idx = [i for i in every if sched._unresolved(i)]
     pool = open_idx if open_idx else every
     idx = pool[int(sched.rng.integers(len(pool)))]
-    x, y = sched.pairs[idx]
+    x, y = int(sched._iu[idx]), int(sched._ju[idx])
     o = env.play(x, y)
     sched.counts[idx] += 1
     sched.wins[idx] += o
@@ -501,7 +584,7 @@ class TestRgUcb:
                     assert sched.step(env) == reference_rg_ucb_step(ref,
                                                                      ref_env)
                     assert sched._open.tolist() == [
-                        sched._unresolved(i) for i in range(len(sched.pairs))]
+                        sched._unresolved(i) for i in range(len(sched._iu))]
                     reopened += bool((sched._open & ~before).any())
                 assert (sched.estimate().r.tobytes()
                         == ref.estimate().r.tobytes())
@@ -513,11 +596,11 @@ class TestRgUcb:
 
     def test_unseen_pair_unresolved(self):
         sched = build("rg_ucb", 4)
-        assert sched._unresolved(sched.pairs.index((0, 1)))
+        assert sched._unresolved(pair_index(sched, 0, 1))
 
     def test_hoeffding_hand_value(self):
         sched = build("rg_ucb", 4, delta=0.2)
-        idx = sched.pairs.index((0, 1))
+        idx = pair_index(sched, 0, 1)
         sched.counts[idx] = 20
         sched.wins[idx] = 20.0
         half_width = math.sqrt(math.log(10.0) / 40.0)
@@ -526,7 +609,7 @@ class TestRgUcb:
 
     def test_borderline_stays_unresolved(self):
         sched = build("rg_ucb", 4, delta=0.2)
-        idx = sched.pairs.index((0, 1))
+        idx = pair_index(sched, 0, 1)
         sched.counts[idx] = 20
         sched.wins[idx] = 11.0  # p_hat 0.55, inside the interval
         assert sched._unresolved(idx)
@@ -540,12 +623,12 @@ class TestRgUcb:
         for _ in range(needed * n * (n - 1)):
             sched.step(env)
         assert sched.counts.shape == (n * (n - 1) // 2,)
-        assert not any(sched._unresolved(i) for i in range(len(sched.pairs)))
+        assert not any(sched._unresolved(i) for i in range(len(sched._iu)))
 
     def test_cap_forces_resolution(self):
         sched = build("rg_ucb", 3)
         sched.N_MAX_PER_PAIR = 10
-        idx = sched.pairs.index((0, 1))
+        idx = pair_index(sched, 0, 1)
         sched.counts[idx] = 10
         sched.wins[idx] = 5.0  # p_hat exactly 0.5, only the cap resolves it
         assert not sched._unresolved(idx)
