@@ -9,8 +9,8 @@ import sys
 import numpy as np
 
 from . import harness
-from .config import RunConfig, _convert, _field_types, parse_config
-from .errors import DuelRankError
+from .config import _convert, _field_types, parse_config
+from .errors import ConfigError, DuelRankError
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -31,14 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Online match scheduling for Elo/mElo rating estimation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", help="write a win-probability matrix CSV")
-    p_gen.add_argument("--game", default="elo",
-                       choices=["elo", "noisy_elo", "triangular", "cyclic"])
-    p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--rating-scale", type=float, default=1.0)
-    p_gen.add_argument("--noise", type=float, default=0.0)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--out", required=True)
+    p_gen = sub.add_parser("gen", help="write the matrix CSV that run plays")
+    _add_config_flags(p_gen)
 
     p_run = sub.add_parser("run", help="simulate one configuration")
     _add_config_flags(p_run)
@@ -56,16 +50,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen(args) -> int:
-    m = harness.build_matrix(RunConfig(
-        game=args.game, n=args.n, rating_scale=args.rating_scale,
-        noise=args.noise, seed=args.seed))
-    np.savetxt(args.out, m.p, delimiter=",", fmt="%.17g")
+    """Write the matrix `run` plays with the same flags, as CSV."""
+    cfg = parse_config(args.config, _overrides(args))
+    m = harness.build_matrix(cfg)
+    np.savetxt(cfg.out or sys.stdout, m.p, delimiter=",", fmt="%.17g")
     return 0
-
-
-def _print_summary(summary: dict) -> None:
-    json.dump(summary, sys.stdout, indent=2)
-    sys.stdout.write("\n")
 
 
 def cmd_run(args) -> int:
@@ -74,7 +63,7 @@ def cmd_run(args) -> int:
     if cfg.out:
         harness.report(traces, summary, cfg.out)
     else:
-        _print_summary(summary)
+        harness.write_json(summary)
     return 0
 
 
@@ -82,11 +71,11 @@ def _parse_grid(specs: list[str], field_types: dict) -> dict:
     grid: dict[str, list] = {}
     for spec in specs:
         if "=" not in spec:
-            raise DuelRankError(f"bad --grid spec: {spec!r}")
+            raise ConfigError(f"bad --grid spec: {spec!r}", key="grid")
         key, raw = spec.split("=", 1)
         typ = field_types.get(key)
         if typ is None:
-            raise DuelRankError(f"unknown sweep key: {key}")
+            raise ConfigError(f"unknown sweep key: {key}", key=key)
         grid[key] = [_convert(key, v, typ)
                      for v in raw.split(",") if v.strip()]
     return grid
@@ -96,12 +85,7 @@ def cmd_sweep(args) -> int:
     cfg = parse_config(args.config, _overrides(args))
     grid = _parse_grid(args.grid, _field_types())
     results = harness.sweep(cfg, grid)
-    payload = json.dumps(results, indent=2) + "\n"
-    if cfg.out:
-        with open(f"{cfg.out}.sweep.json", "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    harness.write_json(results, f"{cfg.out}.sweep.json" if cfg.out else None)
     return 0
 
 
@@ -114,10 +98,7 @@ def cmd_report(args) -> int:
         except ValueError as exc:  # a malformed file, not a program fault
             raise DuelRankError(f"{path}: {exc}") from exc
     summary = harness.summarize(traces)
-    if args.out:
-        harness.write_summary_json(summary, args.out)
-    else:
-        _print_summary(summary)
+    harness.write_json(summary, args.out or None)
     return 0
 
 

@@ -76,6 +76,9 @@ class RunConfig:
         for k in self.ks:
             if not 1 <= k <= self.n:
                 raise ConfigError(f"metric cutoff k={k} outside [1, n]", key="ks")
+        for key in ("seed", "matrix_seed"):
+            if (getattr(self, key) or 0) < 0:
+                raise ConfigError(f"{key} must be non-negative", key=key)
         if self.algo not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm: {self.algo}", key="algo")
         tau = self.tau if self.tau is not None else max(1, round(0.7 * self.n))
@@ -107,6 +110,8 @@ class RunConfig:
             raise ConfigError(f"mElo {cfg.algo} needs k >= 1", key="k")
         if cfg.lambda_ridge <= 0:
             raise ConfigError("lambda_ridge must be positive", key="lambda_ridge")
+        if cfg.ridge <= 0:
+            raise ConfigError("ridge must be positive", key="ridge")
         if cfg.rating_scale < 0:
             raise ConfigError("rating_scale must be non-negative", key="rating_scale")
         if cfg.noise < 0:

@@ -1,40 +1,16 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package: one class per remedy."""
 
 
 class DuelRankError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidSizeError(DuelRankError):
-    """Player count (or another dimension) is too small."""
-
-
-class InvalidParameterError(DuelRankError):
-    """A numeric parameter is outside its allowed range."""
-
-
 class MatrixLoadError(DuelRankError):
-    """Base class for win-matrix file ingestion failures."""
-
-
-class MatrixParseError(MatrixLoadError):
-    """File could not be parsed as a numeric CSV."""
-
-
-class NonSquareMatrixError(MatrixLoadError):
-    """Row and column counts disagree."""
-
-
-class AntisymmetryError(MatrixLoadError):
-    """p[i][j] + p[j][i] deviates from 1 beyond tolerance."""
-
-
-class DiagonalError(MatrixLoadError):
-    """A diagonal entry deviates from 0.5 beyond tolerance."""
+    """A win-matrix file is unreadable, not square or not a win matrix."""
 
 
 class ConfigError(DuelRankError):
-    """Invalid or inconsistent configuration."""
+    """A bad argument: a config value or parameter outside its range."""
 
     def __init__(self, message: str, key: str | None = None):
         super().__init__(message)

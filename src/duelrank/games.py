@@ -13,14 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .errors import (
-    AntisymmetryError,
-    DiagonalError,
-    InvalidParameterError,
-    InvalidSizeError,
-    MatrixParseError,
-    NonSquareMatrixError,
-)
+from .errors import ConfigError, MatrixLoadError
 
 DEFAULT_CLIP_EPS = 1e-3
 
@@ -58,22 +51,23 @@ class TrueRatings:
 
 def _validate(n: int, p: np.ndarray, tol: float) -> None:
     if n < 2:
-        raise InvalidSizeError(f"need at least 2 players, got {n}")
+        raise ConfigError(f"need at least 2 players, got {n}", key="n")
     if p.shape != (n, n):
-        raise NonSquareMatrixError(f"expected {n}x{n} matrix, got {p.shape}")
+        raise MatrixLoadError(f"expected {n}x{n} matrix, got {p.shape}")
     # diagonal first: a bad diagonal would also trip the pairwise check
     if np.max(np.abs(np.diag(p) - 0.5)) > tol:
-        raise DiagonalError("diagonal entries must equal 0.5")
+        raise MatrixLoadError("diagonal entries must equal 0.5")
     if np.max(np.abs(p + p.T - 1.0)) > tol:
-        raise AntisymmetryError("p[i][j] + p[j][i] != 1 beyond tolerance")
+        raise MatrixLoadError("p[i][j] + p[j][i] != 1 beyond tolerance")
 
 
 def gen_elo_game(n: int, rating_scale: float, seed: int) -> WinMatrix:
     """Synthetic transitive game from i.i.d. uniform latent ratings."""
     if n < 2:
-        raise InvalidSizeError(f"need at least 2 players, got {n}")
+        raise ConfigError(f"need at least 2 players, got {n}", key="n")
     if rating_scale < 0:
-        raise InvalidParameterError("rating_scale must be non-negative")
+        raise ConfigError("rating_scale must be non-negative",
+                          key="rating_scale")
     rng = np.random.default_rng(seed)
     latent = rng.uniform(-rating_scale, rating_scale, size=n)
     p = sigmoid(latent[:, None] - latent[None, :])
@@ -87,7 +81,7 @@ def gen_noisy_elo_game(n: int, rating_scale: float, eps: float, seed: int,
                        clip_eps: float = DEFAULT_CLIP_EPS) -> WinMatrix:
     """Elo game with Gaussian noise on the upper triangle, mirrored below."""
     if eps < 0:
-        raise InvalidParameterError("eps must be non-negative")
+        raise ConfigError("eps must be non-negative", key="noise")
     p = gen_elo_game(n, rating_scale, seed).p.copy()
     noise_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     iu = np.triu_indices(n, k=1)
@@ -100,8 +94,6 @@ def gen_noisy_elo_game(n: int, rating_scale: float, eps: float, seed: int,
 
 def gen_triangular(n: int) -> WinMatrix:
     """Deterministic game: lower index always beats higher index."""
-    if n < 2:
-        raise InvalidSizeError(f"need at least 2 players, got {n}")
     p = np.where(np.arange(n)[:, None] < np.arange(n)[None, :], 1.0, 0.0)
     np.fill_diagonal(p, 0.5)
     return WinMatrix(n=n, p=p)
@@ -110,7 +102,8 @@ def gen_triangular(n: int) -> WinMatrix:
 def gen_cyclic(n: int) -> WinMatrix:
     """Rock-paper-scissors-style ring; every player's divergence is zero."""
     if n < 3:
-        raise InvalidSizeError(f"cyclic game needs at least 3 players, got {n}")
+        raise ConfigError(f"cyclic game needs at least 3 players, got {n}",
+                          key="n")
     p = np.full((n, n), 0.5)
     idx = np.arange(n)
     p[idx, (idx + 1) % n] = 0.9
@@ -128,9 +121,9 @@ def load_matrix(path) -> WinMatrix:
     try:
         p = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
     except (ValueError, OSError) as exc:
-        raise MatrixParseError(f"cannot parse {path}: {exc}") from exc
+        raise MatrixLoadError(f"cannot parse {path}: {exc}") from exc
     if p.shape[0] != p.shape[1]:
-        raise NonSquareMatrixError(f"matrix in {path} is {p.shape[0]}x{p.shape[1]}")
+        raise MatrixLoadError(f"matrix in {path} is {p.shape[0]}x{p.shape[1]}")
     n = p.shape[0]
     _validate(n, p, tol=_LOAD_TOL)
     # bypass the 1e-9 constructor check; the file passed at 1e-6
@@ -143,7 +136,7 @@ def load_matrix(path) -> WinMatrix:
 def logit_matrix(m: WinMatrix, clip_eps: float = DEFAULT_CLIP_EPS) -> np.ndarray:
     """Antisymmetrized logits of the clipped win matrix."""
     if not 0.0 < clip_eps < 0.5:
-        raise InvalidParameterError("clip_eps must lie in (0, 0.5)")
+        raise ConfigError("clip_eps must lie in (0, 0.5)", key="clip_eps")
     q = np.clip(m.p, clip_eps, 1.0 - clip_eps)
     a = np.log(q) - np.log1p(-q)
     a = 0.5 * (a - a.T)  # exact antisymmetry

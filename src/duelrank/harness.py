@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -29,8 +30,13 @@ from .schedulers import MatchEnv, make_scheduler
 
 
 def build_matrix(cfg: RunConfig) -> WinMatrix:
+    """The game a config plays: its ``matrix`` file, or its generator."""
     if cfg.matrix is not None:
-        return games.load_matrix(cfg.matrix)
+        matrix = games.load_matrix(cfg.matrix)
+        if matrix.n != cfg.n:
+            raise ConfigError(
+                f"matrix has {matrix.n} players, config n={cfg.n}", key="n")
+        return matrix
     seed = cfg.matrix_seed if cfg.matrix_seed is not None else cfg.seed
     if cfg.game == "elo":
         return games.gen_elo_game(cfg.n, cfg.rating_scale, seed)
@@ -131,9 +137,6 @@ def simulate(cfg: RunConfig) -> tuple[list[Trace], dict]:
     cfg.resolve()  # validates; each scheduler resolves its own copy
     start = time.perf_counter()
     matrix = build_matrix(cfg)
-    if matrix.n != cfg.n:
-        raise ConfigError(f"matrix has {matrix.n} players, config n={cfg.n}",
-                          key="n")
     truth = games.true_ratings(matrix, clip_eps=cfg.clip_eps)
     traces = [run_replicate(cfg, matrix, truth, rep)
               for rep in range(cfg.replicates)]
@@ -239,10 +242,15 @@ def read_trace_csv(path) -> Trace:
                  ndcg=f[3 + len(ks):].T, ks=ks)
 
 
-def write_summary_json(summary: dict, path) -> None:
+def write_json(obj, path=None) -> None:
+    """Write ``obj`` as 2-space-indented JSON and a newline to ``path``,
+    or to stdout when ``path`` is None."""
+    text = json.dumps(obj, indent=2) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def report(traces: list[Trace], summary: dict | None,
@@ -255,6 +263,6 @@ def report(traces: list[Trace], summary: dict | None,
         written.append(path)
     if summary is not None:
         path = f"{out_prefix}.summary.json"
-        write_summary_json(summary, path)
+        write_json(summary, path)
         written.append(path)
     return written

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import ConfigError
 from .games import TrueRatings
 from .ratings import RatingState
 
@@ -25,7 +25,7 @@ def ranking(values: np.ndarray) -> list[int]:
 
 def _check_k(k: int, n: int) -> None:
     if not 1 <= k <= n:
-        raise InvalidParameterError(f"k must be in [1, {n}], got {k}")
+        raise ConfigError(f"k must be in [1, {n}], got {k}", key="ks")
 
 
 class RankScorer:

@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from .errors import InvalidParameterError, InvalidSizeError
+from .errors import ConfigError
 
 
 class DesignTracker:
@@ -23,10 +23,10 @@ class DesignTracker:
 
     def __init__(self, n: int, lambda_ridge: float = 1.0):
         if n < 2:
-            raise InvalidSizeError(f"need at least 2 players, got {n}")
+            raise ConfigError(f"need at least 2 players, got {n}", key="n")
         if lambda_ridge <= 0:
-            raise InvalidParameterError("lambda_ridge must be positive")
-        self.n = n
+            raise ConfigError("lambda_ridge must be positive",
+                              key="lambda_ridge")
         self.v_inv = (1.0 / lambda_ridge) * np.eye(n)
         # n x n work buffers, reused by every call; fresh 80 kB arrays at
         # n=100 make run time depend on when glibc trims the heap

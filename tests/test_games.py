@@ -1,18 +1,14 @@
 """Game construction, Hodge split, and outcome sampling."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duelrank import games
-from duelrank.errors import (
-    AntisymmetryError,
-    DiagonalError,
-    InvalidSizeError,
-    MatrixParseError,
-    NonSquareMatrixError,
-)
+from duelrank.errors import ConfigError, MatrixLoadError
 
 
 def matrix_from_latent(latent):
@@ -45,7 +41,7 @@ class TestEloGame:
         assert_win_matrix_invariants(games.gen_elo_game(n, 1.0, seed))
 
     def test_too_small(self):
-        with pytest.raises(InvalidSizeError):
+        with pytest.raises(ConfigError, match="need at least 2 players, got 1"):
             games.gen_elo_game(1, 1.0, 0)
 
     def test_latents_recovered_up_to_shift(self):
@@ -91,7 +87,7 @@ class TestTriangular:
         assert all(games.sample_outcome(m, 1, 4, rng) == 1 for _ in range(50))
 
     def test_too_small(self):
-        with pytest.raises(InvalidSizeError):
+        with pytest.raises(ConfigError, match="need at least 2 players, got 1"):
             games.gen_triangular(1)
 
 
@@ -110,7 +106,8 @@ class TestCyclic:
         assert_win_matrix_invariants(games.gen_cyclic(5))
 
     def test_too_small(self):
-        with pytest.raises(InvalidSizeError):
+        with pytest.raises(ConfigError,
+                           match="cyclic game needs at least 3 players, got 2"):
             games.gen_cyclic(2)
 
 
@@ -125,25 +122,27 @@ class TestLoadMatrix:
     def test_non_square(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("0.5,0.7,0.1\n0.3,0.5,0.2\n")
-        with pytest.raises(NonSquareMatrixError):
+        with pytest.raises(MatrixLoadError, match=r"matrix in .* is 2x3$"):
             games.load_matrix(path)
 
     def test_antisymmetry_violation(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("0.5,0.7\n0.4,0.5\n")
-        with pytest.raises(AntisymmetryError):
+        with pytest.raises(MatrixLoadError, match=re.escape(
+                "p[i][j] + p[j][i] != 1 beyond tolerance")):
             games.load_matrix(path)
 
     def test_bad_diagonal(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("0.6,0.7\n0.3,0.4\n")
-        with pytest.raises(DiagonalError):
+        with pytest.raises(MatrixLoadError,
+                           match="diagonal entries must equal 0.5"):
             games.load_matrix(path)
 
     def test_parse_failure(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("0.5,banana\n0.3,0.5\n")
-        with pytest.raises(MatrixParseError):
+        with pytest.raises(MatrixLoadError, match="^cannot parse "):
             games.load_matrix(path)
 
 

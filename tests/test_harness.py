@@ -131,6 +131,14 @@ class TestParseConfig:
             RunConfig(n=6, T=40, lambda_ridge=value).resolve()
         assert exc.value.key == "lambda_ridge"
 
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_ridge_must_be_positive(self, algo):
+        # MaxIn fits with max(ridge, 2) and maxinp first fits at round tau,
+        # so neither would notice a bad ridge before resolve()
+        with pytest.raises(ConfigError) as exc:
+            RunConfig(algo=algo, n=6, T=40, ridge=-5.0).resolve()
+        assert exc.value.key == "ridge"
+
 
 class TestSimulate:
     def test_row_count_and_warmup_flags(self):
@@ -636,15 +644,40 @@ class TestCli:
         ("noisy_elo", lambda: games.gen_noisy_elo_game(7, 1.5, 0.1, 3)),
         ("triangular", lambda: games.gen_triangular(7)),
         ("cyclic", lambda: games.gen_cyclic(7)),
+        # clip_eps=0.2 clips entries of this matrix, and matrix_seed
+        # replaces seed, so both flags must reach the generator
+        ("noisy_elo --clip-eps 0.2 --matrix-seed 8",
+         lambda: harness.build_matrix(RunConfig(
+             game="noisy_elo", n=7, rating_scale=1.5, noise=0.1, seed=3,
+             clip_eps=0.2, matrix_seed=8))),
     ])
     def test_gen_writes_generator_matrix(self, tmp_path, capsys, game, make):
+        argv = ["gen", "--game", *game.split(), "--n", "7", "--rating-scale",
+                "1.5", "--noise", "0.1", "--seed", "3"]
         path = tmp_path / "m.csv"
-        code, _, _ = self._main(
-            ["gen", "--game", game, "--n", "7", "--rating-scale", "1.5",
-             "--noise", "0.1", "--seed", "3", "--out", str(path)], capsys)
-        assert code == 0
+        code, out, _ = self._main([*argv, "--out", str(path)], capsys)
+        assert code == 0 and out == ""
         np.testing.assert_array_equal(games.load_matrix(str(path)).p,
                                       make().p)
+        # without --out the same CSV goes to stdout
+        code, out, _ = self._main(argv, capsys)
+        assert code == 0 and out == path.read_text()
+
+    @pytest.mark.parametrize("flags", [
+        ["--game", "noisy_elo", "--noise", "-1"], ["--game", "cyclic"],
+        ["--ridge", "-5"], ["--seed", "-1"], ["--T", "1"],
+        ["--matrix", "{m7}"]])
+    def test_gen_rejects_what_run_rejects(self, tmp_path, capsys, flags):
+        m7 = tmp_path / "m7.csv"
+        np.savetxt(m7, games.gen_elo_game(7, 1.0, 3).p, delimiter=",",
+                   fmt="%.17g")
+        flags = [f.format(m7=m7) for f in ["--n", "2", *flags]]
+        code, out, gen_err = self._main(["gen", *flags], capsys)
+        assert code == 1 and out == ""
+        assert json.loads(gen_err)["error"] == "ConfigError"
+        code, out, run_err = self._main(["run", *flags], capsys)
+        assert code == 1 and out == ""
+        assert gen_err == run_err
 
     def test_gen_writes_loadable_matrix(self, tmp_path, capsys):
         from duelrank.games import load_matrix
@@ -784,7 +817,7 @@ class TestCli:
         assert payload["error"] == "DuelRankError"
         assert str(path) in payload["message"]
 
-    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("command", ["run", "sweep", "gen"])
     @pytest.mark.parametrize(
         "key", [f.name for f in dataclasses.fields(RunConfig)])
     def test_flag_for_every_config_field(self, command, key):
@@ -818,7 +851,8 @@ class TestCli:
         ("--gamma", "nan"), ("--gamma", "inf"), ("--eta0", "nan"),
         ("--lambda-ridge", "nan"), ("--lambda-ridge", "0"),
         ("--ridge", "nan"), ("--clip-eps", "0.7"), ("--clip-eps", "0"),
-        ("--rating-scale", "-1"), ("--noise", "-0.5")])
+        ("--rating-scale", "-1"), ("--noise", "-0.5"), ("--seed", "-1"),
+        ("--matrix-seed", "-2"), ("--ridge", "-5"), ("--ridge", "0")])
     def test_bad_number_is_json_config_error(self, capsys, flag, value):
         code, out, err = self._main(
             ["run", "--n", "6", "--T", "40", flag, value], capsys)
@@ -839,3 +873,16 @@ class TestCli:
         payload = json.loads(err)
         assert payload["error"] == "ConfigError"
         assert payload["key"] == "n"
+
+    @pytest.mark.parametrize("argv,key", [
+        (["gen", "--game", "noisy_elo", "--noise", "-1"], "noise"),
+        (["run", "--game", "cyclic", "--n", "2"], "n"),
+        (["sweep", "--grid", "foo=1"], "foo"),
+        (["sweep", "--grid", "gamma"], "grid")])
+    def test_bad_argument_is_json_config_error_with_key(self, capsys, argv,
+                                                        key):
+        code, out, err = self._main(argv, capsys)
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigError"
+        assert payload["key"] == key

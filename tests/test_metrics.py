@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duelrank.errors import InvalidParameterError
+from duelrank.errors import ConfigError
 from duelrank.games import TrueRatings
 from duelrank.metrics import (
     hit_ratio_at_k,
@@ -103,7 +103,7 @@ class TestHitRatio:
 
     def test_k_out_of_range(self):
         t = truth_from([1.0, 0.0])
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(ConfigError, match=r"k must be in \[1, 2\], got 3"):
             hit_ratio_at_k(t, RatingState(r=np.zeros(2)), 3)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duelrank.errors import InvalidParameterError, InvalidSizeError
+from duelrank.errors import ConfigError
 from duelrank.tracker import DesignTracker
 
 
@@ -35,9 +35,9 @@ class TestInit:
         np.testing.assert_allclose(tr.v_inv, tr.v_inv.T)
 
     def test_bad_params(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(ConfigError, match="lambda_ridge must be positive"):
             DesignTracker(3, 0.0)
-        with pytest.raises(InvalidSizeError):
+        with pytest.raises(ConfigError, match="need at least 2 players, got 1"):
             DesignTracker(1, 1.0)
 
 
