@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .errors import ConfigError
 
 ALGORITHMS = ("maxin_elo", "maxin_melo", "random", "rg_ucb", "dbgd", "maxinp")
+BASELINES = ("random", "rg_ucb", "dbgd")  # no warmup; mElo by the melo flag
 
 PRNG_NAME = "numpy-pcg64"
 
@@ -36,7 +37,7 @@ class RunConfig:
     alpha: float | None = None   # defaults to tau
     eta0: float = 1.0
     k: int = 4                   # mElo half-dimension (2k features)
-    melo: bool = False           # baselines: learn mElo instead of Elo
+    melo: bool = False           # baselines' flag; resolved: run learns mElo
     delta: float = 0.2           # RG-UCB stopping confidence
     lambda_ridge: float = 1.0
     ridge: float = 1e-4          # MLE regularization
@@ -63,7 +64,7 @@ class RunConfig:
         return ";".join(items) + f";prng={PRNG_NAME}"
 
     def resolve(self) -> RunConfig:
-        """Validate, and return a copy with tau and alpha filled in."""
+        """Validate; return a copy with tau, alpha and the run's melo set."""
         for key, v in vars(self).items():
             if isinstance(v, float) and not math.isfinite(v):
                 raise ConfigError(f"{key} must be finite", key=key)
@@ -83,10 +84,12 @@ class RunConfig:
             raise ConfigError(f"unknown algorithm: {self.algo}", key="algo")
         tau = self.tau if self.tau is not None else max(1, round(0.7 * self.n))
         alpha = self.alpha if self.alpha is not None else float(tau)
-        cfg = dataclasses.replace(self, tau=tau, alpha=alpha)
+        baseline = self.algo in BASELINES
+        melo = self.algo == "maxin_melo" or (baseline and self.melo)
+        cfg = dataclasses.replace(self, tau=tau, alpha=alpha, melo=melo)
         if cfg.tau < 1:
             raise ConfigError("tau must be at least 1", key="tau")
-        if cfg.tau >= cfg.T:
+        if cfg.tau >= cfg.T and not baseline:
             raise ConfigError("warmup tau must be smaller than horizon T",
                               key="tau")
         if cfg.gamma_mode == "fixed" and cfg.gamma <= 0:
@@ -104,9 +107,7 @@ class RunConfig:
             raise ConfigError("alpha must be positive", key="alpha")
         if cfg.k < 0:
             raise ConfigError("k must be non-negative", key="k")
-        # MaxIn takes mElo from algo; only the three online baselines read melo
-        melo = cfg.melo and cfg.algo in ("random", "rg_ucb", "dbgd")
-        if cfg.k < 1 and (melo or cfg.algo == "maxin_melo"):
+        if cfg.k < 1 and cfg.melo:
             raise ConfigError(f"mElo {cfg.algo} needs k >= 1", key="k")
         if cfg.lambda_ridge <= 0:
             raise ConfigError("lambda_ridge must be positive", key="lambda_ridge")

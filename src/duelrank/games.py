@@ -8,6 +8,7 @@ The divergence vector is the "true rating" used for regret accounting.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,12 +120,17 @@ def load_matrix(path) -> WinMatrix:
     matrices since files typically hold rounded decimals.
     """
     try:
-        p = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+        with warnings.catch_warnings():  # an empty file warns; see below
+            warnings.simplefilter("ignore", UserWarning)
+            p = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
     except (ValueError, OSError) as exc:
         raise MatrixLoadError(f"cannot parse {path}: {exc}") from exc
-    if p.shape[0] != p.shape[1]:
-        raise MatrixLoadError(f"matrix in {path} is {p.shape[0]}x{p.shape[1]}")
     n = p.shape[0]
+    if p.shape[1] != n:
+        raise MatrixLoadError(f"matrix in {path} is {n}x{p.shape[1]}")
+    if n < 2:
+        raise MatrixLoadError(
+            f"matrix in {path} is {n}x{n}; need at least 2 players")
     _validate(n, p, tol=_LOAD_TOL)
     # bypass the 1e-9 constructor check; the file passed at 1e-6
     m = object.__new__(WinMatrix)

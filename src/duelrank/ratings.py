@@ -46,19 +46,30 @@ class SgdState:
     c_bar: npt.NDArray[np.float64] | None = None
 
 
-def omega(k: int) -> np.ndarray:
-    """2k x 2k block-antisymmetric pairing matrix."""
-    w = np.zeros((2 * k, 2 * k))
-    for i in range(k):
-        w[2 * i, 2 * i + 1] = 1.0
-        w[2 * i + 1, 2 * i] = -1.0
-    return w
+def initial_features(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """The n x 2k mElo start; zero would be a saddle of the cyclic term."""
+    return rng.uniform(-0.1, 0.1, size=(n, 2 * k))
 
 
-def cyclic_term(c: np.ndarray, x: int, y: int) -> float:
-    """c_x' Omega c_y without materializing Omega."""
+def cyclic_term(c: np.ndarray, x, y):
+    """c_x' Omega c_y, elementwise if x and y are index arrays."""
     cx, cy = c[x], c[y]
-    return float(np.sum(cx[0::2] * cy[1::2] - cx[1::2] * cy[0::2]))
+    return (cx[..., 0::2] * cy[..., 1::2]
+            - cx[..., 1::2] * cy[..., 0::2]).sum(axis=-1)
+
+
+def _omega_dot(v: np.ndarray) -> np.ndarray:
+    """Omega @ v, row by row if v is 2-D. mElo's 2k x 2k pairing matrix
+    Omega is block-diagonal in [[0, 1], [-1, 0]] and is never built."""
+    out = np.empty_like(v)
+    out[..., 0::2] = v[..., 1::2]
+    out[..., 1::2] = -v[..., 0::2]
+    return out
+
+
+def cyclic_matrix(c: np.ndarray) -> np.ndarray:
+    """C = c Omega c', all cyclic terms at once (c Omega = -(Omega c')')."""
+    return -_omega_dot(c) @ c.T
 
 
 def predict_elo(state: RatingState, x: int, y: int) -> float:
@@ -76,14 +87,6 @@ def elo_loss(o: float, p_hat: float) -> float:
     return float(-o * np.log(p_hat) - (1.0 - o) * np.log(1.0 - p_hat))
 
 
-def _omega_dot(v: np.ndarray) -> np.ndarray:
-    """Omega @ v for the block pairing matrix, row by row if v is 2-D."""
-    out = np.empty_like(v)
-    out[..., 0::2] = v[..., 1::2]
-    out[..., 1::2] = -v[..., 0::2]
-    return out
-
-
 def sgd_step_elo(state: RatingState, x: int, y: int, o, eta: float) -> RatingState:
     """One online gradient step on the scalar ratings."""
     delta = o - predict_elo(state, x, y)
@@ -99,16 +102,13 @@ def sgd_step_melo(state: RatingState, x: int, y: int, o, eta: float) -> RatingSt
     Both feature rows are updated from their pre-step values; the c_y
     update is the analytic mirror of the c_x one (Omega is antisymmetric).
     """
-    if state.c is None:
-        raise ConfigError("state has no cyclic features")
     delta = o - predict_melo(state, x, y)
     r = state.r.copy()
     r[x] += eta * delta
     r[y] -= eta * delta
     c = state.c.copy()
-    cx_old, cy_old = state.c[x].copy(), state.c[y].copy()
-    c[x] = cx_old + eta * delta * _omega_dot(cy_old)
-    c[y] = cy_old - eta * delta * _omega_dot(cx_old)
+    c[x] = state.c[x] + eta * delta * _omega_dot(state.c[y])
+    c[y] = state.c[y] - eta * delta * _omega_dot(state.c[x])
     return RatingState(r=r, c=c)
 
 
@@ -133,8 +133,7 @@ def _batch_gradients(r: np.ndarray, c: np.ndarray | None,
     xs, ys = xy[:, 0], xy[:, 1]
     z = r[xs] - r[ys]
     if c is not None:
-        cx, cy = c[xs], c[ys]
-        z = z + (cx[:, 0::2] * cy[:, 1::2] - cx[:, 1::2] * cy[:, 0::2]).sum(axis=1)
+        z = z + cyclic_term(c, xs, ys)
     delta = recs[:, 2] - sigmoid(z)
     # rows x1, y1, x2, y2, ... with weights -delta1, delta1, -delta2, ...
     rows = xy.ravel()

@@ -12,15 +12,16 @@ import math
 
 import numpy as np
 
-from .config import RunConfig
+from .config import ALGORITHMS, RunConfig
 from .errors import ConfigError, ContractViolationError
 from .games import WinMatrix, sample_outcome
 from .ratings import (
     RatingState,
     SgdState,
     batch_update,
+    cyclic_matrix,
+    initial_features,
     mle_fit,
-    omega,
     sgd_step_elo,
     sgd_step_melo,
 )
@@ -81,16 +82,13 @@ class _OnlineBaseline(Scheduler):
 
     def __init__(self, config, rng):
         super().__init__(config, rng)
-        cfg, n = self.config, self.n
-        if cfg.melo:
-            c = rng.uniform(-0.1, 0.1, size=(n, 2 * cfg.k))
-            self._estimate = RatingState(r=np.zeros(n), c=c)
+        if self.config.melo:
+            c = initial_features(rng, self.n, self.config.k)
+            self._estimate = RatingState(r=np.zeros(self.n), c=c)
 
     def _learn(self, x: int, y: int, o: int) -> None:
-        if self._estimate.c is not None:
-            self._estimate = sgd_step_melo(self._estimate, x, y, o, self.config.eta0)
-        else:
-            self._estimate = sgd_step_elo(self._estimate, x, y, o, self.config.eta0)
+        step = sgd_step_melo if self.config.melo else sgd_step_elo
+        self._estimate = step(self._estimate, x, y, o, self.config.eta0)
 
 
 class RandomScheduler(_OnlineBaseline):
@@ -204,7 +202,7 @@ class _WarmupScheduler(Scheduler):
         """(D, C): r_i - r_j with an inf diagonal, and c Omega c' or None."""
         d = r[:, None] - r[None, :]
         np.fill_diagonal(d, np.inf)
-        return d, None if c is None else c @ omega(c.shape[1] // 2) @ c.T
+        return d, None if c is None else cyclic_matrix(c)
 
     def _candidate_mask(self, u: np.ndarray, gap, gamma: float) -> np.ndarray:
         """Players not confidently dominated under the optimistic score.
@@ -252,7 +250,7 @@ class MaxInScheduler(_WarmupScheduler):
     The warmup plays tau uniform pairs, never self-pairs, so the first
     full log is its batch: it gives the MLE center. Each later batch of
     tau informative records is one projected SGD step, eta0/(alpha*j) at
-    batch j; the estimate is the average of SGD iterates. For maxin_melo,
+    batch j; the estimate is the average of SGD iterates. With config.melo,
     cyclic feature vectors are learned by the same gradients, unprojected.
 
     The estimate and rating gap change only per batch (see _refresh).
@@ -278,15 +276,11 @@ class MaxInScheduler(_WarmupScheduler):
         if self.sgd is None:
             r_hat = mle_fit(self.history, self.n,
                             ridge=max(cfg.ridge, self.WARMUP_RIDGE)).r
-            c = c_bar = None
-            if cfg.algo == "maxin_melo":
-                # zero init is a saddle point of the cyclic term; break it
-                c = self.rng.uniform(-0.1, 0.1, size=(self.n, 2 * cfg.k))
-                c_bar = c.copy()
+            c = initial_features(self.rng, self.n, cfg.k) if cfg.melo else None
             self.sgd = SgdState(r_tilde=r_hat.copy(), r_bar=r_hat.copy(),
                                 center=r_hat.copy(), radius=2.0,
-                                eta0=cfg.eta0, alpha=cfg.alpha,
-                                c_tilde=c, c_bar=c_bar)
+                                eta0=cfg.eta0, alpha=cfg.alpha, c_tilde=c,
+                                c_bar=None if c is None else c.copy())
         else:
             self.sgd = batch_update(self.sgd, self.history)
         self._logged = 0
@@ -342,12 +336,12 @@ class MaxInPScheduler(_WarmupScheduler):
         return x, y, o
 
 
-_SCHEDULERS = {"maxin_elo": MaxInScheduler, "maxin_melo": MaxInScheduler,
-               "random": RandomScheduler, "rg_ucb": RgUcbScheduler,
+_SCHEDULERS = {"random": RandomScheduler, "rg_ucb": RgUcbScheduler,
                "dbgd": DbgdScheduler, "maxinp": MaxInPScheduler}
 
 
 def make_scheduler(config: RunConfig, rng: np.random.Generator) -> Scheduler:
-    if config.algo not in _SCHEDULERS:
+    """The policy of config.algo; both MaxIn variants are MaxInScheduler."""
+    if config.algo not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm: {config.algo}", key="algo")
-    return _SCHEDULERS[config.algo](config, rng)
+    return _SCHEDULERS.get(config.algo, MaxInScheduler)(config, rng)

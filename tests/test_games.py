@@ -120,10 +120,15 @@ class TestLoadMatrix:
         assert m.p[0][1] == 0.7
 
     def test_non_square(self, tmp_path):
+        # an empty file and a 1x1 file hold no game either, and the empty
+        # one must not warn
         path = tmp_path / "m.csv"
-        path.write_text("0.5,0.7,0.1\n0.3,0.5,0.2\n")
-        with pytest.raises(MatrixLoadError, match=r"matrix in .* is 2x3$"):
-            games.load_matrix(path)
+        for text, shape in [("0.5,0.7,0.1\n0.3,0.5,0.2\n", "2x3"), ("", "0x1"),
+                            ("0.5\n", "1x1; need at least 2 players")]:
+            path.write_text(text)
+            with pytest.raises(MatrixLoadError,
+                               match=rf"matrix in .* is {re.escape(shape)}$"):
+                games.load_matrix(path)
 
     def test_antisymmetry_violation(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -336,9 +336,16 @@ class TestTraceBytes:
         (dict(algo="maxin_elo", game="noisy_elo", noise=0.1, n=8, T=300,
               tau=6, gamma_mode="theoretical", ks=(4,), seed=11),
          "b9d0f0f57d9130a704681fa3bc03417df21b1f451eb8f88b92fd1f668f3f6687"),
+        # mElo at k=1 (no self-pairs, 33 distinct pairs) and a mElo dbgd
+        (dict(algo="maxin_melo", game="noisy_elo", noise=0.2, n=9, T=300,
+              tau=6, gamma=1.8, k=1, ks=(3,), seed=12),
+         "8ed513b2fb20b0c5b07b1ab519cb973dcb7a79f00062a174fd9a9360dcb5e2aa"),
+        (dict(algo="dbgd", melo=True, k=3, n=8, T=200, ks=(4,), seed=13),
+         "c85278280ff6dea321cbcc207f93c29312d1db2bf76ea55f1fe1c4c384d8cc2a"),
     ]
     DIGEST_IDS = [kw["algo"] for kw, _ in DIGESTS[:6]] + [
-        "maxinp-matrix", "rg_ucb-melo", "maxin_elo-theoretical"]
+        "maxinp-matrix", "rg_ucb-melo", "maxin_elo-theoretical",
+        "maxin_melo-k1", "dbgd-melo"]
     # one upset (4 beats 0) on an otherwise ordered 5-player game
     MATRIX_CSV = ("0.5,0.6,0.7,0.8,0.35\n"
                   "0.4,0.5,0.6,0.7,0.8\n"
@@ -720,14 +727,25 @@ class TestCli:
         parsed = parse_config(str(cfg), {"T": 10})
         assert parsed.T == 10
 
-    def test_error_is_json_on_stderr_exit_1(self, capsys):
-        code, out, err = self._main(
-            ["run", "--algo", "alpha_ig", "--n", "5", "--T", "30"], capsys)
-        assert code == 1
-        assert out == ""
-        payload = json.loads(err)
-        assert payload["error"] == "ConfigError"
-        assert payload["key"] == "algo"
+    def test_error_is_json_on_stderr_exit_1(self, tmp_path, capsys):
+        empty, one = tmp_path / "empty.csv", tmp_path / "one.csv"
+        empty.write_text("")
+        one.write_text("0.5\n")
+        # a matrix file with fewer than two players is a file error
+        for flags, error, key in [
+                (["--algo", "alpha_ig", "--n", "5", "--T", "30"],
+                 "ConfigError", "algo"),
+                (["--matrix", str(empty), "--n", "2"], "MatrixLoadError", None),
+                (["--matrix", str(one), "--n", "2"], "MatrixLoadError", None)]:
+            code, out, err = self._main(["run", *flags], capsys)
+            assert code == 1
+            assert out == ""
+            assert err.count("\n") == 1
+            payload = json.loads(err)
+            assert payload["error"] == error
+            assert payload.get("key") == key
+            if key is None:
+                assert flags[1] in payload["message"]
 
     def test_missing_config_file_is_handled(self, capsys):
         code, _, err = self._main(
