@@ -10,8 +10,13 @@ checkout, base first on the 1st, 3rd, ... pair and change first on the
 others, so slow phases of the machine fall on both sides. It then prints,
 per side, the median and quartiles of every end-to-end metric, how many
 pairs the change won, and whether ``trace_sha256`` and the ``failed``
-count matched in every pair. Metric names and their better direction are
-read from the change checkout's ``BENCHMARK.json``.
+count matched in every pair. Metric names, their better direction and
+their bounds are read from the change checkout's ``BENCHMARK.json``.
+
+The spread check: each side's middle-half spread (q3 - q1) is printed
+next to ``bound x base median``, and a metric is flagged ``SPREAD`` when
+either side exceeds it, since runs that spread that widely cannot tell a
+change of that size from noise.
 """
 
 from __future__ import annotations
@@ -44,11 +49,15 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
     """Per metric: base and change (q1, median, q3), the pairs the change
     won, and the median ratio change/base; plus whether every pair agreed
     on trace bytes and failed operations. ``pairs`` holds (base, change)
-    results of ``parse_run``; ``better`` maps a metric to higher|lower."""
+    results of ``parse_run``; ``better`` maps a metric to higher|lower.
+    For a metric with a bound in ``bounds``, ``spread`` holds each side's
+    q3 - q1, the limit ``bound x base median``, and whether both sides
+    stay within it."""
     out = {"pairs": len(pairs), "metrics": {},
            "sha256_equal": all(b["sha256"] == c["sha256"] for b, c in pairs),
            "failed_equal": all(b["failed"] == c["failed"] for b, c in pairs),
@@ -62,6 +71,12 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
         qb, qc = quartiles(base), quartiles(change)
         out["metrics"][name] = {"base": qb, "change": qc, "won": won,
                                 "ratio": qc[1] / qb[1] if qb[1] else None}
+        if bounds and name in bounds:
+            limit = bounds[name] * abs(qb[1])
+            sb, sc = qb[2] - qb[0], qc[2] - qc[0]
+            out["metrics"][name]["spread"] = {
+                "base": sb, "change": sc, "limit": limit,
+                "ok": max(sb, sc) <= limit}
     return out
 
 
@@ -73,9 +88,14 @@ def format_summary(workload: str, summary: dict) -> str:
     for name, m in summary["metrics"].items():
         (b1, b2, b3), (c1, c2, c3) = m["base"], m["change"]
         ratio = f"x{m['ratio']:.3f}" if m["ratio"] is not None else "-"
-        rows.append(f"  {name:14s} base {b2:.6g} [{b1:.6g}, {b3:.6g}]  "
-                    f"change {c2:.6g} [{c1:.6g}, {c3:.6g}]  {ratio}  "
-                    f"won {m['won']}/{summary['pairs']}")
+        row = (f"  {name:14s} base {b2:.6g} [{b1:.6g}, {b3:.6g}]  "
+               f"change {c2:.6g} [{c1:.6g}, {c3:.6g}]  {ratio}  "
+               f"won {m['won']}/{summary['pairs']}")
+        if "spread" in m:
+            sp = m["spread"]
+            row += (f"  spread base {sp['base']:.4g} change {sp['change']:.4g}"
+                    f" limit {sp['limit']:.4g}{'' if sp['ok'] else ' SPREAD'}")
+        rows.append(row)
     return "\n".join(rows)
 
 
@@ -110,6 +130,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
     for workload in args.workload:
         pairs = []
         for i, seed in enumerate(parse_seeds(args.seeds)):
@@ -121,7 +142,7 @@ def main(argv=None) -> int:
                 f"{name} {res['base']['metrics'][name]:.6g} -> "
                 f"{res['change']['metrics'][name]:.6g}" for name in better),
                 flush=True)
-        summary = summarize(pairs, better)
+        summary = summarize(pairs, better, bounds)
         print(format_summary(workload, summary), flush=True)
         print(json.dumps({"workload": workload, **summary}), flush=True)
     return 0

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import games
-from .config import RunConfig, _field_types
+from .config import BASELINES, RunConfig, _field_types
 from .errors import ConfigError
 from .games import TrueRatings, WinMatrix
 from .metrics import RankScorer, instant_regret
@@ -63,7 +63,7 @@ class Trace:
     hr: np.ndarray               # T x len(ks)
     ndcg: np.ndarray             # T x len(ks)
     ks: tuple[int, ...]
-    tau: int | None = None       # warmup rounds; CSVs do not store it
+    tau: int | None = None       # warmup rounds (None: no warmup); not in CSVs
 
 
 def _metric_snapshot(scorer: RankScorer, est: RatingState):
@@ -97,7 +97,7 @@ def run_replicate(cfg: RunConfig, matrix: WinMatrix, truth: TrueRatings,
     regret = instant_regret(truth, x, y)
     return Trace(x=x, y=y, outcome=outcome, instant_regret=regret,
                  cum_regret=np.cumsum(regret), rr=rr, hr=hr, ndcg=ndcg,
-                 ks=cfg.ks, tau=scheduler.config.tau)
+                 ks=cfg.ks, tau=None if cfg.algo in BASELINES else scheduler.config.tau)
 
 
 def summarize(traces: list[Trace], config_digest: str = "",

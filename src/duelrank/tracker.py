@@ -28,6 +28,8 @@ class DesignTracker:
             raise ConfigError("lambda_ridge must be positive",
                               key="lambda_ridge")
         self.v_inv = (1.0 / lambda_ridge) * np.eye(n)
+        diag = self.v_inv.reshape(-1)[::n + 1]  # a view: updates are in place
+        self._d_col, self._d_row = diag[:, None], diag[None, :]
         # n x n work buffers, reused by every call; fresh 80 kB arrays at
         # n=100 make run time depend on when glibc trims the heap
         self._term = np.empty((n, n))
@@ -42,10 +44,10 @@ class DesignTracker:
                           stacklevel=2)
             return
         vi = self.v_inv
-        # Sherman-Morrison with u = e_x - e_y
-        vu = vi[:, x] - vi[:, y]
+        # Sherman-Morrison with u = e_x - e_y; rows = columns, V^{-1} is symmetric
+        vu = vi[x] - vi[y]
         denom = 1.0 + (vu[x] - vu[y])
-        term = np.outer(vu, vu, out=self._term)
+        term = np.multiply(vu[:, None], vu, out=self._term)
         term /= denom
         vi -= term
         self.t += 1
@@ -60,12 +62,10 @@ class DesignTracker:
         """All pairwise uncertainties at once (zero diagonal).
 
         The result is a buffer the tracker owns: the next call overwrites
-        it, so copy it to keep it. The diagonal is exactly zero, since
-        d_i + d_i - 2 d_i cancels without rounding.
+        it, so copy it to keep it, and never write into it. The diagonal is
+        exactly zero, since d_i + d_i - 2 d_i cancels without rounding.
         """
-        vi = self.v_inv
-        d = np.diag(vi)
-        q = np.add(d[:, None], d[None, :], out=self._q)
-        q -= np.multiply(2.0, vi, out=self._two_v)
+        q = np.add(self._d_col, self._d_row, out=self._q)
+        q -= np.multiply(2.0, self.v_inv, out=self._two_v)
         np.maximum(q, 0.0, out=q)
         return np.sqrt(q, out=q)

@@ -904,3 +904,10 @@ class TestCli:
         payload = json.loads(err)
         assert payload["error"] == "ConfigError"
         assert payload["key"] == key
+
+
+@pytest.mark.parametrize("algo", ["random", "rg_ucb", "dbgd"])
+def test_online_baseline_trace_has_no_warmup(algo):
+    # the online baselines play no warmup, so their traces carry no tau
+    traces, _ = simulate(RunConfig(algo=algo, n=100, T=50))
+    assert traces[0].tau is None

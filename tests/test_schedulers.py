@@ -410,8 +410,8 @@ class TestRunSelectionOracle:
             else:
                 assert (x, y) == expected
             assert instant_regret(truth, x, y) >= 0.0
-            if cfg.algo == "maxinp":
-                refit = t >= cfg.tau
+            if cfg.algo == "maxinp":  # round tau + 1 keeps the round-tau fit
+                refit = t == cfg.tau or t > cfg.tau + 1
             else:
                 assert (sched.sgd is None) == (t < cfg.tau)
                 now = 0 if sched.sgd is None else 1 + sched.sgd.j
@@ -752,6 +752,129 @@ class TestMaxInP:
         # the last step refit before it logged its own match
         ref = mle_fit(sched.history[:-1], 5, ridge=sched.config.ridge)
         assert sched.estimate().r.tobytes() == ref.r.tobytes()
+
+    def test_fits_only_a_grown_log(self, monkeypatch):
+        # one fit ends the warmup and serves round tau + 1; every later
+        # round refits the log, one match longer than at the last fit
+        fitted = []
+
+        def spy(history, n, **kw):
+            fitted.append(len(history))
+            return mle_fit(history, n, **kw)
+
+        monkeypatch.setattr(schedulers, "mle_fit", spy)
+        sched = build("maxinp", 20, T=200, tau=14)
+        env = env_for(games.gen_elo_game(20, 1.0, 3))
+        for _ in range(200):
+            sched.step(env)
+        assert len(fitted) == 200 - 14
+        assert fitted == [14, *range(15, 200)]
+
+
+# between them these runs select with |S| = 1, 1 < |S| < n and |S| = n
+SELECTION_RUNS = [
+    dict(algo="maxin_elo", n=12, T=300, tau=8, gamma=1.0, rating_scale=2.0),
+    dict(algo="maxin_elo", n=8, T=200, tau=6, gamma_mode="theoretical"),
+    dict(algo="maxin_melo", n=8, T=200, tau=6, gamma=1.0, k=2),
+    dict(algo="maxinp", n=6, T=60, tau=5, gamma=1.8),
+    dict(algo="maxinp", n=6, T=40, tau=5, gamma_mode="theoretical"),
+]
+
+
+class TestSelectionRecord:
+    """`selection` holds what each post-warmup round chose: its mask
+    equals `_candidate_mask` recomputed from the state before the round."""
+
+    @pytest.mark.parametrize("kw", SELECTION_RUNS, ids=[
+        "-".join(str(kw.get(k, "")) for k in ("algo", "gamma", "gamma_mode"))
+        for kw in SELECTION_RUNS])
+    def test_record_matches_recomputed_mask(self, kw):
+        sched = build(seed=3, **kw)
+        cfg = sched.config
+        env = env_for(games.gen_elo_game(cfg.n, cfg.rating_scale, 2), seed=4)
+        kept = []
+        for t in range(1, cfg.T + 1):
+            if t <= cfg.tau:
+                assert sched.selection is None
+                sched.step(env)
+                assert sched.selection is None
+                continue
+            if cfg.algo == "maxinp":
+                r = mle_fit(sched.history, cfg.n, ridge=cfg.ridge).r
+                gap = sched._rating_gap(r, None)
+            else:
+                gap = sched._gap
+            gamma = cfg.gamma
+            if cfg.gamma_mode == "theoretical":
+                gamma = 2.0 * g1(t, cfg.n, cfg.T, cfg.c1)
+            u = sched.tracker.uncertainty_matrix().copy()
+            mask = sched._candidate_mask(u, gap, gamma).copy()
+            x, y, _ = sched.step(env)
+            rec = sched.selection
+            assert np.array_equal(rec.mask, mask)
+            assert rec.size == np.count_nonzero(mask)
+            assert rec.gamma == gamma
+            assert rec.u == u[x, y]
+            assert rec.mask[x] and rec.mask[y]
+            kept.append((rec, mask))
+        # records stay as they were made: no later round writes into them
+        assert all(np.array_equal(rec.mask, mask) for rec, mask in kept)
+
+
+class TestNoHeldBufferEscapes:
+    """The held work buffers never reach a caller or another scheduler."""
+
+    def test_candidate_mask_is_a_new_array(self):
+        sched = build("maxin_elo", 6, T=100, tau=4)
+        env = env_for(games.gen_elo_game(6, 1.0, 0))
+        for _ in range(4):
+            sched.step(env)
+        u = sched.tracker.uncertainty_matrix()
+        gap = sched._rating_gap(np.array([3.0, 1.0, 0.5, 0.0, -1.0, -2.0]),
+                                None)
+        first = sched._candidate_mask(u, gap, 1e-9)
+        kept = first.copy()
+        second = sched._candidate_mask(u, gap, 1e3)
+        assert first is not second
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+        assert kept.tolist() == [True] + [False] * 5
+        assert second.all()
+
+    @staticmethod
+    def _runs(configs, interleave):
+        """Each config's (x, y, o) per round and the selection records it
+        left, stepping the schedulers in turn or one whole run at a time."""
+        scheds = [build(seed=seed, **kw) for seed, kw in configs]
+        envs = [env_for(games.gen_elo_game(kw["n"], 1.0, seed), seed=seed)
+                for seed, kw in configs]
+        played = [[] for _ in scheds]
+        records = [[] for _ in scheds]
+        order = ([range(len(scheds))] * scheds[0].config.T if interleave
+                 else [[i] * s.config.T for i, s in enumerate(scheds)])
+        for turn in order:
+            for i in turn:
+                played[i].append(scheds[i].step(envs[i]))
+                records[i].append(scheds[i].selection)
+        return played, records
+
+    @pytest.mark.parametrize("configs", [
+        [(1, dict(algo="maxin_elo", n=10, T=150, tau=7, gamma=1.0)),
+         (2, dict(algo="maxin_elo", n=10, T=150, tau=5, gamma=1.8))],
+        [(1, dict(algo="maxin_melo", n=10, T=150, tau=7, gamma=1.0, k=2)),
+         (2, dict(algo="maxinp", n=7, T=150, tau=5, gamma=1.8))],
+    ], ids=["same-n", "mixed"])
+    def test_schedulers_in_turn_play_as_each_alone(self, configs):
+        alone = [self._runs([c], interleave=False) for c in configs]
+        played, records = self._runs(configs, interleave=True)
+        for i, (alone_played, alone_records) in enumerate(alone):
+            assert played[i] == alone_played[0]
+            assert len(records[i]) == len(alone_records[0])
+            for rec, ref in zip(records[i], alone_records[0]):
+                assert (rec is None) == (ref is None)
+                if rec is not None:
+                    assert np.array_equal(rec.mask, ref.mask)
+                    assert (rec.gamma, rec.u) == (ref.gamma, ref.u)
 
 
 class TestDeterminism:

@@ -62,3 +62,33 @@ def test_ab_bench_flags_differing_bytes_and_failures():
 
 def test_ab_bench_seed_ranges():
     assert _ab_bench().parse_seeds("1,5-7,10") == [1, 5, 6, 7, 10]
+
+
+def test_ab_bench_spread_check():
+    """Each side's q3 - q1 against bound x base median; either side over
+    the limit flags SPREAD, and a metric without a bound gets no check."""
+    ab = _ab_bench()
+
+    def runs(values):
+        return [ab.parse_run(_canned_run(r, 58.0)) for r in values]
+
+    base = runs((100, 110, 90, 105))       # q1 92.5, median 102.5, q3 108.75
+    tight = runs((130, 135, 128, 140))     # q1 128.5, q3 138.75
+    wide = runs((150, 100, 160, 140))      # q1 110, q3 157.5
+    better, bounds = {"rounds_per_s": "higher"}, {"rounds_per_s": 0.25}
+    passing = ab.summarize(list(zip(base, tight)), better, bounds)
+    assert passing["metrics"]["rounds_per_s"]["spread"] == {
+        "base": 16.25, "change": 10.25, "limit": 25.625, "ok": True}
+    text = ab.format_summary("w", passing)
+    assert "spread base 16.25 change 10.25 limit 25.62" in text
+    assert "SPREAD" not in text
+    failing = ab.summarize(list(zip(base, wide)), better, bounds)
+    spread = failing["metrics"]["rounds_per_s"]["spread"]
+    assert spread["change"] == 47.5 and not spread["ok"]
+    assert "SPREAD" in ab.format_summary("w", failing)
+    # a wide base fails too: 47.5 > 0.25 x 145
+    wide_base = ab.summarize(list(zip(wide, tight)), better, bounds)
+    assert not wide_base["metrics"]["rounds_per_s"]["spread"]["ok"]
+    unbounded = ab.summarize(list(zip(base, wide)), better)
+    assert "spread" not in unbounded["metrics"]["rounds_per_s"]
+    assert "spread" not in ab.format_summary("w", unbounded)
