@@ -46,8 +46,6 @@ class TrueRatings:
     r_star: npt.NDArray[np.float64]
     rot: npt.NDArray[np.float64]
     best: int
-    delta: float
-    delta_max: float
 
 
 def _validate(n: int, p: np.ndarray, tol: float) -> None:
@@ -156,11 +154,7 @@ def true_ratings(m: WinMatrix, clip_eps: float = DEFAULT_CLIP_EPS) -> TrueRating
     r_star = a.mean(axis=1)
     rot = a - (r_star[:, None] - r_star[None, :])
     best = int(np.argmax(r_star))  # argmax takes the lowest index on ties
-    order = np.sort(r_star)[::-1]
-    delta = float(order[0] - order[1])
-    delta_max = float(order[0] - order[-1])
-    return TrueRatings(r_star=r_star, rot=rot, best=best,
-                       delta=delta, delta_max=delta_max)
+    return TrueRatings(r_star=r_star, rot=rot, best=best)
 
 
 def sample_outcome(m: WinMatrix, x: int, y: int,

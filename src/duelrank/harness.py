@@ -25,7 +25,6 @@ from .games import TrueRatings, WinMatrix
 from .metrics import RankScorer, instant_regret
 # Re-exported: perfbench/tracer.py looks the per-metric functions up here.
 from .metrics import hit_ratio_at_k, ndcg_at_k, reciprocal_rank  # noqa: F401
-from .ratings import RatingState
 from .schedulers import MatchEnv, make_scheduler
 
 
@@ -66,13 +65,25 @@ class Trace:
     tau: int | None = None       # warmup rounds (None: no warmup); not in CSVs
 
 
-def _metric_snapshot(scorer: RankScorer, est: RatingState):
-    return scorer.score(est.r)
+# New estimates scored per RankScorer call, so one row-wise argsort
+# serves up to 64 rounds; the buffer holds BLOCK x n floats.
+BLOCK = 64
+
+
+def _metric_snapshot(scorer: RankScorer, block: np.ndarray):
+    return scorer.score(block)
 
 
 def run_replicate(cfg: RunConfig, matrix: WinMatrix, truth: TrueRatings,
                   rep: int) -> Trace:
-    """Play T rounds of one seeded replicate and record the trace."""
+    """Play T rounds of one seeded replicate and record the trace.
+
+    A new estimate (see Scheduler.estimate) is copied into a BLOCK x n
+    buffer in the round it first appears, so a scheduler that later
+    writes into its arrays cannot change a score; a full buffer, and the
+    rest after the last round, is scored in one call, and every other
+    round copies the row of the estimate it returned.
+    """
     outcome_rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, rep, 1]))
     sched_rng = np.random.default_rng(
@@ -85,12 +96,24 @@ def run_replicate(cfg: RunConfig, matrix: WinMatrix, truth: TrueRatings,
     rr = np.empty(T)
     hr, ndcg = np.empty((T, len(cfg.ks))), np.empty((T, len(cfg.ks)))
     src, last = np.zeros(T, dtype=np.intp), None  # src[t] = t if t was scored
+    block, rounds = np.empty((BLOCK, matrix.n)), []  # rounds of block's rows
+
+    def score_block():
+        rr[rounds], hr[rounds], ndcg[rounds] = _metric_snapshot(
+            scorer, block[:len(rounds)])
+        rounds.clear()
+
     for t in range(T):
         x[t], y[t], outcome[t] = scheduler.step(env)
         est = scheduler.estimate()
         if est is not last:  # a new estimate; see Scheduler.estimate
-            rr[t], hr[t], ndcg[t] = _metric_snapshot(scorer, est)
+            block[len(rounds)] = est.r
+            rounds.append(t)
             last, src[t] = est, t
+            if len(rounds) == BLOCK:
+                score_block()
+    if rounds:
+        score_block()
     src = np.maximum.accumulate(src)  # other rounds copy the last scored row
     rr, hr, ndcg = rr[src], hr[src], ndcg[src]
     # np.cumsum adds in round order, as a running total would

@@ -31,9 +31,10 @@ def _check_k(k: int, n: int) -> None:
 class RankScorer:
     """RR, HR@k and NDCG@k of estimates against one fixed truth.
 
-    The truth side (best player, true top-k sets, discounts and NDCG
-    normalizers) is computed once; each ``score`` call ranks the
-    estimate once and reads every metric off that ranking.
+    The truth side (best player, true top-k relevance, discounts and NDCG
+    normalizers) is computed once; each ``score`` call ranks a whole
+    stack of estimates with one row-wise argsort and reads every metric
+    off those rankings.
     """
 
     def __init__(self, truth: TrueRatings, ks=()):
@@ -43,37 +44,45 @@ class RankScorer:
         self.best = truth.best
         self.ks = tuple(ks)
         true_order = ranking(truth.r_star) if self.ks else []
-        self.true_tops = [set(true_order[:k]) for k in self.ks]
-        discounts = [1.0 / np.log2(np.arange(2, k + 2)) for k in self.ks]
-        self.discounts = [d.tolist() for d in discounts]
-        self.norms = [float(d.sum()) for d in discounts]
+        self.relevant = np.zeros((len(self.ks), n), dtype=bool)
+        for row, k in zip(self.relevant, self.ks):
+            row[true_order[:k]] = True
+        self.discounts = [1.0 / np.log2(np.arange(2, k + 2)) for k in self.ks]
+        self.norms = [float(d.sum()) for d in self.discounts]
 
-    def score(self, r) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
-        """(rr, hr@ks, ndcg@ks) of the estimate ``r``.
+    def score(self, R: np.ndarray):
+        """(rr, hr, ndcg) of each row of the m x n stack ``R``, shaped
+        (m,), (m, len(ks)) and (m, len(ks)).
 
-        NDCG uses binary relevance (a predicted player is relevant iff it
-        is in the true top-k) and base-2 log discounts, normalized by the
-        DCG of a perfect ranking.
+        Rows rank as `ranking` does. NDCG uses binary relevance (a
+        predicted player is relevant iff it is in the true top-k) and
+        base-2 log discounts, normalized by the DCG of a perfect ranking;
+        the DCG adds each position's discount, or 0.0, left to right.
         """
-        order = ranking(r)
-        rr = 1.0 / (order.index(self.best) + 1)
-        hr, ndcg = [], []
-        for k, top, disc, norm in zip(self.ks, self.true_tops,
-                                      self.discounts, self.norms):
-            head = order[:k]
-            hr.append(len(top.intersection(head)) / k)
-            dcg = sum(disc[i] for i, p in enumerate(head) if p in top)
-            ndcg.append(float(dcg / norm))
-        return rr, tuple(hr), tuple(ndcg)
+        order = np.argsort(-R, axis=1, kind="stable")
+        rr = 1.0 / ((order == self.best).argmax(axis=1) + 1)
+        hr = np.empty((len(order), len(self.ks)))
+        ndcg = np.empty_like(hr)
+        for i, (k, rel, disc, norm) in enumerate(zip(
+                self.ks, self.relevant, self.discounts, self.norms)):
+            hit = rel[order[:, :k]]
+            hr[:, i] = hit.sum(axis=1) / k
+            # cumsum adds in column order; a row sum would add pairwise
+            ndcg[:, i] = np.cumsum(hit * disc, axis=1)[:, -1] / norm
+        return rr, hr, ndcg
+
+
+def _score_one(truth: TrueRatings, est: RatingState, ks=()):
+    return RankScorer(truth, ks).score(np.asarray(est.r)[None, :])
 
 
 def reciprocal_rank(truth: TrueRatings, est: RatingState) -> float:
-    return RankScorer(truth).score(est.r)[0]
+    return float(_score_one(truth, est)[0][0])
 
 
 def hit_ratio_at_k(truth: TrueRatings, est: RatingState, k: int) -> float:
     """Fraction of the predicted top-k inside the true top-k."""
-    return RankScorer(truth, (k,)).score(est.r)[1][0]
+    return float(_score_one(truth, est, (k,))[1][0, 0])
 
 
 def ndcg_at_k(truth: TrueRatings, est: RatingState, k: int) -> float:
@@ -82,4 +91,4 @@ def ndcg_at_k(truth: TrueRatings, est: RatingState, k: int) -> float:
     A perfect top-k is meant to score exactly 1; for k >= 8 the
     sequential DCG and numpy's pairwise normalizer still differ by an ulp.
     """
-    return RankScorer(truth, (k,)).score(est.r)[2][0]
+    return float(_score_one(truth, est, (k,))[2][0, 0])

@@ -291,11 +291,8 @@ def _truth_from(r_star):
     from duelrank.games import TrueRatings
     r_star = np.asarray(r_star, dtype=float)
     n = len(r_star)
-    order = np.sort(r_star)[::-1]
     return TrueRatings(r_star=r_star, rot=np.zeros((n, n)),
-                       best=int(np.argmax(r_star)),
-                       delta=float(order[0] - order[1]),
-                       delta_max=float(order[0] - order[-1]))
+                       best=int(np.argmax(r_star)))
 
 
 def test_09_metric_oracles(capsys):

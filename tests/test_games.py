@@ -168,8 +168,6 @@ class TestTrueRatings:
         np.testing.assert_allclose(tr.r_star, [1.0, 0.0, -1.0], atol=1e-9)
         np.testing.assert_allclose(tr.rot, 0.0, atol=1e-9)
         assert tr.best == 0
-        assert tr.delta == pytest.approx(1.0)
-        assert tr.delta_max == pytest.approx(2.0)
 
     @pytest.mark.parametrize("n,seed", [(3, 0), (8, 1), (30, 2)])
     def test_hodge_identity(self, n, seed):

@@ -393,7 +393,7 @@ def reference_run(cfg: RunConfig):
             assert bits == first_bits
         else:
             last, first_bits, distinct = est, bits, distinct + 1
-        rows.append(scorer.score(est.r))
+        rows.append([a[0] for a in scorer.score(est.r[None, :])])
     return rows, sched, distinct
 
 
@@ -414,14 +414,11 @@ class TestEstimateContract:
              ks=(2,), seed=8),
     ]
 
-    @pytest.mark.parametrize("kw", CASES, ids=lambda kw: "-".join(
-        str(kw.get(k)) for k in ("algo", "melo", "gamma_mode") if k in kw))
-    def test_scores_match_every_round_reference(self, kw):
-        cfg = RunConfig(**kw)
-        rows, sched, distinct = reference_run(cfg)
-        if kw["algo"].startswith("maxin_"):
-            assert sched.sgd.j >= 2
-            assert distinct == 2 + sched.sgd.j
+    CASE_IDS = ["-".join(str(kw.get(k)) for k in ("algo", "melo", "gamma_mode")
+                         if k in kw) for kw in CASES]
+
+    @staticmethod
+    def assert_run_matches(cfg, rows):
         cfg = cfg.resolve()
         matrix = harness.build_matrix(cfg)
         truth = games.true_ratings(matrix, clip_eps=cfg.clip_eps)
@@ -430,6 +427,49 @@ class TestEstimateContract:
         assert np.array_equal(trace.rr, np.array(rr))
         assert np.array_equal(trace.hr, np.array(hr).reshape(cfg.T, -1))
         assert np.array_equal(trace.ndcg, np.array(ndcg).reshape(cfg.T, -1))
+
+    @pytest.mark.parametrize("kw", CASES, ids=CASE_IDS)
+    def test_scores_match_every_round_reference(self, kw):
+        cfg = RunConfig(**kw)
+        rows, sched, distinct = reference_run(cfg)
+        if kw["algo"].startswith("maxin_"):
+            assert sched.sgd.j >= 2
+            assert distinct == 2 + sched.sgd.j
+        self.assert_run_matches(cfg, rows)
+
+    # T=2 stands in for T=1, which RunConfig rejects. Both configs give a
+    # new estimate every round: random always, and MaxIn with tau=1 since
+    # the theoretical gamma keeps every player a candidate, so it never
+    # self-pairs and each round is a batch. So T is the count of scored
+    # rows, on both sides of the 64-row block.
+    @pytest.mark.parametrize("T", [2, 63, 64, 65, 131])
+    @pytest.mark.parametrize("kw", [
+        dict(algo="random", n=7, ks=(1, 3, 7), seed=21),
+        dict(algo="maxin_elo", n=4, tau=1, gamma_mode="theoretical",
+             ks=(2,), seed=22)],
+        ids=["random", "maxin_elo"])
+    def test_block_boundaries_match_reference(self, kw, T):
+        cfg = RunConfig(**kw, T=T)
+        rows, _, distinct = reference_run(cfg)
+        assert distinct == T
+        self.assert_run_matches(cfg, rows)
+
+    @pytest.mark.parametrize("kw", CASES, ids=CASE_IDS)
+    def test_scores_each_distinct_estimate_once(self, kw, monkeypatch):
+        sizes = []
+        snapshot = harness._metric_snapshot
+
+        def counting(scorer, block):
+            sizes.append(len(block))
+            return snapshot(scorer, block)
+
+        monkeypatch.setattr(harness, "_metric_snapshot", counting)
+        cfg = RunConfig(**kw)
+        _, _, distinct = reference_run(cfg)
+        simulate(cfg)
+        assert sum(sizes) == distinct
+        assert all(s == harness.BLOCK for s in sizes[:-1])
+        assert 0 < sizes[-1] <= harness.BLOCK
 
     def test_maxin_estimate_is_read_only(self):
         _, sched, _ = reference_run(RunConfig(**self.CASES[2]))

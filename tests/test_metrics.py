@@ -5,15 +5,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from duelrank.errors import ConfigError
 from duelrank.games import TrueRatings
 from duelrank.metrics import (
+    RankScorer,
     hit_ratio_at_k,
     instant_regret,
     ndcg_at_k,
+    ranking,
     reciprocal_rank,
 )
 from duelrank.ratings import RatingState
@@ -22,11 +25,8 @@ from duelrank.ratings import RatingState
 def truth_from(r_star):
     r_star = np.asarray(r_star, dtype=float)
     n = len(r_star)
-    order = np.sort(r_star)[::-1]
     return TrueRatings(r_star=r_star, rot=np.zeros((n, n)),
-                       best=int(np.argmax(r_star)),
-                       delta=float(order[0] - order[1]),
-                       delta_max=float(order[0] - order[-1]))
+                       best=int(np.argmax(r_star)))
 
 
 def ref_ranking(values):
@@ -218,3 +218,73 @@ def test_metric_ranges(seed):
     for k in range(1, 7):
         assert 0.0 <= hit_ratio_at_k(truth, est, k) <= 1.0
         assert 0.0 <= ndcg_at_k(truth, est, k) <= 1.0
+
+
+# The block scorer against a pure-Python reference, bit for bit. The pool
+# makes ties common, -0.0 and 0.0 among them, so the low-index tie-break
+# decides many rankings.
+TIE_POOL = [0.0, -0.0, 1.0, -1.0, 2.0, 0.5, float("inf"), float("-inf")]
+
+
+def ref_block_metrics(R, truth, ks):
+    """Per row: (rr, [hr@k], [ndcg@k]) by a stable sort on (-value,
+    index), with the DCG added left to right. A row holding NaN has no
+    such order; it takes `ranking`'s (NaN last, by index) instead."""
+    n = len(truth.r_star)
+    true = ref_ranking(truth.r_star.tolist())
+    out = []
+    for row in R.tolist():
+        if any(math.isnan(v) for v in row):
+            pred = ranking(np.array(row))
+        else:
+            pred = sorted(range(n), key=lambda i: (-row[i], i))
+        hr, ndcg = [], []
+        for k in ks:
+            top = set(true[:k])
+            disc = 1.0 / np.log2(np.arange(2, k + 2))
+            dcg = 0.0
+            for i, p in enumerate(pred[:k]):
+                if p in top:
+                    dcg += disc[i].item()
+            hr.append(sum(p in top for p in pred[:k]) / k)
+            ndcg.append(dcg / disc.sum().item())
+        out.append((1.0 / (pred.index(truth.best) + 1), hr, ndcg))
+    return out
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def scored_blocks(draw):
+    n = draw(st.integers(2, 12))
+    m = draw(st.integers(1, 70))
+    values = st.sampled_from(TIE_POOL) | st.floats(-3, 3, width=16)
+    if draw(st.booleans()):
+        values |= st.just(float("nan"))
+    R = draw(arrays(np.float64, (m, n), elements=values))
+    r_star = draw(arrays(np.float64, n, elements=st.sampled_from(TIE_POOL[:6])
+                         | st.floats(-3, 3)))
+    ks = draw(st.lists(st.integers(1, n), unique=True, max_size=3))
+    return R, r_star, tuple(ks)
+
+
+class TestBlockScorer:
+    @given(case=scored_blocks())
+    @example(case=(np.array([[0.0, -0.0, 0.0]]), np.array([1.0, 2.0, 0.0]),
+                   (3,)))
+    @example(case=(np.array([[-0.0, 0.0, 1.0, 1.0]] * 70),
+                   np.array([0.0, 1.0, -0.0, 1.0]), ()))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pure_python_reference(self, case):
+        R, r_star, ks = case
+        truth = truth_from(r_star)
+        rr, hr, ndcg = RankScorer(truth, ks).score(R)
+        ref = ref_block_metrics(R, truth, ks)
+        assert same_bits(rr, [row[0] for row in ref])
+        assert same_bits(hr, np.array([row[1] for row in ref]).reshape(
+            len(R), len(ks)))
+        assert same_bits(ndcg, np.array([row[2] for row in ref]).reshape(
+            len(R), len(ks)))

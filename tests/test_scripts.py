@@ -1,5 +1,7 @@
-"""scripts/ab_bench.py parses and summarizes canned benchmark output."""
+"""The scripts under scripts/: ab_bench.py parses and summarizes canned
+benchmark output, and learner_check.py reports in a fixed shape."""
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -7,7 +9,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _ab_bench():
-    import importlib.util
     spec = importlib.util.spec_from_file_location(
         "ab_bench", ROOT / "scripts" / "ab_bench.py")
     module = importlib.util.module_from_spec(spec)
@@ -92,3 +93,28 @@ def test_ab_bench_spread_check():
     unbounded = ab.summarize(list(zip(base, wide)), better)
     assert "spread" not in unbounded["metrics"]["rounds_per_s"]
     assert "spread" not in ab.format_summary("w", unbounded)
+
+
+def test_learner_check_report_keys_and_repeatable(capsys):
+    """A tiny learner_check run, once as a script and once in-process,
+    gives the same bytes with the documented keys; no value is pinned."""
+    import subprocess
+    import sys
+    script = ROOT / "scripts" / "learner_check.py"
+    argv = ["--game", "noisy_elo", "--noise", "0.1", "--n", "6", "--tau",
+            "4", "--batches", "5", "--alphas", "tau,0.2", "--seed", "3"]
+    first = subprocess.run([sys.executable, str(script), *argv],
+                           capture_output=True, text=True, check=True).stdout
+    spec = importlib.util.spec_from_file_location("learner_check", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main(argv) == 0
+    assert capsys.readouterr().out == first
+    report = json.loads(first)
+    assert report["tau"] == 4 and report["batches"] == 5
+    assert [run["alpha"] for run in report["runs"]] == [4.0, 0.2]
+    for run in report["runs"]:
+        assert [c["j"] for c in run["checkpoints"]] == [1, 2, 4, 5]
+        for c in run["checkpoints"]:
+            assert set(c) == {"j", "records", "gap_l2", "corr_true", "g2"}
+            assert c["records"] == 4 * (c["j"] + 1)
