@@ -3,18 +3,21 @@
 
 Example:
     python3 scripts/learner_check.py --game noisy_elo --noise 0.1 --n 20 \\
-        --tau 14 --batches 256 --alphas tau,1,0.2 --seed 0
+        --batches 256 --alphas tau,1,0.2 --seed 0
 
 This checks the learner alone, with no scheduler choosing the pairs.
-One seeded stream of uniform pairs (never self-pairs) is played on the
-game, and its outcomes are cut into batches of tau records. As in MaxIn,
-batch 0 gives the MLE center (ridge ``max(ridge, WARMUP_RIDGE)``), and
-batch j >= 1 is SGD step j (``ratings.batch_update``). The same records go
-to every alpha. At j = 1, 2, 4, ... and at the last batch it reports the
-L2 distance of the SGD average r_bar_j from the MLE of batches 0..j
-(``ratings.mle_fit`` with ``--ridge``), corr(r_bar_j, r*) and the paper's
-gap factor ``schedulers.g2(j, tau, alpha)``. The result is printed as JSON.
-It is a report, not a test: nothing here passes or fails.
+The game, tau (round(0.7 n)) and the MLE ridge are those of a
+``maxin_elo`` run with the same flags (``RunConfig.resolve`` and
+``harness.build_matrix``). One seeded stream of uniform pairs (never
+self-pairs) is played on the game, and its outcomes are cut into batches
+of tau records. As in MaxIn, batch 0 gives the MLE center (ridge
+``max(ridge, WARMUP_RIDGE)``), and batch j >= 1 is SGD step j
+(``ratings.batch_update``). The same records go to every alpha. At
+j = 1, 2, 4, ... and at the last batch it reports the L2 distance of the
+SGD average r_bar_j from the MLE of batches 0..j (``ratings.mle_fit``),
+corr(r_bar_j, r*) and the paper's gap factor ``schedulers.g2(j, tau,
+alpha)``. The result is printed as JSON. It is a report, not a test:
+nothing here passes or fails.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from duelrank import games, harness  # noqa: E402
+from duelrank.config import RunConfig  # noqa: E402
+from duelrank.errors import ConfigError  # noqa: E402
 from duelrank.ratings import SgdState, batch_update, mle_fit  # noqa: E402
 from duelrank.schedulers import MaxInScheduler, g2  # noqa: E402
 
@@ -47,29 +52,22 @@ def checkpoints(batches: int) -> list[int]:
     return js + [batches]
 
 
-def correlation(a: np.ndarray, b: np.ndarray) -> float | None:
-    if a.std() == 0.0 or b.std() == 0.0:
-        return None
-    return float(np.corrcoef(a, b)[0, 1])
-
-
-def learner_check(matrix: games.WinMatrix, tau: int, batches: int,
-                  alphas: list[float], seed: int, eta0: float = 1.0,
-                  ridge: float = 1e-4) -> dict:
-    """The report for one game and record stream; see the module doc."""
-    n = matrix.n
+def learner_check(cfg: RunConfig, batches: int, alphas: list[float]) -> dict:
+    """The report for a resolved config's game, tau, ridge, eta0 and seed;
+    see the module doc."""
+    n, tau = cfg.n, cfg.tau
+    matrix = harness.build_matrix(cfg)
     r_star = games.true_ratings(matrix).r_star
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 3]))
     records = uniform_records(matrix.p, tau * (batches + 1), rng)
     warm = mle_fit(records[:tau], n,
-                   ridge=max(ridge, MaxInScheduler.WARMUP_RIDGE)).r
-    mles = {j: mle_fit(records[:tau * (j + 1)], n, ridge=ridge).r
+                   ridge=max(cfg.ridge, MaxInScheduler.WARMUP_RIDGE)).r
+    mles = {j: mle_fit(records[:tau * (j + 1)], n, ridge=cfg.ridge).r
             for j in checkpoints(batches)}
     runs = []
     for alpha in alphas:
         sgd = SgdState(r_tilde=warm.copy(), r_bar=warm.copy(),
-                       center=warm.copy(), radius=2.0, eta0=eta0,
-                       alpha=alpha)
+                       center=warm.copy(), eta0=cfg.eta0, alpha=alpha)
         rows = []
         for j in range(1, batches + 1):
             sgd = batch_update(sgd, records[tau * j:tau * (j + 1)])
@@ -77,10 +75,10 @@ def learner_check(matrix: games.WinMatrix, tau: int, batches: int,
                 rows.append({
                     "j": j, "records": tau * (j + 1),
                     "gap_l2": float(np.linalg.norm(sgd.r_bar - mles[j])),
-                    "corr_true": correlation(sgd.r_bar, r_star),
+                    "corr_true": float(np.corrcoef(sgd.r_bar, r_star)[0, 1]),
                     "g2": g2(j, tau, alpha)})
         runs.append({"alpha": alpha, "checkpoints": rows})
-    return {"n": n, "tau": tau, "seed": seed, "eta0": eta0, "ridge": ridge,
+    return {"n": n, "tau": tau, "seed": cfg.seed, "eta0": cfg.eta0,
             "batches": batches, "runs": runs}
 
 
@@ -92,29 +90,24 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--game", choices=("elo", "noisy_elo"), default="elo")
     ap.add_argument("--n", type=int, default=20)
-    ap.add_argument("--rating-scale", type=float, default=1.0)
     ap.add_argument("--noise", type=float, default=0.0)
-    ap.add_argument("--tau", type=int, default=None,
-                    help="records per batch (default round(0.7 n))")
     ap.add_argument("--batches", type=int, default=256,
                     help="SGD steps after the center batch")
     ap.add_argument("--alphas", default="tau,1,0.2",
                     help="comma list; 'tau' stands for the batch size")
     ap.add_argument("--eta0", type=float, default=1.0)
-    ap.add_argument("--ridge", type=float, default=1e-4)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
-    tau = args.tau if args.tau is not None else max(1, round(0.7 * args.n))
-    if args.batches < 1 or tau < 1:
-        ap.error("--batches and --tau must be at least 1")
-    if args.game == "elo":
-        matrix = games.gen_elo_game(args.n, args.rating_scale, args.seed)
-    else:
-        matrix = games.gen_noisy_elo_game(args.n, args.rating_scale,
-                                          args.noise, args.seed)
-    report = learner_check(matrix, tau, args.batches,
-                           parse_alphas(args.alphas, tau), args.seed,
-                           eta0=args.eta0, ridge=args.ridge)
+    if args.batches < 1:
+        ap.error("--batches must be at least 1")
+    try:
+        cfg = RunConfig(algo="maxin_elo", game=args.game, n=args.n,
+                        noise=args.noise, eta0=args.eta0,
+                        seed=args.seed).resolve()
+    except ConfigError as e:
+        ap.error(str(e))
+    report = learner_check(cfg, args.batches,
+                           parse_alphas(args.alphas, cfg.tau))
     harness.write_json({"game": args.game, "noise": args.noise, **report})
     return 0
 

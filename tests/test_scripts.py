@@ -101,8 +101,8 @@ def test_learner_check_report_keys_and_repeatable(capsys):
     import subprocess
     import sys
     script = ROOT / "scripts" / "learner_check.py"
-    argv = ["--game", "noisy_elo", "--noise", "0.1", "--n", "6", "--tau",
-            "4", "--batches", "5", "--alphas", "tau,0.2", "--seed", "3"]
+    argv = ["--game", "noisy_elo", "--noise", "0.1", "--n", "6",
+            "--batches", "5", "--alphas", "tau,0.2", "--seed", "3"]
     first = subprocess.run([sys.executable, str(script), *argv],
                            capture_output=True, text=True, check=True).stdout
     spec = importlib.util.spec_from_file_location("learner_check", script)
