@@ -10,8 +10,8 @@ The game, tau (round(0.7 n)) and the MLE ridge are those of a
 ``maxin_elo`` run with the same flags (``RunConfig.resolve`` and
 ``harness.build_matrix``). One seeded stream of uniform pairs (never
 self-pairs) is played on the game, and its outcomes are cut into batches
-of tau records. As in MaxIn, batch 0 gives the MLE center (ridge
-``max(ridge, WARMUP_RIDGE)``), and batch j >= 1 is SGD step j
+of tau records. Batch 0 starts the learner as MaxIn does
+(``schedulers.warm_start``), and batch j >= 1 is SGD step j
 (``ratings.batch_update``). The same records go to every alpha. At
 j = 1, 2, 4, ... and at the last batch it reports the L2 distance of the
 SGD average r_bar_j from the MLE of batches 0..j (``ratings.mle_fit``),
@@ -23,6 +23,7 @@ nothing here passes or fails.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -33,8 +34,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from duelrank import games, harness  # noqa: E402
 from duelrank.config import RunConfig  # noqa: E402
 from duelrank.errors import ConfigError  # noqa: E402
-from duelrank.ratings import SgdState, batch_update, mle_fit  # noqa: E402
-from duelrank.schedulers import MaxInScheduler, g2  # noqa: E402
+from duelrank.ratings import batch_update, mle_fit  # noqa: E402
+from duelrank.schedulers import g2, warm_start  # noqa: E402
 
 
 def uniform_records(p: np.ndarray, count: int,
@@ -60,14 +61,12 @@ def learner_check(cfg: RunConfig, batches: int, alphas: list[float]) -> dict:
     r_star = games.true_ratings(matrix).r_star
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 3]))
     records = uniform_records(matrix.p, tau * (batches + 1), rng)
-    warm = mle_fit(records[:tau], n,
-                   ridge=max(cfg.ridge, MaxInScheduler.WARMUP_RIDGE)).r
+    warm = warm_start(records[:tau], cfg, rng)
     mles = {j: mle_fit(records[:tau * (j + 1)], n, ridge=cfg.ridge).r
             for j in checkpoints(batches)}
     runs = []
     for alpha in alphas:
-        sgd = SgdState(r_tilde=warm.copy(), r_bar=warm.copy(),
-                       center=warm.copy(), eta0=cfg.eta0, alpha=alpha)
+        sgd = dataclasses.replace(warm, alpha=alpha)
         rows = []
         for j in range(1, batches + 1):
             sgd = batch_update(sgd, records[tau * j:tau * (j + 1)])

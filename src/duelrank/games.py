@@ -53,6 +53,8 @@ def _validate(n: int, p: np.ndarray, tol: float) -> None:
         raise ConfigError(f"need at least 2 players, got {n}", key="n")
     if p.shape != (n, n):
         raise MatrixLoadError(f"expected {n}x{n} matrix, got {p.shape}")
+    if not np.all((p >= 0.0) & (p <= 1.0)):  # false for NaN too
+        raise MatrixLoadError("entries must lie in [0, 1]")
     # diagonal first: a bad diagonal would also trip the pairwise check
     if np.max(np.abs(np.diag(p) - 0.5)) > tol:
         raise MatrixLoadError("diagonal entries must equal 0.5")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import games
-from .config import BASELINES, RunConfig, _field_types
+from .config import RunConfig, _field_types
 from .errors import ConfigError
 from .games import TrueRatings, WinMatrix
 from .metrics import RankScorer, instant_regret
@@ -62,7 +62,6 @@ class Trace:
     hr: np.ndarray               # T x len(ks)
     ndcg: np.ndarray             # T x len(ks)
     ks: tuple[int, ...]
-    tau: int | None = None       # warmup rounds (None: no warmup); not in CSVs
 
 
 # New estimates scored per RankScorer call, so one row-wise argsort
@@ -118,9 +117,8 @@ def run_replicate(cfg: RunConfig, matrix: WinMatrix, truth: TrueRatings,
     rr, hr, ndcg = rr[src], hr[src], ndcg[src]
     # np.cumsum adds in round order, as a running total would
     regret = instant_regret(truth, x, y)
-    return Trace(x=x, y=y, outcome=outcome, instant_regret=regret,
-                 cum_regret=np.cumsum(regret), rr=rr, hr=hr, ndcg=ndcg,
-                 ks=cfg.ks, tau=None if cfg.algo in BASELINES else scheduler.config.tau)
+    return Trace(x=x, y=y, outcome=outcome, instant_regret=regret, ks=cfg.ks,
+                 cum_regret=np.cumsum(regret), rr=rr, hr=hr, ndcg=ndcg)
 
 
 def summarize(traces: list[Trace], config_digest: str = "",
@@ -228,7 +226,7 @@ def write_trace_csv(trace: Trace, path) -> None:
     """Write a trace as CSV, byte for byte: the `trace_header` line, then
     one line per round holding `str` of each int column (`t`, `x`, `y`,
     `outcome`) and `repr` of each float column, so floats read back
-    exactly. Lines end in LF; `tau` is not stored."""
+    exactly. Lines end in LF."""
     cols = [trace.x, trace.y, trace.outcome, trace.instant_regret,
             trace.cum_regret, trace.rr, *trace.hr.T, *trace.ndcg.T]
     cells = [map(str, range(1, len(trace.x) + 1))]

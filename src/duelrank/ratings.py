@@ -8,13 +8,15 @@ All update operations return new states; nothing is mutated in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import numpy.typing as npt
 
 from .errors import ConfigError, ContractViolationError, SolverError
 from .games import sigmoid
+
+RADIUS = 2.0  # of the Euclidean ball that SGD iterates are projected onto
 
 
 @dataclass(frozen=True)
@@ -30,15 +32,14 @@ class SgdState:
     """Projected batch-SGD iterate and its running average.
 
     r_tilde is the current iterate, r_bar the average of iterates over
-    batches 1..j. The iterate is kept inside a Euclidean ball around the
-    warmup estimate (center) of the given radius. c_tilde/c_bar are the
-    unprojected mElo counterparts.
+    batches 1..j. The iterate is kept inside the ball of radius RADIUS
+    around the warmup estimate (center; see schedulers.warm_start).
+    c_tilde/c_bar are the unprojected mElo counterparts.
     """
 
     r_tilde: npt.NDArray[np.float64]
     r_bar: npt.NDArray[np.float64]
     center: npt.NDArray[np.float64]
-    radius: float = 2.0
     eta0: float = 1.0
     alpha: float = 1.0
     j: int = 0
@@ -153,15 +154,14 @@ def batch_update(sgd: SgdState, records) -> SgdState:
     j = sgd.j + 1
     eta_j = sgd.eta0 / (sgd.alpha * j)
     grad_r, grad_c = _batch_gradients(sgd.r_tilde, sgd.c_tilde, records)
-    r_tilde = project(sgd.r_tilde - eta_j * grad_r, sgd.center, sgd.radius)
+    r_tilde = project(sgd.r_tilde - eta_j * grad_r, sgd.center, RADIUS)
     r_bar = (sgd.r_bar * (j - 1) + r_tilde) / j
     c_tilde = c_bar = None
     if sgd.c_tilde is not None:
         c_tilde = sgd.c_tilde - eta_j * grad_c
         c_bar = (sgd.c_bar * (j - 1) + c_tilde) / j
-    return SgdState(r_tilde=r_tilde, r_bar=r_bar, center=sgd.center,
-                    radius=sgd.radius, eta0=sgd.eta0, alpha=sgd.alpha, j=j,
-                    c_tilde=c_tilde, c_bar=c_bar)
+    return replace(sgd, r_tilde=r_tilde, r_bar=r_bar, j=j, c_tilde=c_tilde,
+                   c_bar=c_bar)
 
 
 def mle_fit(history, n: int, ridge: float = 1e-4,

@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ALGORITHMS, RunConfig
-from .errors import ConfigError, ContractViolationError
+from .config import RunConfig
+from .errors import ContractViolationError
 from .games import WinMatrix, sample_outcome
 from .ratings import (
     RatingState,
@@ -38,6 +38,25 @@ def g1(t: int, n: int, T: int, c1: float) -> float:
 def g2(j: int, tau: int, alpha: float) -> float:
     """SGD-to-MLE gap factor after j batches."""
     return (tau / alpha) * math.sqrt(1.0 + math.log(j))
+
+
+# The warmup batch has ~0.7n records over n(n-1)/2 pairs and is almost
+# always linearly separable, so a weak ridge lets the center estimate
+# blow up far outside the region the projection ball must cover. A
+# strong ridge shrinks the center toward zero, keeping the true
+# ratings within reach of the fixed-radius projection ball.
+WARMUP_RIDGE = 2.0
+
+
+def warm_start(records, cfg: RunConfig, rng: np.random.Generator) -> SgdState:
+    """MaxIn's first learner state from its warmup records and a resolved
+    config: the MLE center (ridge at least WARMUP_RIDGE) as iterate and
+    average, plus mElo features drawn from rng when cfg.melo."""
+    r_hat = mle_fit(records, cfg.n, ridge=max(cfg.ridge, WARMUP_RIDGE)).r
+    c = initial_features(rng, cfg.n, cfg.k) if cfg.melo else None
+    return SgdState(r_tilde=r_hat.copy(), r_bar=r_hat.copy(), center=r_hat,
+                    eta0=cfg.eta0, alpha=cfg.alpha, c_tilde=c,
+                    c_bar=None if c is None else c.copy())
 
 
 class MatchEnv:
@@ -271,7 +290,7 @@ class MaxInScheduler(_WarmupScheduler):
     batch j; the estimate is the average of SGD iterates. With config.melo,
     cyclic feature vectors are learned by the same gradients, unprojected.
 
-    The estimate and rating gap change only per batch (see _refresh).
+    The estimate and rating gap change only per batch (see _fit_batch).
     Every post-warmup round selects afresh, self-pair rounds included.
     Caching u while the tracker is unchanged is exact and gave x1.59 on
     paper-n20-io, but the gain follows each seed's self-pair share: runs
@@ -280,33 +299,15 @@ class MaxInScheduler(_WarmupScheduler):
 
     sgd: SgdState | None = None  # None until the warmup fit
 
-    # The warmup batch has ~0.7n records over n(n-1)/2 pairs and is almost
-    # always linearly separable, so a weak ridge lets the center estimate
-    # blow up far outside the region the projection ball must cover. A
-    # strong ridge shrinks the center toward zero, keeping the true
-    # ratings within reach of the fixed-radius projection ball.
-    WARMUP_RIDGE = 2.0
-
     def _fit_batch(self):
-        """The warmup MLE center from the first full log, an SGD step from
-        every later one; then empty the log."""
-        cfg = self.config
+        """The warm start from the first full log, an SGD step from every
+        later one; then empty the log and set the estimate and rating gap.
+        Every caller shares the estimate, whose arrays are made read-only."""
         if self.sgd is None:
-            r_hat = mle_fit(self.history, self.n,
-                            ridge=max(cfg.ridge, self.WARMUP_RIDGE)).r
-            c = initial_features(self.rng, self.n, cfg.k) if cfg.melo else None
-            self.sgd = SgdState(r_tilde=r_hat.copy(), r_bar=r_hat.copy(),
-                                center=r_hat.copy(), radius=2.0,
-                                eta0=cfg.eta0, alpha=cfg.alpha, c_tilde=c,
-                                c_bar=None if c is None else c.copy())
+            self.sgd = warm_start(self.history, self.config, self.rng)
         else:
             self.sgd = batch_update(self.sgd, self.history)
         self._logged = 0
-        self._refresh()
-
-    def _refresh(self):
-        """Estimate and rating gap of a new SGD state; every caller shares
-        the estimate, whose arrays are made read-only."""
         r, c = self.sgd.r_bar, self.sgd.c_bar
         for a in (r, c) if c is not None else (r,):
             a.flags.writeable = False
@@ -361,7 +362,6 @@ _SCHEDULERS = {"random": RandomScheduler, "rg_ucb": RgUcbScheduler,
 
 
 def make_scheduler(config: RunConfig, rng: np.random.Generator) -> Scheduler:
-    """The policy of config.algo; both MaxIn variants are MaxInScheduler."""
-    if config.algo not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm: {config.algo}", key="algo")
+    """The policy of config.algo; both MaxIn variants are MaxInScheduler.
+    An unknown algo raises ConfigError from the scheduler's config.resolve."""
     return _SCHEDULERS.get(config.algo, MaxInScheduler)(config, rng)

@@ -35,7 +35,6 @@ class DesignTracker:
         self._term = np.empty((n, n))
         self._q = np.empty((n, n))
         self._two_v = np.empty((n, n))
-        self.t = 0
 
     def update(self, x: int, y: int) -> None:
         """Add the rank-1 term for pair (x, y); self-pairs are a no-op."""
@@ -50,7 +49,6 @@ class DesignTracker:
         term = np.multiply(vu[:, None], vu, out=self._term)
         term /= denom
         vi -= term
-        self.t += 1
 
     def pair_uncertainty(self, x: int, y: int) -> float:
         if x == y:

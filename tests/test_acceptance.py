@@ -24,14 +24,13 @@ from duelrank.harness import RunConfig, simulate, write_trace_csv
 from duelrank.metrics import hit_ratio_at_k, ndcg_at_k, reciprocal_rank
 from duelrank.ratings import (
     RatingState,
-    SgdState,
     _batch_gradients,
     batch_update,
     cyclic_term,
     elo_loss,
     mle_fit,
 )
-from duelrank.schedulers import MatchEnv, make_scheduler
+from duelrank.schedulers import MatchEnv, make_scheduler, warm_start
 from duelrank.tracker import DesignTracker
 
 
@@ -145,7 +144,8 @@ def test_03_sherman_morrison_oracle(capsys):
 # ---------------------------------------------------------------- 4
 
 def test_04_sgd_tracks_mle(capsys):
-    n, tau = 20, 14
+    cfg = RunConfig(algo="maxin_elo", n=20).resolve()  # MaxIn's learner
+    n, tau = cfg.n, cfg.tau
     matrix = gen_elo_game(n, 1.0, seed=40)
     wins = 0
     for seed in range(5):
@@ -154,11 +154,7 @@ def test_04_sgd_tracks_mle(capsys):
         for _ in range(tau):
             x, y = (int(v) for v in rng.choice(n, 2, replace=False))
             history.append((x, y, int(rng.random() < matrix.p[x, y])))
-        # unit-scale ridge for the center, as the scheduler does: the tiny
-        # warmup batch is separable and a weak ridge lets it blow up
-        center = mle_fit(history, n, ridge=1.0).r
-        sgd = SgdState(r_tilde=center.copy(), r_bar=np.zeros(n),
-                       center=center, eta0=1.0, alpha=float(tau))
+        sgd = warm_start(history, cfg, rng)
         gaps = {}
         for j in range(1, 201):
             for _ in range(tau):

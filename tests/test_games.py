@@ -144,6 +144,23 @@ class TestLoadMatrix:
                            match="diagonal entries must equal 0.5"):
             games.load_matrix(path)
 
+    @pytest.mark.parametrize("text", ["0.5,nan\nnan,0.5\n",
+                                      "0.5,1.5\n-0.5,0.5\n"])
+    def test_entry_outside_unit_interval(self, tmp_path, text):
+        # NaN fails every comparison, so it must not slip past the checks
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(MatrixLoadError, match=re.escape(
+                "entries must lie in [0, 1]")):
+            games.load_matrix(path)
+
+    @pytest.mark.parametrize("p", [[[0.5, np.nan], [np.nan, 0.5]],
+                                   [[0.5, 1.5], [-0.5, 0.5]]])
+    def test_constructor_rejects_entry_outside_unit_interval(self, p):
+        with pytest.raises(MatrixLoadError, match=re.escape(
+                "entries must lie in [0, 1]")):
+            games.WinMatrix(n=2, p=np.array(p))
+
     def test_parse_failure(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("0.5,banana\n0.3,0.5\n")

@@ -146,8 +146,10 @@ class TestSimulate:
         traces, _ = simulate(cfg)
         trace = traces[0]
         assert len(trace.x) == 10
-        warmup = [t <= trace.tau for t in range(1, 11)]
-        assert warmup == [True] * 7 + [False] * 3
+        # seven uniform warmup pairs, scored on the zero estimate until the
+        # warmup fit in round 7
+        assert (trace.x[:7] < trace.y[:7]).all()
+        assert len(set(trace.rr[:6].tolist())) == 1
 
     def test_cum_regret_is_running_sum(self):
         cfg = RunConfig(algo="random", n=6, T=40, seed=2)
@@ -500,11 +502,10 @@ class TestReport:
         write_trace_csv(traces[0], path)
         back = read_trace_csv(path)
         assert back.ks == (2,)
-        for name in ("x", "y", "outcome", "instant_regret", "cum_regret",
-                     "rr", "hr", "ndcg"):
+        for f in dataclasses.fields(back):  # every field, not only the CSV's
             # repr round-trips exactly
-            np.testing.assert_array_equal(getattr(back, name),
-                                          getattr(traces[0], name))
+            np.testing.assert_array_equal(getattr(back, f.name),
+                                          getattr(traces[0], f.name))
 
     def test_summary_json(self, tmp_path):
         traces, summary = self._trace(ks=(2,))
@@ -534,7 +535,7 @@ class TestReadTraceCsv:
 
     def test_reads_columns(self, tmp_path):
         back = read_trace_csv(self._csv(tmp_path, self._rows()))
-        assert back.ks == (1, 2) and back.tau is None
+        assert back.ks == (1, 2)
         assert back.x.tolist() == [3, 3, 3] and back.x.dtype == np.int64
         assert back.cum_regret.tolist() == [0.25, 0.5, 0.75]
         assert back.hr.shape == back.ndcg.shape == (3, 2)
@@ -787,6 +788,18 @@ class TestCli:
             if key is None:
                 assert flags[1] in payload["message"]
 
+    @pytest.mark.parametrize("text", ["0.5,nan\nnan,0.5\n",
+                                      "0.5,1.5\n-0.5,0.5\n"])
+    def test_matrix_entry_outside_unit_interval(self, tmp_path, capsys, text):
+        # a NaN entry used to run to a NaN regret with exit 0
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        code, out, err = self._main(
+            ["run", "--matrix", str(path), "--n", "2", "--T", "20"], capsys)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "MatrixLoadError",
+                                   "message": "entries must lie in [0, 1]"}
+
     def test_missing_config_file_is_handled(self, capsys):
         code, _, err = self._main(
             ["run", "--config", "/nonexistent/cfg"], capsys)
@@ -948,6 +961,8 @@ class TestCli:
 
 @pytest.mark.parametrize("algo", ["random", "rg_ucb", "dbgd"])
 def test_online_baseline_trace_has_no_warmup(algo):
-    # the online baselines play no warmup, so their traces carry no tau
-    traces, _ = simulate(RunConfig(algo=algo, n=100, T=50))
-    assert traces[0].tau is None
+    # the online baselines play no warmup, so a default tau >= T is no error
+    cfg = RunConfig(algo=algo, n=100, T=50)
+    assert cfg.resolve().tau >= cfg.T
+    traces, _ = simulate(cfg)
+    assert len(traces[0].x) == cfg.T

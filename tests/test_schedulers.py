@@ -1,5 +1,7 @@
 """Policy behavior: exploration schedule, candidate sets, baselines."""
 
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -21,7 +23,9 @@ from duelrank.schedulers import (
     g1,
     g2,
     make_scheduler,
+    warm_start,
 )
+from duelrank.tracker import DesignTracker
 
 
 def build(algo, n, T=500, seed=0, **kw):
@@ -76,6 +80,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig(algo="alpha_ig", n=5).resolve()
 
+    def test_make_scheduler_rejects_unknown_algo(self):
+        with pytest.raises(ConfigError,
+                           match="unknown algorithm: alpha_ig") as err:
+            build("alpha_ig", 5)
+        assert err.value.key == "algo"
+
     def test_bad_delta(self):
         with pytest.raises(ConfigError):
             RunConfig(algo="rg_ucb", n=5, delta=1.5).resolve()
@@ -101,11 +111,38 @@ class TestWarmup:
         n, tau = 20, 14
         sched = build("maxin_elo", n, T=100, tau=tau)
         env = env_for(games.gen_elo_game(n, 1.0, 0))
+        ref = DesignTracker(n, sched.config.lambda_ridge)
         for _ in range(tau):
-            sched.step(env)
-        assert sched.tracker.t == tau
+            ref.update(*sched.step(env)[:2])
+        np.testing.assert_array_equal(sched.tracker.v_inv, ref.v_inv)
         assert sched.history.shape == (0, 3)  # the warmup fit consumed it
         assert sched.sgd is not None
+
+    @pytest.mark.parametrize("algo", ["maxin_elo", "maxin_melo"])
+    def test_first_sgd_state_is_warm_start(self, algo):
+        """The state after tau rounds is warm_start of the records played,
+        with the scheduler's stream as it stood when the last one was."""
+        sched = build(algo, 10, T=100, tau=7, k=2, seed=3)
+        env = env_for(games.gen_elo_game(10, 1.0, 4))
+        records, play = [], env.play
+
+        def spy(x, y):
+            o = play(x, y)
+            records.append((x, y, o))
+            spy.rng = copy.deepcopy(sched.rng)
+            return o
+
+        env.play = spy
+        for _ in range(7):
+            sched.step(env)
+        ref = warm_start(np.array(records), sched.config, spy.rng)
+        for f in dataclasses.fields(ref):
+            got, want = getattr(sched.sgd, f.name), getattr(ref, f.name)
+            if isinstance(want, np.ndarray):
+                assert got.tobytes() == want.tobytes(), f.name
+            else:
+                assert got == want, f.name
+        assert (sched.sgd.c_bar is None) == (algo == "maxin_elo")
 
     def test_deterministic_initial_estimate(self):
         n = 10

@@ -24,7 +24,6 @@ class TestInit:
     def test_identity(self):
         tr = DesignTracker(2, 1.0)
         np.testing.assert_allclose(tr.v_inv, np.eye(2))
-        assert tr.t == 0
 
     def test_scaled(self):
         tr = DesignTracker(3, 2.0)
@@ -77,7 +76,6 @@ class TestUpdate:
         np.add.at(v, (xs, ys), -1.0)
         np.add.at(v, (ys, xs), -1.0)
         ref = np.linalg.inv(v)
-        assert tr.t == count
         assert np.max(np.abs(tr.v_inv - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_self_pair_is_noop_with_warning(self):
@@ -86,7 +84,6 @@ class TestUpdate:
         with pytest.warns(UserWarning):
             tr.update(1, 1)
         np.testing.assert_allclose(tr.v_inv, before)
-        assert tr.t == 0
 
     def test_update_shrinks_own_uncertainty(self):
         tr = DesignTracker(4, 1.0)
