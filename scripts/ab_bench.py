@@ -17,6 +17,16 @@ The spread check: each side's middle-half spread (q3 - q1) is printed
 next to ``bound x base median``, and a metric is flagged ``SPREAD`` when
 either side exceeds it, since runs that spread that widely cannot tell a
 change of that size from noise.
+
+Each metric ends in one verdict, the first of these that holds:
+
+- ``worse``: the median moved the worse way by more than bound x base
+  median (metrics with a bound only);
+- ``unresolved``: the spread check failed and not every change run beats
+  every base run;
+- ``gain``: the change won at least 9/10 of the pairs, and its median
+  moved the better way by more than the base's q3 - q1;
+- ``no change``.
 """
 
 from __future__ import annotations
@@ -49,6 +59,25 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(base: list[float], change: list[float], sign: float,
+            won: int, bound: float | None) -> str:
+    """``worse``, ``unresolved``, ``gain`` or ``no change`` for one metric's
+    runs (see the module doc); ``sign`` is +1 when higher is better."""
+    (b1, b2, b3), (c1, c2, c3) = quartiles(base), quartiles(change)
+    moved = sign * (c2 - b2)
+    if bound is not None:
+        if -moved > bound * abs(b2):
+            return "worse"
+        spread_ok = max(b3 - b1, c3 - c1) <= bound * abs(b2)
+        every_run_better = (min(sign * c for c in change)
+                            > max(sign * b for b in base))
+        if not spread_ok and not every_run_better:
+            return "unresolved"
+    if won >= 0.9 * len(base) and moved > b3 - b1:
+        return "gain"
+    return "no change"
+
+
 def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
               bounds: dict[str, float] | None = None) -> dict:
     """Per metric: base and change (q1, median, q3), the pairs the change
@@ -57,7 +86,7 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
     results of ``parse_run``; ``better`` maps a metric to higher|lower.
     For a metric with a bound in ``bounds``, ``spread`` holds each side's
     q3 - q1, the limit ``bound x base median``, and whether both sides
-    stay within it."""
+    stay within it. ``verdict`` is the metric's verdict (see ``verdict``)."""
     out = {"pairs": len(pairs), "metrics": {},
            "sha256_equal": all(b["sha256"] == c["sha256"] for b, c in pairs),
            "failed_equal": all(b["failed"] == c["failed"] for b, c in pairs),
@@ -69,10 +98,13 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
         sign = 1.0 if direction == "higher" else -1.0
         won = sum(sign * (c - b) > 0 for b, c in zip(base, change))
         qb, qc = quartiles(base), quartiles(change)
+        bound = (bounds or {}).get(name)
         out["metrics"][name] = {"base": qb, "change": qc, "won": won,
-                                "ratio": qc[1] / qb[1] if qb[1] else None}
-        if bounds and name in bounds:
-            limit = bounds[name] * abs(qb[1])
+                                "ratio": qc[1] / qb[1] if qb[1] else None,
+                                "verdict": verdict(base, change, sign, won,
+                                                   bound)}
+        if bound is not None:
+            limit = bound * abs(qb[1])
             sb, sc = qb[2] - qb[0], qc[2] - qc[0]
             out["metrics"][name]["spread"] = {
                 "base": sb, "change": sc, "limit": limit,
@@ -95,7 +127,7 @@ def format_summary(workload: str, summary: dict) -> str:
             sp = m["spread"]
             row += (f"  spread base {sp['base']:.4g} change {sp['change']:.4g}"
                     f" limit {sp['limit']:.4g}{'' if sp['ok'] else ' SPREAD'}")
-        rows.append(row)
+        rows.append(f"{row}  -> {m['verdict']}")
     return "\n".join(rows)
 
 

@@ -48,18 +48,18 @@ class TrueRatings:
     best: int
 
 
-def _validate(n: int, p: np.ndarray, tol: float) -> None:
+def _validate(n: int, p: np.ndarray, tol: float, where: str = "") -> None:
     if n < 2:
         raise ConfigError(f"need at least 2 players, got {n}", key="n")
     if p.shape != (n, n):
-        raise MatrixLoadError(f"expected {n}x{n} matrix, got {p.shape}")
+        raise MatrixLoadError(f"{where}expected {n}x{n} matrix, got {p.shape}")
     if not np.all((p >= 0.0) & (p <= 1.0)):  # false for NaN too
-        raise MatrixLoadError("entries must lie in [0, 1]")
+        raise MatrixLoadError(f"{where}entries must lie in [0, 1]")
     # diagonal first: a bad diagonal would also trip the pairwise check
     if np.max(np.abs(np.diag(p) - 0.5)) > tol:
-        raise MatrixLoadError("diagonal entries must equal 0.5")
+        raise MatrixLoadError(f"{where}diagonal entries must equal 0.5")
     if np.max(np.abs(p + p.T - 1.0)) > tol:
-        raise MatrixLoadError("p[i][j] + p[j][i] != 1 beyond tolerance")
+        raise MatrixLoadError(f"{where}p[i][j] + p[j][i] != 1 beyond tolerance")
 
 
 def gen_elo_game(n: int, rating_scale: float, seed: int) -> WinMatrix:
@@ -131,7 +131,7 @@ def load_matrix(path) -> WinMatrix:
     if n < 2:
         raise MatrixLoadError(
             f"matrix in {path} is {n}x{n}; need at least 2 players")
-    _validate(n, p, tol=_LOAD_TOL)
+    _validate(n, p, tol=_LOAD_TOL, where=f"matrix in {path}: ")
     # bypass the 1e-9 constructor check; the file passed at 1e-6
     m = object.__new__(WinMatrix)
     object.__setattr__(m, "n", n)

@@ -215,10 +215,7 @@ class _WarmupScheduler(Scheduler):
         self.tracker = DesignTracker(self.n, self.config.lambda_ridge)
         self._log = np.empty((self.config.tau, 3), dtype=np.int64)
         self._logged = 0
-        self._flat = self._iu * self.n + self._ju  # u.take(_flat)[i]: pair i
-        ends = np.argsort(np.concatenate((self._iu, self._ju)), kind="stable")
-        self._pairs_of = (ends % len(self._iu)).reshape(self.n, -1)  # row i: i's pairs
-        self._h, self._vals = np.empty((self.n, self.n)), np.empty(len(self._iu))
+        self._h = np.empty((self.n, self.n))
 
     @property
     def history(self) -> np.ndarray:
@@ -249,9 +246,9 @@ class _WarmupScheduler(Scheduler):
 
     def _select_pair(self, u: np.ndarray,
                      mask: np.ndarray) -> tuple[int, int]:
-        """The candidate pair x < y of largest u[x, y], lowest pair on ties.
-
-        A single candidate x gives the self-pair (x, x).
+        """The candidate pair x < y of largest u[x, y], lowest pair on ties:
+        the first argmax of u on S x S in row-major order, since u is
+        symmetric with a zero diagonal. A single candidate x gives (x, x).
         """
         size = np.count_nonzero(mask)
         if size == 0:
@@ -261,10 +258,11 @@ class _WarmupScheduler(Scheduler):
         if size == 1:
             x = int(mask.argmax())
             return x, x
-        vals = u.take(self._flat, out=self._vals)
-        if size < self.n:
-            vals[self._pairs_of.compress(~mask, axis=0)] = -1.0
-        return self._pair(vals.argmax())
+        if size == self.n:
+            return divmod(int(u.argmax()), self.n)
+        idx = np.flatnonzero(mask)
+        i, j = divmod(int(u.take(idx, 0).take(idx, 1).argmax()), size)
+        return int(idx[i]), int(idx[j])
 
     def _select(self, gap, gamma: float) -> tuple[int, int]:
         """One round's pair from one uncertainty matrix; keeps its record."""
@@ -291,10 +289,9 @@ class MaxInScheduler(_WarmupScheduler):
     cyclic feature vectors are learned by the same gradients, unprojected.
 
     The estimate and rating gap change only per batch (see _fit_batch).
-    Every post-warmup round selects afresh, self-pair rounds included.
-    Caching u while the tracker is unchanged is exact and gave x1.59 on
-    paper-n20-io, but the gain follows each seed's self-pair share: runs
-    spread (middle half 11,778 rounds/s) past 0.25 x the median (10,960).
+    Every post-warmup round selects afresh, self-pair rounds included:
+    caching u over them is exact, but its gain (x1.59 on paper-n20-io)
+    follows each seed's self-pair share too widely to measure (ROADMAP 8).
     """
 
     sgd: SgdState | None = None  # None until the warmup fit

@@ -61,9 +61,12 @@ class DesignTracker:
 
         The result is a buffer the tracker owns: the next call overwrites
         it, so copy it to keep it, and never write into it. The diagonal is
-        exactly zero, since d_i + d_i - 2 d_i cancels without rounding.
+        exactly zero, since d_i + d_i - 2 d_i cancels without rounding. Off
+        it, q >= 2 / (lambda + 2t) > 0 after t updates, so only rounding can
+        make q < 0; a min(), cheaper than the clamp at n = 100, gates it.
         """
         q = np.add(self._d_col, self._d_row, out=self._q)
         q -= np.multiply(2.0, self.v_inv, out=self._two_v)
-        np.maximum(q, 0.0, out=q)
+        if q.min() < 0.0:
+            np.maximum(q, 0.0, out=q)
         return np.sqrt(q, out=q)

@@ -151,13 +151,14 @@ class TestLoadMatrix:
         path = tmp_path / "m.csv"
         path.write_text(text)
         with pytest.raises(MatrixLoadError, match=re.escape(
-                "entries must lie in [0, 1]")):
+                f"matrix in {path}: entries must lie in [0, 1]")):
             games.load_matrix(path)
 
     @pytest.mark.parametrize("p", [[[0.5, np.nan], [np.nan, 0.5]],
                                    [[0.5, 1.5], [-0.5, 0.5]]])
     def test_constructor_rejects_entry_outside_unit_interval(self, p):
-        with pytest.raises(MatrixLoadError, match=re.escape(
+        # no file, so no "matrix in <path>: " prefix
+        with pytest.raises(MatrixLoadError, match="^" + re.escape(
                 "entries must lie in [0, 1]")):
             games.WinMatrix(n=2, p=np.array(p))
 

@@ -769,15 +769,17 @@ class TestCli:
         assert parsed.T == 10
 
     def test_error_is_json_on_stderr_exit_1(self, tmp_path, capsys):
-        empty, one = tmp_path / "empty.csv", tmp_path / "one.csv"
-        empty.write_text("")
-        one.write_text("0.5\n")
-        # a matrix file with fewer than two players is a file error
+        files = {"empty": "", "one": "0.5\n", "diag": "0.6,0.7\n0.3,0.4\n",
+                 "antisym": "0.5,0.7\n0.4,0.5\n"}
+        for name, text in files.items():
+            (tmp_path / f"{name}.csv").write_text(text)
+        # a matrix file with fewer than two players is a file error, and
+        # every file error names the file
         for flags, error, key in [
                 (["--algo", "alpha_ig", "--n", "5", "--T", "30"],
                  "ConfigError", "algo"),
-                (["--matrix", str(empty), "--n", "2"], "MatrixLoadError", None),
-                (["--matrix", str(one), "--n", "2"], "MatrixLoadError", None)]:
+                *[(["--matrix", str(tmp_path / f"{name}.csv"), "--n", "2"],
+                   "MatrixLoadError", None) for name in files]]:
             code, out, err = self._main(["run", *flags], capsys)
             assert code == 1
             assert out == ""
@@ -797,8 +799,9 @@ class TestCli:
         code, out, err = self._main(
             ["run", "--matrix", str(path), "--n", "2", "--T", "20"], capsys)
         assert code == 1 and out == ""
-        assert json.loads(err) == {"error": "MatrixLoadError",
-                                   "message": "entries must lie in [0, 1]"}
+        assert json.loads(err) == {
+            "error": "MatrixLoadError",
+            "message": f"matrix in {path}: entries must lie in [0, 1]"}
 
     def test_missing_config_file_is_handled(self, capsys):
         code, _, err = self._main(

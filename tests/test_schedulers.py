@@ -341,6 +341,43 @@ class TestSelectionOracle:
             sizes.add(int(sched._candidate_mask(u, gap, gamma).sum()))
         assert 1 in sizes and n in sizes
 
+    @staticmethod
+    def _tied_u(n, seed):
+        """A symmetric u with a zero diagonal, entries in (0.1, 1), whose
+        maximum 1.9 is tied between (1, 7) and (2, 5), and whose runner-up
+        1.5 is tied between (4, 6) and (3, 9)."""
+        rng = np.random.default_rng(seed)
+        u = np.triu(rng.uniform(0.1, 1.0, size=(n, n)), 1)
+        u += u.T
+        for (x, y), v in {(1, 7): 1.9, (2, 5): 1.9,
+                          (4, 6): 1.5, (3, 9): 1.5}.items():
+            u[x, y] = u[y, x] = v
+        return u
+
+    @pytest.mark.parametrize("members,pair", [
+        (range(10), (1, 7)),           # |S| = n: the global tie
+        ([1, 2, 5, 7, 8], (1, 7)),     # the global tie inside S
+        ([3, 4, 6, 9], (3, 9)),        # a tie only among candidates
+        ([0, 3, 4, 6, 9], (3, 9)),     # non-candidates hold the maximum
+        ([0, 3, 7], None),             # non-candidate 1 holds (1, 7)
+        ([2, 7], (2, 7)),
+        ([6], (6, 6)),
+    ])
+    def test_ties_and_non_candidate_maxima(self, members, pair):
+        """Candidates are rated 0 and the rest -10, so gamma = 1 makes S
+        exactly `members`; the pair must match the reference loop."""
+        n = 10
+        sched = build("maxin_elo", n, T=100, tau=1)
+        for seed in range(5):
+            u = self._tied_u(n, seed)
+            r = np.where(mask_of(members, n), 0.0, -10.0)
+            mask = sched._candidate_mask(u, sched._rating_gap(r, None), 1.0)
+            assert np.array_equal(mask, mask_of(members, n))
+            expected = reference_pair(u, r, None, None, 1.0)
+            assert sched._select_pair(u, mask) == expected
+            if pair is not None:
+                assert expected == pair
+
 
 @st.composite
 def round_cases(draw):

@@ -1,9 +1,13 @@
 """The scripts under scripts/: ab_bench.py parses and summarizes canned
-benchmark output, and learner_check.py reports in a fixed shape."""
+benchmark output, learner_check.py reports in a fixed shape, and
+scorecard.py reads its statistics off hand-built traces and a tiny grid."""
 
 import importlib.util
 import json
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,8 +50,34 @@ def test_ab_bench_summary_of_canned_runs():
     assert rounds["base"][0] <= 102.5 <= rounds["base"][2]
     assert rounds["ratio"] == 145.0 / 102.5
     assert out["metrics"]["peak_rss_mb"]["won"] == 1   # only 57 < 58
+    assert rounds["verdict"] == "no change"    # 3/4 pairs is below 9/10
     text = ab.format_summary("paper-n20-io", out)
     assert "won 3/4" in text and "trace_sha256 equal" in text
+    assert "-> no change" in text
+
+    def runs(rounds, rss=58.0):
+        return [ab.parse_run(_canned_run(r, rss)) for r in rounds]
+
+    def verdicts(change, rss=58.0):
+        out = ab.summarize(list(zip(base, runs(change, rss))),
+                           {"rounds_per_s": "higher", "peak_rss_mb": "lower"},
+                           {"rounds_per_s": 0.25, "peak_rss_mb": 0.1})
+        return {k: m["verdict"] for k, m in out["metrics"].items()}
+
+    # base: median 102.5, q3 - q1 = 16.25, bound 0.25 x 102.5 = 25.625
+    assert verdicts((130, 135, 128, 140)) == {      # +31.5 > 16.25, 4/4
+        "rounds_per_s": "gain", "peak_rss_mb": "no change"}
+    assert verdicts((112, 125, 104, 121))["rounds_per_s"] == "no change"
+    assert verdicts((70, 80, 68, 75))["rounds_per_s"] == "worse"  # -30
+    # spread 47.5 > 25.625, and 100 < 110: too wide to tell
+    assert verdicts((150, 100, 160, 140))["rounds_per_s"] == "unresolved"
+    # as wide, but every change run beats every base run
+    assert verdicts((200, 300, 250, 400))["rounds_per_s"] == "gain"
+    # lower is better: 57 wins every pair, 64 is 6 > 0.1 x 58 worse
+    assert verdicts((130, 135, 128, 140), rss=57.0)["peak_rss_mb"] == "gain"
+    assert verdicts((130, 135, 128, 140), rss=64.0)["peak_rss_mb"] == "worse"
+    assert verdicts((130, 135, 128, 140), rss=59.0)["peak_rss_mb"] == \
+        "no change"
 
 
 def test_ab_bench_flags_differing_bytes_and_failures():
@@ -118,3 +148,105 @@ def test_learner_check_report_keys_and_repeatable(capsys):
         for c in run["checkpoints"]:
             assert set(c) == {"j", "records", "gap_l2", "corr_true", "g2"}
             assert c["records"] == 4 * (c["j"] + 1)
+
+
+@pytest.fixture
+def sc(monkeypatch):
+    """scripts/scorecard.py as a module; the BLAS thread variables it sets
+    on import are put back after the test."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    spec = importlib.util.spec_from_file_location(
+        "scorecard", ROOT / "scripts" / "scorecard.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_scorecard_suffix_start(sc):
+    assert sc.suffix_start([True, True, True]) == 1
+    assert sc.suffix_start([False, True, True]) == 2
+    assert sc.suffix_start([True, False, False, True]) == 4
+    assert sc.suffix_start([True, True, False]) is None
+    assert sc.suffix_start([False]) is None
+
+
+def test_scorecard_regret_slope(sc):
+    t = np.arange(1, 5001, dtype=float)
+    assert abs(sc.regret_slope(3.0 * np.sqrt(t)) - 0.5) < 1e-12
+    assert abs(sc.regret_slope(0.2 * t) - 1.0) < 1e-12
+    # T = 1200 keeps t = 500 and 1000 only; T = 800 keeps one point
+    assert abs(sc.regret_slope(np.sqrt(t[:1200])) - 0.5) < 1e-12
+    assert sc.regret_slope(np.sqrt(t[:800])) is None
+    zero_start = t.copy()
+    zero_start[:1000] = 0.0
+    assert sc.regret_slope(zero_start) is None
+
+
+def test_scorecard_trace_stats_of_a_hand_built_trace(sc):
+    from duelrank.harness import Trace
+    # rounds 1-6: rr reaches 1 at round 3, dips at 4, holds from 5;
+    # x == y from round 4 on; hr@4 ends at 0.75 (ks = (1, 4))
+    x = np.array([0, 1, 2, 3, 3, 3])
+    y = np.array([1, 2, 3, 3, 3, 3])
+    rr = np.array([0.5, 0.5, 1.0, 0.5, 1.0, 1.0])
+    hr = np.array([[0.0, 0.5]] * 5 + [[1.0, 0.75]])
+    regret = np.array([0.5, 0.25, 0.25, 0.0, 0.0, 0.0])
+    trace = Trace(x=x, y=y, outcome=np.ones(6, dtype=np.int64),
+                  instant_regret=regret, cum_regret=np.cumsum(regret), rr=rr,
+                  hr=hr, ndcg=hr.copy(), ks=(1, 4))
+    assert sc.trace_stats(trace) == {
+        "final_regret": 1.0, "rr1": True, "hr4": 0.75,
+        "rounds_to_identify": 5, "self_pair_share": 0.5,
+        "first_frozen_round": 4, "regret_slope": None}
+    rr[-1] = 0.5
+    stats = sc.trace_stats(trace)
+    assert not stats["rr1"] and stats["rounds_to_identify"] is None
+
+
+def test_scorecard_cell_summary(sc):
+    runs = [{"seed": s, "final_regret": reg, "rr1": rr1, "hr4": hr4,
+             "rounds_to_identify": ident, "self_pair_share": share,
+             "first_frozen_round": frozen, "regret_slope": slope,
+             "us_per_round": us}
+            for s, reg, rr1, hr4, ident, share, frozen, slope, us in [
+                (1, 10.0, True, 1.0, 40, 0.5, 90, 0.5, 3.0),
+                (2, 20.0, False, 0.5, None, 0.25, None, 1.0, 5.0),
+                (3, 30.0, True, 0.75, 60, 0.75, 70, None, 4.0)]]
+    runs.append({"seed": 4, "error": "SolverError", "message": "x"})
+    out = sc.summarize_cell(runs)
+    assert out["runs"] == 3 and out["failed"] == [runs[3]]
+    assert out["final_regret"] == {"q1": 15.0, "median": 20.0, "q3": 25.0}
+    assert out["rr1_rate"] == 2 / 3 and out["hr4_mean"] == 0.75
+    assert out["rounds_to_identify"] == {"runs": 2, "median": 50.0}
+    assert out["first_frozen_round"] == {"runs": 2, "median": 80.0}
+    assert out["self_pair_share"] == 0.5 and out["us_per_round"] == 4.0
+    assert out["regret_slope"] == 0.75       # the null slope is left out
+    assert out["per_seed"]["seed"] == [1, 2, 3]
+    assert out["per_seed"]["rounds_to_identify"] == [40, None, 60]
+
+
+def test_scorecard_two_cell_grid_in_a_pool_and_serially(sc, capsys):
+    """The same grid run by a 2-process pool (as a script) and serially
+    (in-process) gives the same statistics, up to the timings."""
+    import subprocess
+    import sys
+    script = ROOT / "scripts" / "scorecard.py"
+    argv = ["--n", "6", "--T", "200", "--seeds", "2", "--algos",
+            "maxin_elo", "--games", "elo,cyclic"]
+    pooled = json.loads(subprocess.run(
+        [sys.executable, str(script), *argv, "--workers", "2"],
+        capture_output=True, text=True, check=True).stdout)
+    assert sc.main(argv) == 0
+    serial = json.loads(capsys.readouterr().out)
+    assert pooled["command"].endswith("--workers 2")
+    assert serial["command"] == "python3 scripts/scorecard.py " + \
+        " ".join(argv)
+    assert [(c["algo"], c["game"], c["n"], c["T"]) for c in serial["cells"]] \
+        == [("maxin_elo", "elo", 6, 200), ("maxin_elo", "cyclic", 6, 200)]
+    for a, b in zip(pooled["cells"], serial["cells"]):
+        assert a["us_per_round"] > 0 and b["us_per_round"] > 0
+        a.pop("us_per_round"), b.pop("us_per_round")
+        assert a == b
+        assert a["runs"] == 2 and not a["failed"]
+        assert a["per_seed"]["seed"] == [1, 2]

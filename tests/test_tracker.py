@@ -1,6 +1,7 @@
 """Sherman-Morrison inverse maintenance and pairwise uncertainties."""
 
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,57 @@ class TestBuffersMatchReference:
                     # +0.0 exactly, without the reference's fill_diagonal
                     assert not np.signbit(np.diag(u)).any()
                     assert not np.diag(u).any()
+
+    @pytest.mark.parametrize("updates", [0, 40])
+    def test_negative_q_is_clamped_to_zero(self, updates):
+        """Rounding that drives an off-diagonal q below 0 still reads 0.0,
+        as the unconditional clamp gave, and sqrt never sees it."""
+        rng = np.random.default_rng(updates)
+        tr = DesignTracker(6, 1.0)
+        for _ in range(updates):
+            tr.update(*(int(v) for v in rng.choice(6, size=2, replace=False)))
+        vi = tr.v_inv
+        # q[1, 4] = d_1 + d_4 - 2 v_14 becomes a few ulp below zero
+        vi[1, 4] = vi[4, 1] = np.nextafter(0.5 * (vi[1, 1] + vi[4, 4]), 9.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = tr.uncertainty_matrix()
+        assert (vi[1, 1] + vi[4, 4]) - 2.0 * vi[1, 4] < 0.0
+        assert u[1, 4] == 0.0 and u[4, 1] == 0.0
+        assert not np.signbit(u[1, 4])
+        assert u.tobytes() == reference_uncertainty(vi).tobytes()
+
+    def test_nan_passes_through_without_warning(self):
+        tr = DesignTracker(4, 1.0)
+        tr.update(0, 2)
+        tr.v_inv[0, 3] = tr.v_inv[3, 0] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = tr.uncertainty_matrix()
+        assert np.isnan(u[0, 3]) and np.isnan(u[3, 0])
+        assert np.array_equal(u, reference_uncertainty(tr.v_inv),
+                              equal_nan=True)
+
+    @pytest.mark.parametrize("n,count", [(3, 100_000), (50, 10_000)])
+    def test_off_diagonal_q_stays_positive(self, n, count):
+        """q >= 2 / (lambda + 2t) > 0, so the clamp never fires in a run:
+        one pair over and over at n=3, random pairs at n=50."""
+        rng = np.random.default_rng(n)
+        if n == 3:
+            pairs = [(0, 1)] * count
+        else:
+            xs = rng.integers(n, size=count)
+            ys = rng.integers(n - 1, size=count)
+            pairs = zip(xs.tolist(), (ys + (ys >= xs)).tolist())
+        tr = DesignTracker(n, 1.0)
+        off = ~np.eye(n, dtype=bool)
+        for t, (x, y) in enumerate(pairs, start=1):
+            tr.update(x, y)
+            if t % 1000 == 0:
+                d = np.diag(tr.v_inv)
+                q = d[:, None] + d[None, :] - 2.0 * tr.v_inv
+                assert q[off].min() > 0.0, t
+        assert (tr.uncertainty_matrix()[off] > 0.0).all()
 
     def test_uncertainty_matrix_reuses_its_buffer(self):
         tr = DesignTracker(4, 1.0)
