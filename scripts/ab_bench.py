@@ -25,7 +25,9 @@ Each metric ends in one verdict, the first of these that holds:
 - ``unresolved``: the spread check failed and not every change run beats
   every base run;
 - ``gain``: the change won at least 9/10 of the pairs, and its median
-  moved the better way by more than the base's q3 - q1;
+  moved the better way by more than the base's q3 - q1; this counts only
+  with at least MIN_GAIN_PAIRS pairs and the same ``failed`` count in
+  every pair, and reads ``unresolved`` otherwise;
 - ``no change``.
 """
 
@@ -37,6 +39,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+MIN_GAIN_PAIRS = 10
 
 
 def parse_run(stdout: str) -> dict:
@@ -60,9 +64,10 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def verdict(base: list[float], change: list[float], sign: float,
-            won: int, bound: float | None) -> str:
+            won: int, bound: float | None, failed_equal: bool) -> str:
     """``worse``, ``unresolved``, ``gain`` or ``no change`` for one metric's
-    runs (see the module doc); ``sign`` is +1 when higher is better."""
+    runs (see the module doc); ``sign`` is +1 when higher is better, and
+    ``failed_equal`` says whether every pair failed as many operations."""
     (b1, b2, b3), (c1, c2, c3) = quartiles(base), quartiles(change)
     moved = sign * (c2 - b2)
     if bound is not None:
@@ -74,7 +79,8 @@ def verdict(base: list[float], change: list[float], sign: float,
         if not spread_ok and not every_run_better:
             return "unresolved"
     if won >= 0.9 * len(base) and moved > b3 - b1:
-        return "gain"
+        enough = len(base) >= MIN_GAIN_PAIRS and failed_equal
+        return "gain" if enough else "unresolved"
     return "no change"
 
 
@@ -102,7 +108,7 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
         out["metrics"][name] = {"base": qb, "change": qc, "won": won,
                                 "ratio": qc[1] / qb[1] if qb[1] else None,
                                 "verdict": verdict(base, change, sign, won,
-                                                   bound)}
+                                                   bound, out["failed_equal"])}
         if bound is not None:
             limit = bound * abs(qb[1])
             sb, sc = qb[2] - qb[0], qc[2] - qc[0]

@@ -5,10 +5,12 @@ Example (the command behind the committed SCORECARD.json):
     python3 scripts/scorecard.py --workers 2 --out SCORECARD.json
 
 A run is one ``harness.simulate`` of an (algo, game, n, seed) cell, with
-the matrix seed equal to the seed, gamma fixed (1.8 by default) and
-ks = (4,). Runs go to a pool of ``--workers`` spawned processes, as in
-``harness.sweep``; each worker keeps its trace and returns only these
-statistics, read off the trace columns:
+the matrix seed equal to the seed, gamma = GAMMA (1.8), the noisy_elo
+game's noise = NOISE (0.1) and ks = (4,); maxinp, whose refit is O(t) per
+round, stops at T_MAXINP (2000) rounds. Runs go to a pool of
+``--workers`` spawned processes, as in ``harness.sweep``; each worker
+keeps its trace and returns only these statistics, read off the trace
+columns:
 
 - ``final_regret``: cum_regret at T;
 - ``rr1``: whether RR = 1 at T, and ``hr4``: HR@4 at T;
@@ -54,6 +56,7 @@ from duelrank import harness  # noqa: E402
 from duelrank.config import ALGORITHMS, RunConfig  # noqa: E402
 
 GAMES = ("elo", "noisy_elo", "triangular", "cyclic")
+GAMMA, NOISE, T_MAXINP = 1.8, 0.1, 2000
 SLOPE_TS = (500, 1000, 2000, 5000)
 PER_SEED = ("final_regret", "rr1", "hr4", "rounds_to_identify",
             "self_pair_share", "first_frozen_round", "regret_slope")
@@ -136,9 +139,9 @@ def summarize_cell(runs: list[dict]) -> dict:
 
 def grid_configs(args) -> list[RunConfig]:
     """One config per (algo, game, n, seed), in that nesting order."""
-    return [RunConfig(algo=algo, game=game, n=n, seed=seed, gamma=args.gamma,
-                      noise=args.noise, ks=(4,),
-                      T=args.T_maxinp if algo == "maxinp" else args.T)
+    return [RunConfig(algo=algo, game=game, n=n, seed=seed, gamma=GAMMA,
+                      noise=NOISE, ks=(4,),
+                      T=min(args.T, T_MAXINP) if algo == "maxinp" else args.T)
             for algo in args.algos for game in args.games for n in args.n
             for seed in range(1, args.seeds + 1)]
 
@@ -159,8 +162,8 @@ def scorecard(args) -> dict:
                       "T": cfg.T, **summarize_cell(runs[i:i + args.seeds])})
     return {"grid": {"algos": args.algos, "games": args.games, "n": args.n,
                      "seeds": list(range(1, args.seeds + 1)), "T": args.T,
-                     "T_maxinp": args.T_maxinp, "gamma": args.gamma,
-                     "noise": args.noise, "ks": [4]},
+                     "T_maxinp": T_MAXINP, "gamma": GAMMA, "noise": NOISE,
+                     "ks": [4]},
             "cells": cells}
 
 
@@ -184,10 +187,6 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=int, default=12,
                     help="matrix seeds 1..SEEDS")
     ap.add_argument("--T", type=int, default=5000)
-    ap.add_argument("--T-maxinp", type=int, default=2000)
-    ap.add_argument("--gamma", type=float, default=1.8)
-    ap.add_argument("--noise", type=float, default=0.1,
-                    help="noise of the noisy_elo game")
     ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--out", help="JSON path (default: stdout)")
     argv = sys.argv[1:] if argv is None else argv

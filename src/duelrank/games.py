@@ -48,18 +48,18 @@ class TrueRatings:
     best: int
 
 
-def _validate(n: int, p: np.ndarray, tol: float, where: str = "") -> None:
+def _validate(n: int, p: np.ndarray, tol: float) -> None:
     if n < 2:
         raise ConfigError(f"need at least 2 players, got {n}", key="n")
     if p.shape != (n, n):
-        raise MatrixLoadError(f"{where}expected {n}x{n} matrix, got {p.shape}")
+        raise MatrixLoadError(f"expected {n}x{n} matrix, got {p.shape}")
     if not np.all((p >= 0.0) & (p <= 1.0)):  # false for NaN too
-        raise MatrixLoadError(f"{where}entries must lie in [0, 1]")
+        raise MatrixLoadError("entries must lie in [0, 1]")
     # diagonal first: a bad diagonal would also trip the pairwise check
     if np.max(np.abs(np.diag(p) - 0.5)) > tol:
-        raise MatrixLoadError(f"{where}diagonal entries must equal 0.5")
+        raise MatrixLoadError("diagonal entries must equal 0.5")
     if np.max(np.abs(p + p.T - 1.0)) > tol:
-        raise MatrixLoadError(f"{where}p[i][j] + p[j][i] != 1 beyond tolerance")
+        raise MatrixLoadError("p[i][j] + p[j][i] != 1 beyond tolerance")
 
 
 def gen_elo_game(n: int, rating_scale: float, seed: int) -> WinMatrix:
@@ -115,9 +115,8 @@ def gen_cyclic(n: int) -> WinMatrix:
 def load_matrix(path) -> WinMatrix:
     """Read a headerless CSV of win probabilities and validate it.
 
-    Entries are stored as-is; clipping only applies later when logits
-    are taken. Validation tolerance is looser (1e-6) than for generated
-    matrices since files typically hold rounded decimals.
+    Entries are kept as-is (logits clip them later). The tolerance, 1e-6,
+    is looser than for generated matrices: files hold rounded decimals.
     """
     try:
         with warnings.catch_warnings():  # an empty file warns; see below
@@ -131,7 +130,10 @@ def load_matrix(path) -> WinMatrix:
     if n < 2:
         raise MatrixLoadError(
             f"matrix in {path} is {n}x{n}; need at least 2 players")
-    _validate(n, p, tol=_LOAD_TOL, where=f"matrix in {path}: ")
+    try:
+        _validate(n, p, tol=_LOAD_TOL)
+    except MatrixLoadError as exc:
+        raise MatrixLoadError(f"matrix in {path}: {exc}") from exc
     # bypass the 1e-9 constructor check; the file passed at 1e-6
     m = object.__new__(WinMatrix)
     object.__setattr__(m, "n", n)

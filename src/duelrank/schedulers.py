@@ -248,8 +248,7 @@ class _WarmupScheduler(Scheduler):
                      mask: np.ndarray) -> tuple[int, int]:
         """The candidate pair x < y of largest u[x, y], lowest pair on ties:
         the first argmax of u on S x S in row-major order, since u is
-        symmetric with a zero diagonal. A single candidate x gives (x, x).
-        """
+        symmetric with a zero diagonal. A single candidate x gives (x, x)."""
         size = np.count_nonzero(mask)
         if size == 0:
             raise ContractViolationError(

@@ -63,8 +63,7 @@ class DesignTracker:
         it, so copy it to keep it, and never write into it. The diagonal is
         exactly zero, since d_i + d_i - 2 d_i cancels without rounding. Off
         it, q >= 2 / (lambda + 2t) > 0 after t updates, so only rounding can
-        make q < 0; a min(), cheaper than the clamp at n = 100, gates it.
-        """
+        make q < 0; a min(), cheaper than the clamp at n = 100, gates it."""
         q = np.add(self._d_col, self._d_row, out=self._q)
         q -= np.multiply(2.0, self.v_inv, out=self._two_v)
         if q.min() < 0.0:

@@ -55,29 +55,42 @@ def test_ab_bench_summary_of_canned_runs():
     assert "won 3/4" in text and "trace_sha256 equal" in text
     assert "-> no change" in text
 
-    def runs(rounds, rss=58.0):
-        return [ab.parse_run(_canned_run(r, rss)) for r in rounds]
+    def runs(rounds, rss=58.0, failed=0):
+        return [ab.parse_run(_canned_run(r, rss, failed=failed))
+                for r in rounds]
 
-    def verdicts(change, rss=58.0):
-        out = ab.summarize(list(zip(base, runs(change, rss))),
-                           {"rounds_per_s": "higher", "peak_rss_mb": "lower"},
-                           {"rounds_per_s": 0.25, "peak_rss_mb": 0.1})
+    # ten pairs, the fewest a gain counts on
+    base10 = runs((100, 110, 90, 105, 95, 102, 98, 108, 92, 104))
+
+    def verdicts(change, rss=58.0, failed=0):
+        out = ab.summarize(
+            list(zip(base10, runs(change, rss, failed))),
+            {"rounds_per_s": "higher", "peak_rss_mb": "lower"},
+            {"rounds_per_s": 0.25, "peak_rss_mb": 0.1})
         return {k: m["verdict"] for k, m in out["metrics"].items()}
 
-    # base: median 102.5, q3 - q1 = 16.25, bound 0.25 x 102.5 = 25.625
-    assert verdicts((130, 135, 128, 140)) == {      # +31.5 > 16.25, 4/4
+    # base: median 101, q3 - q1 = 11.5, bound 0.25 x 101 = 25.25
+    faster = (130, 135, 128, 140, 126, 138, 133, 131, 129, 137)
+    assert verdicts(faster) == {                    # +31 > 11.5, 10/10
         "rounds_per_s": "gain", "peak_rss_mb": "no change"}
-    assert verdicts((112, 125, 104, 121))["rounds_per_s"] == "no change"
-    assert verdicts((70, 80, 68, 75))["rounds_per_s"] == "worse"  # -30
-    # spread 47.5 > 25.625, and 100 < 110: too wide to tell
-    assert verdicts((150, 100, 160, 140))["rounds_per_s"] == "unresolved"
+    # the same runs cannot count as a gain on 4 pairs, nor when the
+    # change fails an operation the base does not
+    assert verdicts(faster[:4])["rounds_per_s"] == "unresolved"
+    assert verdicts(faster, failed=1)["rounds_per_s"] == "unresolved"
+    assert verdicts((112, 125, 104, 121, 108, 118, 103, 115, 106, 111))[
+        "rounds_per_s"] == "no change"               # +10.5 < 11.5
+    assert verdicts((70, 80, 68, 75, 72, 78, 66, 74, 71, 77))[
+        "rounds_per_s"] == "worse"                   # -28 > 25.25
+    # change spread 52.5 > 25.25, and 100 < 110: too wide to tell
+    assert verdicts((150, 100, 160, 140, 150, 100, 160, 140, 150, 100))[
+        "rounds_per_s"] == "unresolved"
     # as wide, but every change run beats every base run
-    assert verdicts((200, 300, 250, 400))["rounds_per_s"] == "gain"
+    assert verdicts((200, 300, 250, 400, 220, 310, 260, 390, 240, 330))[
+        "rounds_per_s"] == "gain"
     # lower is better: 57 wins every pair, 64 is 6 > 0.1 x 58 worse
-    assert verdicts((130, 135, 128, 140), rss=57.0)["peak_rss_mb"] == "gain"
-    assert verdicts((130, 135, 128, 140), rss=64.0)["peak_rss_mb"] == "worse"
-    assert verdicts((130, 135, 128, 140), rss=59.0)["peak_rss_mb"] == \
-        "no change"
+    assert verdicts(faster, rss=57.0)["peak_rss_mb"] == "gain"
+    assert verdicts(faster, rss=64.0)["peak_rss_mb"] == "worse"
+    assert verdicts(faster, rss=59.0)["peak_rss_mb"] == "no change"
 
 
 def test_ab_bench_flags_differing_bytes_and_failures():
