@@ -4,13 +4,16 @@
 Example (the command behind the committed SCORECARD.json):
     python3 scripts/scorecard.py --workers 2 --out SCORECARD.json
 
+The games are ``elo``, ``noisy_elo`` with noise = NOISE (0.1), both with
+the matrix seed equal to the seed, and two fixed games whose best player
+is n - 1: ``triangular_rev`` (higher index always wins) and
+``cyclic_dominant`` (acceptance test 7's ring plus a dominant player).
 A run is one ``harness.simulate`` of an (algo, game, n, seed) cell, with
-the matrix seed equal to the seed, gamma = GAMMA (1.8), the noisy_elo
-game's noise = NOISE (0.1) and ks = (4,); maxinp, whose refit is O(t) per
-round, stops at T_MAXINP (2000) rounds. Runs go to a pool of
-``--workers`` spawned processes, as in ``harness.sweep``; each worker
-keeps its trace and returns only these statistics, read off the trace
-columns:
+gamma = GAMMA (1.8) and ks = (4,); maxinp, whose refit is O(t) per
+round, stops at T_MAXINP (2000) rounds. Runs go through
+``harness.pool_map`` to ``--workers`` processes, as ``harness.sweep``'s
+points do; each worker keeps its trace and returns only these
+statistics, read off the trace columns:
 
 - ``final_regret``: cum_regret at T;
 - ``rr1``: whether RR = 1 at T, and ``hr4``: HR@4 at T;
@@ -34,32 +37,45 @@ nothing here passes or fails.
 
 from __future__ import annotations
 
-import os
+import argparse
+import itertools
+import sys
+import tempfile
+from pathlib import Path
 
-# One BLAS/OpenMP thread per process, fixed before numpy loads and
-# inherited by the workers: with the default thread count, two workers on
-# 2 vCPUs read maxin_elo at n=100 as 97 us/round against 33 serially.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import argparse  # noqa: E402
-import multiprocessing  # noqa: E402
-import sys  # noqa: E402
-from concurrent.futures import ProcessPoolExecutor  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-import numpy as np  # noqa: E402
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from duelrank import harness  # noqa: E402
+from duelrank import games, harness  # noqa: E402
 from duelrank.config import ALGORITHMS, RunConfig  # noqa: E402
 
-GAMES = ("elo", "noisy_elo", "triangular", "cyclic")
+GAMES = ("elo", "noisy_elo", "triangular_rev", "cyclic_dominant")
 GAMMA, NOISE, T_MAXINP = 1.8, 0.1, 2000
 SLOPE_TS = (500, 1000, 2000, 5000)
 PER_SEED = ("final_regret", "rr1", "hr4", "rounds_to_identify",
             "self_pair_share", "first_frozen_round", "regret_slope")
+
+
+def triangular_rev(n: int) -> np.ndarray:
+    """``games.gen_triangular`` with its players in reverse order: higher
+    index always wins, so the best player is n - 1, last in the tie-break
+    order of an all-zero estimate rather than first."""
+    return games.gen_triangular(n).p[::-1, ::-1]
+
+
+def cyclic_dominant(n: int) -> np.ndarray:
+    """Acceptance test 7's game for any n >= 4: the ring
+    ``games.gen_cyclic(n - 1)`` plus a last player who beats each of the
+    others with probability 0.8, and so is the best."""
+    p = np.full((n, n), 0.5)
+    p[:-1, :-1] = games.gen_cyclic(n - 1).p
+    p[-1, :-1], p[:-1, -1] = 0.8, 0.2
+    return p
+
+
+MATRIX_GAMES = {"triangular_rev": triangular_rev,
+                "cyclic_dominant": cyclic_dominant}
 
 
 def suffix_start(flags) -> int | None:
@@ -137,29 +153,35 @@ def summarize_cell(runs: list[dict]) -> dict:
     return out
 
 
-def grid_configs(args) -> list[RunConfig]:
-    """One config per (algo, game, n, seed), in that nesting order."""
-    return [RunConfig(algo=algo, game=game, n=n, seed=seed, gamma=GAMMA,
-                      noise=NOISE, ks=(4,),
+def grid_configs(args, matrix_dir) -> list[RunConfig]:
+    """One config per (algo, game, n, seed), in that nesting order. A
+    MATRIX_GAMES game is written as CSV to ``matrix_dir`` and played
+    through ``RunConfig.matrix``; the others are harness generators."""
+    game_of = {}
+    for game, n in itertools.product(args.games, args.n):
+        if game in MATRIX_GAMES:
+            path = str(Path(matrix_dir) / f"{game}_{n}.csv")
+            np.savetxt(path, MATRIX_GAMES[game](n), delimiter=",",
+                       fmt="%.17g")
+            game_of[game, n] = {"matrix": path}
+        else:
+            game_of[game, n] = {"game": game}
+    return [RunConfig(algo=algo, n=n, seed=seed, gamma=GAMMA, noise=NOISE,
+                      ks=(4,), **game_of[game, n],
                       T=min(args.T, T_MAXINP) if algo == "maxinp" else args.T)
             for algo in args.algos for game in args.games for n in args.n
             for seed in range(1, args.seeds + 1)]
 
 
 def scorecard(args) -> dict:
-    configs = grid_configs(args)
-    if args.workers > 1:
-        with ProcessPoolExecutor(
-                max_workers=args.workers,
-                mp_context=multiprocessing.get_context("spawn")) as pool:
-            runs = list(pool.map(run_cell, configs))
-    else:
-        runs = [run_cell(cfg) for cfg in configs]
+    with tempfile.TemporaryDirectory() as matrix_dir:
+        configs = grid_configs(args, matrix_dir)
+        runs = harness.pool_map(run_cell, configs, args.workers)
     cells = []
-    for i in range(0, len(runs), args.seeds):
-        cfg = configs[i]
-        cells.append({"algo": cfg.algo, "game": cfg.game, "n": cfg.n,
-                      "T": cfg.T, **summarize_cell(runs[i:i + args.seeds])})
+    cell_keys = itertools.product(args.algos, args.games, args.n)
+    for i, (algo, game, n) in zip(range(0, len(runs), args.seeds), cell_keys):
+        cells.append({"algo": algo, "game": game, "n": n, "T": configs[i].T,
+                      **summarize_cell(runs[i:i + args.seeds])})
     return {"grid": {"algos": args.algos, "games": args.games, "n": args.n,
                      "seeds": list(range(1, args.seeds + 1)), "T": args.T,
                      "T_maxinp": T_MAXINP, "gamma": GAMMA, "noise": NOISE,

@@ -42,6 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--grid", action="append", default=[],
                          metavar="KEY=V1,V2,...",
                          help="sweep values for one config key (repeatable)")
+    p_sweep.add_argument("--workers", default="1", help="worker processes")
 
     p_rep = sub.add_parser("report", help="summarize existing trace CSVs")
     p_rep.add_argument("--traces", nargs="+", required=True)
@@ -84,7 +85,7 @@ def _parse_grid(specs: list[str], field_types: dict) -> dict:
 def cmd_sweep(args) -> int:
     cfg = parse_config(args.config, _overrides(args))
     grid = _parse_grid(args.grid, _field_types())
-    results = harness.sweep(cfg, grid)
+    results = harness.sweep(cfg, grid, _convert("workers", args.workers, int))
     harness.write_json(results, f"{cfg.out}.sweep.json" if cfg.out else None)
     return 0
 

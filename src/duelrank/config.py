@@ -48,19 +48,11 @@ class RunConfig:
     replicates: int = 1
     ks: tuple[int, ...] = ()          # HR@k / NDCG@k cutoffs
     out: str | None = None
-    workers: int = 1
 
     def digest(self) -> str:
-        """Identity of the experiment: every field but the output path and
-        the worker count, which do not change what is computed."""
-        items = []
-        for f in dataclasses.fields(self):
-            if f.name in ("out", "workers"):
-                continue
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                v = ",".join(str(x) for x in v)
-            items.append(f"{f.name}={v}")
+        """Identity of the experiment: every field but the output path."""
+        items = [f"{key}={','.join(map(str, v)) if isinstance(v, tuple) else v}"
+                 for key, v in vars(self).items() if key != "out"]
         return ";".join(items) + f";prng={PRNG_NAME}"
 
     def resolve(self) -> RunConfig:

@@ -11,9 +11,11 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import multiprocessing
+import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,12 +175,37 @@ def _sweep_point(cfg: RunConfig) -> dict:
                 "config": cfg.digest()}
 
 
-def sweep(template: RunConfig, grid: dict[str, list]) -> list[dict]:
+def pool_map(fn, items, workers: int) -> list:
+    """``[fn(x) for x in items]``: here if ``workers <= 1`` or the list
+    ``items`` has at most one entry, else in ``workers`` spawned processes,
+    each with one BLAS/OpenMP thread so they do not oversubscribe the
+    cores. The caller's environment is restored afterwards."""
+    if workers <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    pins = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    saved = {var: os.environ[var] for var in pins if var in os.environ}
+    os.environ.update(dict.fromkeys(pins, "1"))
+    try:
+        with futures.ProcessPoolExecutor(
+                workers, multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(fn, items))
+    finally:
+        for var in pins:
+            del os.environ[var]
+        os.environ.update(saved)
+
+
+def sweep(template: RunConfig, grid: dict[str, list],
+          workers: int = 1) -> list[dict]:
     """Run the cartesian grid over the template; order is deterministic.
 
     Keys with empty value lists fall back to the template's value.
     Point failures are recorded in place without stopping the sweep.
+    Points go through ``pool_map``, so a script calling this with
+    ``workers > 1`` needs an ``if __name__ == "__main__":`` guard.
     """
+    if workers < 1:
+        raise ConfigError("workers must be at least 1", key="workers")
     keys = sorted(k for k, vals in grid.items() if vals)
     types = _field_types()
     for k in grid:
@@ -188,11 +215,7 @@ def sweep(template: RunConfig, grid: dict[str, list]) -> list[dict]:
     combos = [dict(zip(keys, combo))
               for combo in itertools.product(*value_lists)]
     points = [dataclasses.replace(template, **combo) for combo in combos]
-    if template.workers > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=template.workers) as pool:
-            results = list(pool.map(_sweep_point, points))
-    else:
-        results = [_sweep_point(p) for p in points]
+    results = pool_map(_sweep_point, points, workers)
     for res, combo in zip(results, combos):
         res["point"] = combo
     return results

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -88,8 +89,7 @@ class TestParseConfig:
     def test_field_types_cover_every_field(self):
         expected = {
             str: ["algo", "game", "matrix", "gamma_mode", "out"],
-            int: ["n", "T", "tau", "k", "seed", "matrix_seed", "replicates",
-                  "workers"],
+            int: ["n", "T", "tau", "k", "seed", "matrix_seed", "replicates"],
             float: ["rating_scale", "noise", "gamma", "alpha", "eta0",
                     "delta", "lambda_ridge", "ridge", "c1", "clip_eps"],
             bool: ["melo"],
@@ -99,17 +99,16 @@ class TestParseConfig:
         assert set(flat) == {f.name for f in dataclasses.fields(RunConfig)}
         assert harness._field_types() == flat
 
-    def test_digest_ignores_output_path_and_workers(self):
+    def test_digest_ignores_output_path(self):
         cfg = RunConfig(algo="random", n=5, T=30, seed=3)
-        moved = dataclasses.replace(cfg, out="elsewhere", workers=4)
+        moved = dataclasses.replace(cfg, out="elsewhere")
         assert moved.digest() == cfg.digest()
         assert dataclasses.replace(cfg, seed=4).digest() != cfg.digest()
 
     def test_digest_pinned(self):
         # guards the field order and spelling that name every experiment
         cfg = RunConfig(algo="maxinp", n=8, T=300, tau=5, gamma=1.8,
-                        melo=True, seed=7, matrix_seed=3, ks=(1, 4), out="x",
-                        workers=2)
+                        melo=True, seed=7, matrix_seed=3, ks=(1, 4), out="x")
         assert cfg.digest() == (
             "algo=maxinp;game=elo;n=8;rating_scale=1.0;noise=0.0;"
             "matrix=None;T=300;tau=5;gamma=1.8;gamma_mode=fixed;alpha=None;"
@@ -248,12 +247,17 @@ class TestSweep:
     def test_parallel_matches_serial(self):
         cfg = RunConfig(algo="random", n=5, T=30, seed=0)
         serial = sweep(cfg, {"eta0": [0.1, 0.5]})
-        parallel = sweep(dataclasses.replace(cfg, workers=2),
-                         {"eta0": [0.1, 0.5]})
+        parallel = sweep(cfg, {"eta0": [0.1, 0.5]}, workers=2)
         for s, p in zip(serial, parallel):
             assert s["summary"]["final_cum_regret"] == \
                 p["summary"]["final_cum_regret"]
             assert s["summary"]["config"] == p["summary"]["config"]
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ConfigError) as exc:
+            sweep(RunConfig(algo="random", n=5, T=30), {}, workers=workers)
+        assert exc.value.key == "workers"
 
     def test_per_seed_best_gamma_selection(self):
         # tuning protocol: pick the gamma with the best final RR per seed
@@ -265,6 +269,29 @@ class TestSweep:
             rrs = [r["summary"]["final_rr"][rep] for r in results]
             per_seed_best.append(max(range(len(rrs)), key=lambda i: rrs[i]))
         assert len(per_seed_best) == 2
+
+
+PINS = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+
+
+class TestPoolMap:
+    def test_workers_start_with_one_blas_thread(self, monkeypatch):
+        monkeypatch.setenv(PINS[0], "4")
+        for var in PINS[1:]:
+            monkeypatch.delenv(var, raising=False)
+        assert harness.pool_map(os.getenv, PINS, 2) == ["1", "1", "1"]
+        # the caller's environment is as it was
+        assert os.environ[PINS[0]] == "4"
+        assert all(var not in os.environ for var in PINS[1:])
+
+    @pytest.mark.parametrize("workers,items", [(1, [0, 1]), (0, [0, 1]),
+                                               (2, [0])])
+    def test_serial_path_runs_in_process(self, workers, items):
+        assert harness.pool_map(lambda _: os.getpid(), items, workers) == \
+            [os.getpid()] * len(items)
+
+    def test_results_keep_input_order(self):
+        assert harness.pool_map(abs, [-3, 1, -2, 0], 2) == [3, 1, 2, 0]
 
 
 def reference_trace_csv(trace) -> bytes:
@@ -810,13 +837,22 @@ class TestCli:
         assert json.loads(err)["error"] in ("FileNotFoundError", "ConfigError")
 
     def test_sweep_json(self, capsys):
-        code, out, _ = self._main(
-            ["sweep", "--algo", "random", "--n", "5", "--T", "30",
-             "--seed", "0", "--grid", "eta0=0.1,0.5"], capsys)
-        assert code == 0
-        results = json.loads(out)
-        assert len(results) == 2
-        assert all(r["ok"] for r in results)
+        for extra in ([], ["--workers", "2"]):
+            code, out, _ = self._main(
+                ["sweep", "--algo", "random", "--n", "5", "--T", "30",
+                 "--seed", "0", "--grid", "eta0=0.1,0.5", *extra], capsys)
+            assert code == 0
+            results = json.loads(out)
+            assert len(results) == 2
+            assert all(r["ok"] for r in results)
+
+    @pytest.mark.parametrize("command", ["run", "gen"])
+    def test_workers_is_a_sweep_flag_only(self, capsys, command):
+        # RunConfig has no workers field, so run and gen have no such flag
+        with pytest.raises(SystemExit) as exc:
+            self._main([command, "--workers", "2"], capsys)
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_report_subcommand(self, tmp_path, capsys):
         traces, summary = simulate(
@@ -952,7 +988,10 @@ class TestCli:
         (["gen", "--game", "noisy_elo", "--noise", "-1"], "noise"),
         (["run", "--game", "cyclic", "--n", "2"], "n"),
         (["sweep", "--grid", "foo=1"], "foo"),
-        (["sweep", "--grid", "gamma"], "grid")])
+        (["sweep", "--grid", "gamma"], "grid"),
+        (["sweep", "--workers", "0"], "workers"),
+        (["sweep", "--workers", "two"], "workers"),
+        (["sweep", "--grid", "workers=2"], "workers")])
     def test_bad_argument_is_json_config_error_with_key(self, capsys, argv,
                                                         key):
         code, out, err = self._main(argv, capsys)

@@ -164,11 +164,8 @@ def test_learner_check_report_keys_and_repeatable(capsys):
 
 
 @pytest.fixture
-def sc(monkeypatch):
-    """scripts/scorecard.py as a module; the BLAS thread variables it sets
-    on import are put back after the test."""
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, "1")
+def sc():
+    """scripts/scorecard.py as a module."""
     spec = importlib.util.spec_from_file_location(
         "scorecard", ROOT / "scripts" / "scorecard.py")
     module = importlib.util.module_from_spec(spec)
@@ -246,7 +243,7 @@ def test_scorecard_two_cell_grid_in_a_pool_and_serially(sc, capsys):
     import sys
     script = ROOT / "scripts" / "scorecard.py"
     argv = ["--n", "6", "--T", "200", "--seeds", "2", "--algos",
-            "maxin_elo", "--games", "elo,cyclic"]
+            "maxin_elo", "--games", "elo,cyclic_dominant"]
     pooled = json.loads(subprocess.run(
         [sys.executable, str(script), *argv, "--workers", "2"],
         capture_output=True, text=True, check=True).stdout)
@@ -256,10 +253,38 @@ def test_scorecard_two_cell_grid_in_a_pool_and_serially(sc, capsys):
     assert serial["command"] == "python3 scripts/scorecard.py " + \
         " ".join(argv)
     assert [(c["algo"], c["game"], c["n"], c["T"]) for c in serial["cells"]] \
-        == [("maxin_elo", "elo", 6, 200), ("maxin_elo", "cyclic", 6, 200)]
+        == [("maxin_elo", "elo", 6, 200),
+            ("maxin_elo", "cyclic_dominant", 6, 200)]
     for a, b in zip(pooled["cells"], serial["cells"]):
         assert a["us_per_round"] > 0 and b["us_per_round"] > 0
         a.pop("us_per_round"), b.pop("us_per_round")
         assert a == b
         assert a["runs"] == 2 and not a["failed"]
         assert a["per_seed"]["seed"] == [1, 2]
+    # the dominant player is not index 0, so regret is not 0 by default
+    assert serial["cells"][1]["final_regret"]["median"] > 0
+
+
+@pytest.mark.parametrize("n", [4, 6, 20])
+@pytest.mark.parametrize("game", ["triangular_rev", "cyclic_dominant"])
+def test_scorecard_matrix_games_load_with_best_last(sc, tmp_path, game, n):
+    from duelrank import games
+    path = tmp_path / f"{game}.csv"
+    np.savetxt(path, sc.MATRIX_GAMES[game](n), delimiter=",", fmt="%.17g")
+    matrix = games.load_matrix(str(path))
+    np.testing.assert_array_equal(matrix.p, sc.MATRIX_GAMES[game](n))
+    truth = games.true_ratings(matrix)
+    assert truth.best == n - 1
+    if game == "triangular_rev":  # higher index always wins
+        i, j = np.indices((n, n))
+        np.testing.assert_array_equal(
+            matrix.p, np.where(i > j, 1.0, np.where(i < j, 0.0, 0.5)))
+    else:  # every ring player trails the dominant one by logit(0.8)
+        np.testing.assert_allclose(truth.r_star[-1] - truth.r_star[:-1],
+                                   np.log(4.0), rtol=1e-12)
+
+
+def test_scorecard_cyclic_dominant_is_acceptance_test_7_game(sc, tmp_path):
+    from test_acceptance import _cyclic_plus_dominant
+    test_7 = np.loadtxt(_cyclic_plus_dominant(tmp_path), delimiter=",")
+    np.testing.assert_array_equal(sc.cyclic_dominant(6), test_7)
