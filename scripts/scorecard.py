@@ -8,6 +8,8 @@ The games are ``elo``, ``noisy_elo`` with noise = NOISE (0.1), both with
 the matrix seed equal to the seed, and two fixed games whose best player
 is n - 1: ``triangular_rev`` (higher index always wins) and
 ``cyclic_dominant`` (acceptance test 7's ring plus a dominant player).
+All four are ``duelrank.games`` generators, played by name through
+``RunConfig.game``.
 A run is one ``harness.simulate`` of an (algo, game, n, seed) cell, with
 gamma = GAMMA (1.8) and ks = (4,); maxinp, whose refit is O(t) per
 round, stops at T_MAXINP (2000) rounds. Runs go through
@@ -40,14 +42,13 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from duelrank import games, harness  # noqa: E402
+from duelrank import harness  # noqa: E402
 from duelrank.config import ALGORITHMS, RunConfig  # noqa: E402
 
 GAMES = ("elo", "noisy_elo", "triangular_rev", "cyclic_dominant")
@@ -55,27 +56,6 @@ GAMMA, NOISE, T_MAXINP = 1.8, 0.1, 2000
 SLOPE_TS = (500, 1000, 2000, 5000)
 PER_SEED = ("final_regret", "rr1", "hr4", "rounds_to_identify",
             "self_pair_share", "first_frozen_round", "regret_slope")
-
-
-def triangular_rev(n: int) -> np.ndarray:
-    """``games.gen_triangular`` with its players in reverse order: higher
-    index always wins, so the best player is n - 1, last in the tie-break
-    order of an all-zero estimate rather than first."""
-    return games.gen_triangular(n).p[::-1, ::-1]
-
-
-def cyclic_dominant(n: int) -> np.ndarray:
-    """Acceptance test 7's game for any n >= 4: the ring
-    ``games.gen_cyclic(n - 1)`` plus a last player who beats each of the
-    others with probability 0.8, and so is the best."""
-    p = np.full((n, n), 0.5)
-    p[:-1, :-1] = games.gen_cyclic(n - 1).p
-    p[-1, :-1], p[:-1, -1] = 0.8, 0.2
-    return p
-
-
-MATRIX_GAMES = {"triangular_rev": triangular_rev,
-                "cyclic_dominant": cyclic_dominant}
 
 
 def suffix_start(flags) -> int | None:
@@ -153,30 +133,18 @@ def summarize_cell(runs: list[dict]) -> dict:
     return out
 
 
-def grid_configs(args, matrix_dir) -> list[RunConfig]:
-    """One config per (algo, game, n, seed), in that nesting order. A
-    MATRIX_GAMES game is written as CSV to ``matrix_dir`` and played
-    through ``RunConfig.matrix``; the others are harness generators."""
-    game_of = {}
-    for game, n in itertools.product(args.games, args.n):
-        if game in MATRIX_GAMES:
-            path = str(Path(matrix_dir) / f"{game}_{n}.csv")
-            np.savetxt(path, MATRIX_GAMES[game](n), delimiter=",",
-                       fmt="%.17g")
-            game_of[game, n] = {"matrix": path}
-        else:
-            game_of[game, n] = {"game": game}
-    return [RunConfig(algo=algo, n=n, seed=seed, gamma=GAMMA, noise=NOISE,
-                      ks=(4,), **game_of[game, n],
+def grid_configs(args) -> list[RunConfig]:
+    """One config per (algo, game, n, seed), in that nesting order."""
+    return [RunConfig(algo=algo, game=game, n=n, seed=seed, gamma=GAMMA,
+                      noise=NOISE, ks=(4,),
                       T=min(args.T, T_MAXINP) if algo == "maxinp" else args.T)
             for algo in args.algos for game in args.games for n in args.n
             for seed in range(1, args.seeds + 1)]
 
 
 def scorecard(args) -> dict:
-    with tempfile.TemporaryDirectory() as matrix_dir:
-        configs = grid_configs(args, matrix_dir)
-        runs = harness.pool_map(run_cell, configs, args.workers)
+    configs = grid_configs(args)
+    runs = harness.pool_map(run_cell, configs, args.workers)
     cells = []
     cell_keys = itertools.product(args.algos, args.games, args.n)
     for i, (algo, game, n) in zip(range(0, len(runs), args.seeds), cell_keys):

@@ -4,9 +4,11 @@ from .games import (
     WinMatrix,
     TrueRatings,
     gen_cyclic,
+    gen_cyclic_dominant,
     gen_elo_game,
     gen_noisy_elo_game,
     gen_triangular,
+    gen_triangular_rev,
     load_matrix,
     sample_outcome,
     true_ratings,
@@ -30,9 +32,10 @@ from .tracker import DesignTracker
 __version__ = "0.1.0"
 
 __all__ = [
-    "WinMatrix", "TrueRatings", "gen_cyclic", "gen_elo_game",
-    "gen_noisy_elo_game", "gen_triangular", "load_matrix", "sample_outcome",
-    "true_ratings", "RunConfig", "parse_config", "simulate", "sweep",
+    "WinMatrix", "TrueRatings", "gen_cyclic", "gen_cyclic_dominant",
+    "gen_elo_game", "gen_noisy_elo_game", "gen_triangular",
+    "gen_triangular_rev", "load_matrix", "sample_outcome", "true_ratings",
+    "RunConfig", "parse_config", "simulate", "sweep",
     "hit_ratio_at_k", "instant_regret", "ndcg_at_k", "reciprocal_rank",
     "RatingState", "elo_loss", "mle_fit", "predict_elo", "predict_melo",
     "project", "sgd_step_elo", "sgd_step_melo", "MatchEnv",

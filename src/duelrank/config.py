@@ -25,7 +25,8 @@ class RunConfig:
     """Flat configuration of one simulation (or a replicate set)."""
 
     algo: str = "maxin_elo"
-    game: str = "elo"            # elo | noisy_elo | triangular | cyclic
+    game: str = "elo"            # elo | noisy_elo | triangular | cyclic |
+                                 # triangular_rev | cyclic_dominant
     n: int = 20
     rating_scale: float = 1.0
     noise: float = 0.0

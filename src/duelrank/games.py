@@ -112,6 +112,26 @@ def gen_cyclic(n: int) -> WinMatrix:
     return WinMatrix(n=n, p=p)
 
 
+def gen_triangular_rev(n: int) -> WinMatrix:
+    """``gen_triangular`` with its players in reverse order: higher index
+    always wins, so the best player is n - 1, last in the tie-break order
+    of an all-zero estimate rather than first."""
+    return WinMatrix(n=n, p=gen_triangular(n).p[::-1, ::-1])
+
+
+def gen_cyclic_dominant(n: int) -> WinMatrix:
+    """Acceptance test 7's game for any n >= 4: the ring
+    ``gen_cyclic(n - 1)`` plus a last player who beats each of the others
+    with probability 0.8, and so is the best."""
+    if n < 4:
+        raise ConfigError(
+            f"cyclic_dominant game needs at least 4 players, got {n}", key="n")
+    p = np.full((n, n), 0.5)
+    p[:-1, :-1] = gen_cyclic(n - 1).p
+    p[-1, :-1], p[:-1, -1] = 0.8, 0.2
+    return WinMatrix(n=n, p=p)
+
+
 def load_matrix(path) -> WinMatrix:
     """Read a headerless CSV of win probabilities and validate it.
 

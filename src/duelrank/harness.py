@@ -48,6 +48,10 @@ def build_matrix(cfg: RunConfig) -> WinMatrix:
         return games.gen_triangular(cfg.n)
     if cfg.game == "cyclic":
         return games.gen_cyclic(cfg.n)
+    if cfg.game == "triangular_rev":
+        return games.gen_triangular_rev(cfg.n)
+    if cfg.game == "cyclic_dominant":
+        return games.gen_cyclic_dominant(cfg.n)
     raise ConfigError(f"unknown game generator: {cfg.game}", key="game")
 
 

@@ -111,6 +111,37 @@ class TestCyclic:
             games.gen_cyclic(2)
 
 
+class TestFixedGames:
+    """``triangular_rev`` and ``cyclic_dominant``: fixed games whose best
+    player is the last one, n - 1."""
+
+    @pytest.mark.parametrize("n", [4, 6, 20])
+    @pytest.mark.parametrize("game", ["triangular_rev", "cyclic_dominant"])
+    def test_best_is_last(self, game, n):
+        matrix = getattr(games, f"gen_{game}")(n)
+        assert_win_matrix_invariants(matrix)
+        truth = games.true_ratings(matrix)
+        assert truth.best == n - 1
+        if game == "triangular_rev":  # higher index always wins
+            i, j = np.indices((n, n))
+            np.testing.assert_array_equal(
+                matrix.p, np.where(i > j, 1.0, np.where(i < j, 0.0, 0.5)))
+        else:  # every ring player trails the dominant one by logit(0.8)
+            np.testing.assert_allclose(truth.r_star[-1] - truth.r_star[:-1],
+                                       np.log(4.0), rtol=1e-12)
+
+    def test_cyclic_dominant_is_acceptance_test_7_game(self, tmp_path):
+        from test_acceptance import _cyclic_plus_dominant
+        test_7 = np.loadtxt(_cyclic_plus_dominant(tmp_path), delimiter=",")
+        np.testing.assert_array_equal(games.gen_cyclic_dominant(6).p, test_7)
+
+    def test_cyclic_dominant_too_small(self):
+        with pytest.raises(
+                ConfigError,
+                match="cyclic_dominant game needs at least 4 players, got 3"):
+            games.gen_cyclic_dominant(3)
+
+
 class TestLoadMatrix:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -719,6 +719,8 @@ class TestCli:
         ("noisy_elo", lambda: games.gen_noisy_elo_game(7, 1.5, 0.1, 3)),
         ("triangular", lambda: games.gen_triangular(7)),
         ("cyclic", lambda: games.gen_cyclic(7)),
+        ("triangular_rev", lambda: games.gen_triangular_rev(7)),
+        ("cyclic_dominant", lambda: games.gen_cyclic_dominant(7)),
         # clip_eps=0.2 clips entries of this matrix, and matrix_seed
         # replaces seed, so both flags must reach the generator
         ("noisy_elo --clip-eps 0.2 --matrix-seed 8",
@@ -741,7 +743,7 @@ class TestCli:
     @pytest.mark.parametrize("flags", [
         ["--game", "noisy_elo", "--noise", "-1"], ["--game", "cyclic"],
         ["--ridge", "-5"], ["--seed", "-1"], ["--T", "1"],
-        ["--matrix", "{m7}"]])
+        ["--matrix", "{m7}"], ["--game", "cyclic_dominant"]])
     def test_gen_rejects_what_run_rejects(self, tmp_path, capsys, flags):
         m7 = tmp_path / "m7.csv"
         np.savetxt(m7, games.gen_elo_game(7, 1.0, 3).p, delimiter=",",

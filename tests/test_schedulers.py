@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from duelrank import games, schedulers
 from duelrank.config import ALGORITHMS, BASELINES, RunConfig
 from duelrank.errors import ConfigError, ContractViolationError, MatrixLoadError
+from duelrank.harness import simulate
 from duelrank.ratings import mle_fit
 from duelrank.schedulers import (
     DbgdScheduler,
@@ -242,6 +243,13 @@ class TestCandidateSet:
         sched = self._warm(5)
         with pytest.raises(ContractViolationError):
             sched._select(sched._rating_gap(np.full(5, np.nan), None), 1.0)
+
+    @pytest.mark.xfail(strict=True, raises=ContractViolationError,
+                       reason="mElo's cyclic term can make every player "
+                       "confidently dominated, leaving S empty (round 113)")
+    def test_melo_candidate_set_is_never_empty(self):
+        simulate(RunConfig(algo="maxin_melo", n=20, gamma=1.8, alpha=0.2,
+                           seed=1))
 
 
 class TestSelectPair:

@@ -267,24 +267,13 @@ def test_scorecard_two_cell_grid_in_a_pool_and_serially(sc, capsys):
 
 @pytest.mark.parametrize("n", [4, 6, 20])
 @pytest.mark.parametrize("game", ["triangular_rev", "cyclic_dominant"])
-def test_scorecard_matrix_games_load_with_best_last(sc, tmp_path, game, n):
-    from duelrank import games
-    path = tmp_path / f"{game}.csv"
-    np.savetxt(path, sc.MATRIX_GAMES[game](n), delimiter=",", fmt="%.17g")
-    matrix = games.load_matrix(str(path))
-    np.testing.assert_array_equal(matrix.p, sc.MATRIX_GAMES[game](n))
-    truth = games.true_ratings(matrix)
-    assert truth.best == n - 1
-    if game == "triangular_rev":  # higher index always wins
-        i, j = np.indices((n, n))
-        np.testing.assert_array_equal(
-            matrix.p, np.where(i > j, 1.0, np.where(i < j, 0.0, 0.5)))
-    else:  # every ring player trails the dominant one by logit(0.8)
-        np.testing.assert_allclose(truth.r_star[-1] - truth.r_star[:-1],
-                                   np.log(4.0), rtol=1e-12)
-
-
-def test_scorecard_cyclic_dominant_is_acceptance_test_7_game(sc, tmp_path):
-    from test_acceptance import _cyclic_plus_dominant
-    test_7 = np.loadtxt(_cyclic_plus_dominant(tmp_path), delimiter=",")
-    np.testing.assert_array_equal(sc.cyclic_dominant(6), test_7)
+def test_scorecard_matrix_games_load_with_best_last(sc, game, n):
+    """The scorecard plays its fixed games by name, with no matrix file;
+    the games themselves are tested in test_games.TestFixedGames."""
+    import argparse
+    from duelrank import games, harness
+    args = argparse.Namespace(algos=["random"], games=[game], n=[n],
+                              seeds=1, T=10)
+    (cfg,) = sc.grid_configs(args)
+    assert cfg.game == game and cfg.matrix is None
+    assert games.true_ratings(harness.build_matrix(cfg)).best == n - 1
