@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -82,7 +83,12 @@ def learner_check(cfg: RunConfig, batches: int, alphas: list[float]) -> dict:
 
 
 def parse_alphas(text: str, tau: int) -> list[float]:
-    return [float(tau) if a == "tau" else float(a) for a in text.split(",")]
+    """The comma list's step divisors; ValueError unless each is a
+    positive finite number."""
+    alphas = [float(tau) if a == "tau" else float(a) for a in text.split(",")]
+    if not all(0.0 < a < math.inf for a in alphas):  # also rejects nan
+        raise ValueError(f"every alpha must be positive and finite, got {text}")
+    return alphas
 
 
 def main(argv=None) -> int:
@@ -103,10 +109,12 @@ def main(argv=None) -> int:
         cfg = RunConfig(algo="maxin_elo", game=args.game, n=args.n,
                         noise=args.noise, eta0=args.eta0,
                         seed=args.seed).resolve()
+        alphas = parse_alphas(args.alphas, cfg.tau)
     except ConfigError as e:
         ap.error(str(e))
-    report = learner_check(cfg, args.batches,
-                           parse_alphas(args.alphas, cfg.tau))
+    except ValueError as e:
+        ap.error(f"--alphas: {e}")
+    report = learner_check(cfg, args.batches, alphas)
     harness.write_json({"game": args.game, "noise": args.noise, **report})
     return 0
 

@@ -301,16 +301,13 @@ def write_json(obj, path=None) -> None:
         fh.write(text)
 
 
-def report(traces: list[Trace], summary: dict | None,
-           out_prefix: str) -> list[str]:
+def report(traces: list[Trace], summary: dict, out_prefix: str) -> list[str]:
     """Emit trace CSVs (one per replicate) and the summary JSON."""
     written = []
     for i, tr in enumerate(traces):
         path = f"{out_prefix}.trace{i}.csv"
         write_trace_csv(tr, path)
         written.append(path)
-    if summary is not None:
-        path = f"{out_prefix}.summary.json"
-        write_json(summary, path)
-        written.append(path)
-    return written
+    path = f"{out_prefix}.summary.json"
+    write_json(summary, path)
+    return written + [path]

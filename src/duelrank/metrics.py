@@ -23,11 +23,6 @@ def ranking(values: np.ndarray) -> list[int]:
     return np.argsort(-np.asarray(values), kind="stable").tolist()
 
 
-def _check_k(k: int, n: int) -> None:
-    if not 1 <= k <= n:
-        raise ConfigError(f"k must be in [1, {n}], got {k}", key="ks")
-
-
 class RankScorer:
     """RR, HR@k and NDCG@k of estimates against one fixed truth.
 
@@ -40,10 +35,11 @@ class RankScorer:
     def __init__(self, truth: TrueRatings, ks=()):
         n = len(truth.r_star)
         for k in ks:
-            _check_k(k, n)
+            if not 1 <= k <= n:
+                raise ConfigError(f"k must be in [1, {n}], got {k}", key="ks")
         self.best = truth.best
         self.ks = tuple(ks)
-        true_order = ranking(truth.r_star) if self.ks else []
+        true_order = ranking(truth.r_star)
         self.relevant = np.zeros((len(self.ks), n), dtype=bool)
         for row, k in zip(self.relevant, self.ks):
             row[true_order[:k]] = True

@@ -17,6 +17,8 @@ from .errors import ConfigError, ContractViolationError, SolverError
 from .games import sigmoid
 
 RADIUS = 2.0  # of the Euclidean ball that SGD iterates are projected onto
+# mle_fit's Newton steps stop at |gradient| <= MLE_TOL or after MLE_MAX_ITER
+MLE_TOL, MLE_MAX_ITER = 1e-8, 100
 
 
 @dataclass(frozen=True)
@@ -164,8 +166,7 @@ def batch_update(sgd: SgdState, records) -> SgdState:
                    c_bar=c_bar)
 
 
-def mle_fit(history, n: int, ridge: float = 1e-4,
-            tol: float = 1e-8, max_iter: int = 100) -> RatingState:
+def mle_fit(history, n: int, ridge: float = 1e-4) -> RatingState:
     """Ridge-regularized pairwise-logistic maximum likelihood.
 
     history is a sequence of (x, y, o) records or an m x 3 integer array,
@@ -214,16 +215,16 @@ def mle_fit(history, n: int, ridge: float = 1e-4,
         return np.bincount(h_idx, weights=weights, minlength=n * n).reshape(n, n)
 
     r = np.zeros(n)
-    for it in range(max_iter + 1):
+    for it in range(MLE_MAX_ITER + 1):
         # centering never increases the objective (data term is
         # shift-invariant, ridge shrinks) and keeps the output canonical
         r = r - r.sum() / n
         z = r[xs] - r[ys]
         s = sigmoid(z)
         g = gradient(r, s)
-        if np.linalg.norm(g) <= tol:
+        if np.linalg.norm(g) <= MLE_TOL:
             return RatingState(r=r)
-        if it == max_iter:
+        if it == MLE_MAX_ITER:
             break
         step = np.linalg.solve(hessian(s), g)
         f0 = objective(r, z)
@@ -233,7 +234,7 @@ def mle_fit(history, n: int, ridge: float = 1e-4,
         r = r - scale * step
     # Near the optimum the decrease Newton still predicts, g'H^-1 g / 2,
     # can fall below the objective's rounding; the line search then sees
-    # no change and |g| stalls just above tol. Such r is as good as the
+    # no change and |g| stalls just above MLE_TOL. Such r is as good as the
     # objective can tell apart.
     decrement = 0.5 * float(g @ np.linalg.solve(hessian(s), g))
     if decrement <= 4.0 * np.finfo(float).eps * abs(objective(r, z)):

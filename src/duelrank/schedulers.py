@@ -235,14 +235,21 @@ class _WarmupScheduler(Scheduler):
         return d, None if c is None else np.ascontiguousarray(cyclic_matrix(c).T)
 
     def _candidate_mask(self, u: np.ndarray, gap, gamma: float) -> np.ndarray:
-        """A new mask of the players not confidently dominated under the
-        score h, held transposed; u is symmetric with a 0 diagonal."""
+        """A new mask S of the players with the fewest confident dominators
+        under the score h, held transposed; u is symmetric with a 0 diagonal.
+        That is the undominated players whenever there are any, as Elo's
+        transitive dominance guarantees; mElo's cyclic term can close a
+        cycle through every player. Only a NaN in h can leave S empty."""
         d, c_term = gap
         h = np.multiply(gamma, u, out=self._h)
         np.add(d, h, out=h)
         if c_term is not None:
             np.add(h, c_term, out=h)
-        return np.minimum.reduce(h, axis=0) > 0.0
+        mask = np.minimum.reduce(h, axis=0) > 0.0
+        if np.count_nonzero(mask) or np.isnan(h).any():  # cheaper than any()
+            return mask
+        beaten = np.count_nonzero(h <= 0.0, axis=0)
+        return beaten == beaten.min()
 
     def _select_pair(self, u: np.ndarray,
                      mask: np.ndarray) -> tuple[int, int]:
@@ -252,8 +259,7 @@ class _WarmupScheduler(Scheduler):
         size = np.count_nonzero(mask)
         if size == 0:
             raise ContractViolationError(
-                "empty candidate set: every player is dominated (non-finite "
-                "ratings, or a cyclic term larger than gamma * u)")
+                "empty candidate set: the ratings are not finite")
         if size == 1:
             x = int(mask.argmax())
             return x, x
@@ -346,8 +352,7 @@ class MaxInPScheduler(_WarmupScheduler):
                                 self._gamma())
         o = env.play(x, y)
         self._record(x, y, o)
-        if x != y:
-            self.tracker.update(x, y)
+        self.tracker.update(x, y)
         if self.t == self.config.tau:
             self._estimate = mle_fit(self.history, self.n, ridge=self.config.ridge)
         return x, y, o

@@ -11,8 +11,6 @@ updates the rank-1 rounding drift is below 1e-13 relative.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .errors import ConfigError
@@ -37,11 +35,8 @@ class DesignTracker:
         self._two_v = np.empty((n, n))
 
     def update(self, x: int, y: int) -> None:
-        """Add the rank-1 term for pair (x, y); self-pairs are a no-op."""
-        if x == y:
-            warnings.warn("tracker update with x == y carries no information",
-                          stacklevel=2)
-            return
+        """Add the rank-1 term for pair (x, y). A self-pair's u is zero, so
+        its term is +0.0 everywhere and leaves every bit of V^{-1} as it was."""
         vi = self.v_inv
         # Sherman-Morrison with u = e_x - e_y; rows = columns, V^{-1} is symmetric
         vu = vi[x] - vi[y]
@@ -51,10 +46,10 @@ class DesignTracker:
         vi -= term
 
     def pair_uncertainty(self, x: int, y: int) -> float:
-        if x == y:
-            return 0.0
+        """uncertainty_matrix()[x, y], bit for bit: 0.0 when x == y, and q
+        clamped at 0.0 when rounding pushes it below."""
         vi = self.v_inv
-        return float(np.sqrt(vi[x, x] + vi[y, y] - 2.0 * vi[x, y]))
+        return float(np.sqrt(max(vi[x, x] + vi[y, y] - 2.0 * vi[x, y], 0.0)))
 
     def uncertainty_matrix(self) -> np.ndarray:
         """All pairwise uncertainties at once (zero diagonal).

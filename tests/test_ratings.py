@@ -357,9 +357,10 @@ class TestMleFit:
         assert np.linalg.norm(g) <= 1e-7
         assert out.r.mean() == pytest.approx(0.0, abs=1e-12)
 
-    def test_still_raises_far_from_optimum(self):
+    def test_still_raises_far_from_optimum(self, monkeypatch):
+        monkeypatch.setattr(ratings, "MLE_MAX_ITER", 1)
         with pytest.raises(SolverError):
-            mle_fit(self.STALL_HISTORY, 20, ridge=2.0, max_iter=1)
+            mle_fit(self.STALL_HISTORY, 20, ridge=2.0)
 
     def test_array_history_matches_list(self):
         h = self.STALL_HISTORY
@@ -466,7 +467,7 @@ def _fit_bytes(fit, *args, **kw):
 
 class TestMatchesReference:
     @pytest.mark.parametrize("ridge", [1e-4, 0.1, 2.0])
-    def test_mle_fit_random_histories(self, ridge):
+    def test_mle_fit_random_histories(self, ridge, monkeypatch):
         rng = np.random.default_rng(int(ridge * 1e4) + 17)
         outcomes = set()
         for _ in range(100):
@@ -478,9 +479,11 @@ class TestMatchesReference:
             xy[self_pair, 1] = xy[self_pair, 0]
             history = [(int(x), int(y), int(rng.integers(2))) for x, y in xy]
             # few iterations also reach the post-loop checks and SolverError
-            kw = {"ridge": ridge, "max_iter": int(rng.choice([1, 3, 100]))}
-            got = _fit_bytes(mle_fit, history, n, **kw)
-            assert got == _fit_bytes(reference_mle_fit, history, n, **kw)
+            max_iter = int(rng.choice([1, 3, 100]))
+            monkeypatch.setattr(ratings, "MLE_MAX_ITER", max_iter)
+            got = _fit_bytes(mle_fit, history, n, ridge=ridge)
+            assert got == _fit_bytes(reference_mle_fit, history, n,
+                                     ridge=ridge, max_iter=max_iter)
             outcomes.add(got[0])
         assert outcomes == {"ok", "SolverError"}
 
@@ -489,9 +492,10 @@ class TestMatchesReference:
         got = _fit_bytes(mle_fit, h, 20, ridge=2.0)
         assert got == ("ok", reference_mle_fit(h, 20, ridge=2.0).tobytes())
 
-    def test_mle_fit_solver_error_last_iterate(self):
+    def test_mle_fit_solver_error_last_iterate(self, monkeypatch):
         h = TestMleFit.STALL_HISTORY
-        got = _fit_bytes(mle_fit, h, 20, ridge=2.0, max_iter=1)
+        monkeypatch.setattr(ratings, "MLE_MAX_ITER", 1)
+        got = _fit_bytes(mle_fit, h, 20, ridge=2.0)
         assert got[0] == "SolverError"
         assert got == _fit_bytes(reference_mle_fit, h, 20, ridge=2.0, max_iter=1)
 

@@ -190,6 +190,13 @@ def candidates(sched, r, c, gamma):
     return [int(x) for x in np.flatnonzero(sched._candidate_mask(u, gap, gamma))]
 
 
+# mElo at a small alpha, replayed by the run oracles with build(seed=3)
+# and outcome seed 4: in rounds 25-36 every player is confidently
+# dominated, and those rounds select from the fallback S
+FALLBACK_RUN = dict(algo="maxin_melo", n=8, T=200, tau=6, alpha=0.1,
+                    gamma=1.8, rating_scale=2.0, k=2)
+
+
 class TestCandidateSet:
     def _warm(self, n, **kw):
         sched = build("maxin_elo", n, T=1000, tau=kw.pop("tau", 3), **kw)
@@ -244,12 +251,45 @@ class TestCandidateSet:
         with pytest.raises(ContractViolationError):
             sched._select(sched._rating_gap(np.full(5, np.nan), None), 1.0)
 
-    @pytest.mark.xfail(strict=True, raises=ContractViolationError,
-                       reason="mElo's cyclic term can make every player "
-                       "confidently dominated, leaving S empty (round 113)")
     def test_melo_candidate_set_is_never_empty(self):
         simulate(RunConfig(algo="maxin_melo", n=20, gamma=1.8, alpha=0.2,
                            seed=1))
+
+    def test_cycle_of_confident_wins_keeps_the_least_dominated(self):
+        """Three players 120 degrees apart in mElo's feature plane beat
+        each other in a cycle by more than gamma * u, so each has one
+        confident dominator; player 3, rated far below, has three. No
+        player is undominated, and S is the cycle."""
+        sched = build("maxin_melo", 4, T=100, tau=3, k=1)
+        angles = np.deg2rad([0.0, 120.0, 240.0])
+        c = np.zeros((4, 2))
+        c[:3] = 2.0 * np.column_stack((np.cos(angles), np.sin(angles)))
+        r = np.array([0.0, 0.0, 0.0, -10.0])
+        u = sched.tracker.uncertainty_matrix()
+        h = r[:, None] - r[None, :] + u + c @ omega(1) @ c.T
+        np.fill_diagonal(h, np.inf)
+        assert (h <= 0.0).sum(axis=1).tolist() == [1, 1, 1, 3]
+        assert candidates(sched, r, c, 1.0) == [0, 1, 2]
+        expected = reference_pair(u, r, c, omega(1), 1.0)
+        assert sched._select(sched._rating_gap(r, c), 1.0) == expected == (0, 1)
+
+    def test_fallback_run_reaches_a_dominated_round(self):
+        """FALLBACK_RUN, which the run oracles below replay, selects from
+        the fallback S in some rounds: there no player is undominated."""
+        sched = build(seed=3, **FALLBACK_RUN)
+        cfg = sched.config
+        env = env_for(games.gen_elo_game(cfg.n, cfg.rating_scale, 2), seed=4)
+        fallback = 0
+        for _ in range(cfg.T):
+            if sched.sgd is not None:
+                r, c = sched.sgd.r_bar, sched.sgd.c_bar
+                u = sched.tracker.uncertainty_matrix()
+                h = (r[:, None] - r[None, :] + cfg.gamma * u
+                     + c @ omega(cfg.k) @ c.T)
+                np.fill_diagonal(h, np.inf)
+                fallback += not (h.min(axis=1) > 0.0).any()
+            sched.step(env)
+        assert fallback >= 5
 
 
 class TestSelectPair:
@@ -297,13 +337,22 @@ def omega(k):
 def reference_pair(u, r, c, omega_k, gamma):
     """The candidate list and strict-`>` double loop the selection replaced.
 
-    Returns None for an empty candidate set.
+    When every player is confidently dominated, the candidates are those
+    with the fewest dominators, counted one by one. Returns None for an
+    empty candidate set, which only a NaN score leaves.
     """
+    n = len(r)
     h = r[:, None] - r[None, :] + gamma * u
     if c is not None:
         h = h + c @ omega_k @ c.T
     np.fill_diagonal(h, np.inf)
     cand = [int(x) for x in np.nonzero(h.min(axis=1) > 0.0)[0]]
+    if not cand and not np.isnan(h).any():
+        dominators = [sum(1 for y in range(n) if h[x, y] <= 0.0)
+                      for x in range(n)]
+        cand = [x for x in range(n) if dominators[x] == min(dominators)]
+    if not cand:
+        return None
     if len(cand) == 1:
         return cand[0], cand[0]
     best_pair, best_val = None, -1.0
@@ -421,6 +470,7 @@ class TestRunSelectionOracle:
         (dict(algo="maxin_melo", n=8, T=300, tau=6, gamma=1.0, k=2), True),
         (dict(algo="maxin_melo", n=8, T=300, tau=6, gamma_mode="theoretical",
               k=2), False),
+        (FALLBACK_RUN, True),
         (dict(algo="maxinp", n=6, T=80, tau=5, gamma=1.8), True),
         (dict(algo="maxinp", n=6, T=60, tau=5, gamma_mode="theoretical"),
          False),
@@ -858,6 +908,7 @@ SELECTION_RUNS = [
     dict(algo="maxin_elo", n=12, T=300, tau=8, gamma=1.0, rating_scale=2.0),
     dict(algo="maxin_elo", n=8, T=200, tau=6, gamma_mode="theoretical"),
     dict(algo="maxin_melo", n=8, T=200, tau=6, gamma=1.0, k=2),
+    FALLBACK_RUN,
     dict(algo="maxinp", n=6, T=60, tau=5, gamma=1.8),
     dict(algo="maxinp", n=6, T=40, tau=5, gamma_mode="theoretical"),
 ]

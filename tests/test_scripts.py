@@ -163,6 +163,21 @@ def test_learner_check_report_keys_and_repeatable(capsys):
             assert c["records"] == 4 * (c["j"] + 1)
 
 
+@pytest.mark.parametrize("alphas", ["tau,x", "0", "-1", "nan", "inf"])
+def test_learner_check_rejects_bad_alphas(capsys, alphas):
+    """A non-number and a non-positive or non-finite alpha are usage
+    errors (exit 2), as a bad --batches is, before any fit runs."""
+    spec = importlib.util.spec_from_file_location(
+        "learner_check", ROOT / "scripts" / "learner_check.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    with pytest.raises(SystemExit) as exc:
+        module.main(["--n", "6", "--batches", "2", "--alphas", alphas])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--alphas:" in err and "Traceback" not in err
+
+
 @pytest.fixture
 def sc():
     """scripts/scorecard.py as a module."""

@@ -79,12 +79,19 @@ class TestUpdate:
         ref = np.linalg.inv(v)
         assert np.max(np.abs(tr.v_inv - ref)) <= 1e-10 * np.max(np.abs(ref))
 
-    def test_self_pair_is_noop_with_warning(self):
-        tr = DesignTracker(3, 1.0)
-        before = tr.v_inv.copy()
-        with pytest.warns(UserWarning):
-            tr.update(1, 1)
-        np.testing.assert_allclose(tr.v_inv, before)
+    def test_self_pair_is_a_bitwise_noop(self):
+        """u = e_x - e_x is zero, so the rank-1 term is +0.0 everywhere;
+        the suite's filterwarnings = error also rules out a warning."""
+        rng = np.random.default_rng(0)
+        tr = DesignTracker(5, 0.7)
+        for updates in (0, 40):
+            for _ in range(updates):
+                tr.update(*(int(v) for v in rng.choice(5, size=2,
+                                                       replace=False)))
+            before = tr.v_inv.tobytes()
+            for x in range(5):
+                tr.update(x, x)
+                assert tr.v_inv.tobytes() == before
 
     def test_update_shrinks_own_uncertainty(self):
         tr = DesignTracker(4, 1.0)
@@ -110,6 +117,9 @@ class TestPairUncertainty:
         for x in range(6):
             for y in range(6):
                 assert tr.pair_uncertainty(x, y) == tr.pair_uncertainty(y, x)
+            # d + d - 2d cancels exactly, without a self-pair branch
+            got = tr.pair_uncertainty(x, x)
+            assert got == 0.0 and not np.signbit(got)
 
     def test_monotone_under_any_update(self):
         rng = np.random.default_rng(5)
@@ -201,6 +211,12 @@ class TestBuffersMatchReference:
         assert u[1, 4] == 0.0 and u[4, 1] == 0.0
         assert not np.signbit(u[1, 4])
         assert u.tobytes() == reference_uncertainty(vi).tobytes()
+        # the scalar lookup clamps the same q, without a warning either
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = tr.pair_uncertainty(1, 4)
+        assert got == 0.0 and not np.signbit(got)
+        assert np.float64(got).tobytes() == u[1, 4].tobytes()
 
     def test_nan_passes_through_without_warning(self):
         tr = DesignTracker(4, 1.0)
