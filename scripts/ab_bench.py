@@ -16,7 +16,9 @@ their bounds are read from the change checkout's ``BENCHMARK.json``.
 The spread check: each side's middle-half spread (q3 - q1) is printed
 next to ``bound x base median``, and a metric is flagged ``SPREAD`` when
 either side exceeds it, since runs that spread that widely cannot tell a
-change of that size from noise.
+change of that size from noise. A ``SPREAD`` flag is followed by the
+worst change run, the best base run, and whether every change run beat
+every base run, which resolves the spread (see ``unresolved`` below).
 
 Each metric ends in one verdict, the first of these that holds:
 
@@ -63,6 +65,16 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def extremes(base: list[float], change: list[float],
+             sign: float) -> tuple[float, float, bool]:
+    """The worst change run, the best base run, and whether the one beats
+    the other, that is whether every change run beats every base run;
+    ``sign`` is +1 when higher is better."""
+    worst = sign * min(sign * c for c in change)
+    best = sign * max(sign * b for b in base)
+    return worst, best, sign * worst > sign * best
+
+
 def verdict(base: list[float], change: list[float], sign: float,
             won: int, bound: float | None, failed_equal: bool) -> str:
     """``worse``, ``unresolved``, ``gain`` or ``no change`` for one metric's
@@ -74,9 +86,7 @@ def verdict(base: list[float], change: list[float], sign: float,
         if -moved > bound * abs(b2):
             return "worse"
         spread_ok = max(b3 - b1, c3 - c1) <= bound * abs(b2)
-        every_run_better = (min(sign * c for c in change)
-                            > max(sign * b for b in base))
-        if not spread_ok and not every_run_better:
+        if not spread_ok and not extremes(base, change, sign)[2]:
             return "unresolved"
     if won >= 0.9 * len(base) and moved > b3 - b1:
         enough = len(base) >= MIN_GAIN_PAIRS and failed_equal
@@ -87,9 +97,11 @@ def verdict(base: list[float], change: list[float], sign: float,
 def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
               bounds: dict[str, float] | None = None) -> dict:
     """Per metric: base and change (q1, median, q3), the pairs the change
-    won, and the median ratio change/base; plus whether every pair agreed
-    on trace bytes and failed operations. ``pairs`` holds (base, change)
-    results of ``parse_run``; ``better`` maps a metric to higher|lower.
+    won, the median ratio change/base, and the worst change run, the best
+    base run and whether every change run beat every base run; plus
+    whether every pair agreed on trace bytes and failed operations.
+    ``pairs`` holds (base, change) results of ``parse_run``; ``better``
+    maps a metric to higher|lower.
     For a metric with a bound in ``bounds``, ``spread`` holds each side's
     q3 - q1, the limit ``bound x base median``, and whether both sides
     stay within it. ``verdict`` is the metric's verdict (see ``verdict``)."""
@@ -104,9 +116,12 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
         sign = 1.0 if direction == "higher" else -1.0
         won = sum(sign * (c - b) > 0 for b, c in zip(base, change))
         qb, qc = quartiles(base), quartiles(change)
+        worst, best, every = extremes(base, change, sign)
         bound = (bounds or {}).get(name)
         out["metrics"][name] = {"base": qb, "change": qc, "won": won,
                                 "ratio": qc[1] / qb[1] if qb[1] else None,
+                                "worst_change": worst, "best_base": best,
+                                "every_run_better": every,
                                 "verdict": verdict(base, change, sign, won,
                                                    bound, out["failed_equal"])}
         if bound is not None:
@@ -132,17 +147,26 @@ def format_summary(workload: str, summary: dict) -> str:
         if "spread" in m:
             sp = m["spread"]
             row += (f"  spread base {sp['base']:.4g} change {sp['change']:.4g}"
-                    f" limit {sp['limit']:.4g}{'' if sp['ok'] else ' SPREAD'}")
+                    f" limit {sp['limit']:.4g}")
+            if not sp["ok"]:
+                row += (f" SPREAD: worst change {m['worst_change']:.6g}, best"
+                        f" base {m['best_base']:.6g}, "
+                        f"{'every' if m['every_run_better'] else 'not every'}"
+                        " change run better")
         rows.append(f"{row}  -> {m['verdict']}")
     return "\n".join(rows)
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'1,2,5-7' -> [1, 2, 5, 6, 7]."""
+    """'1,2,5-7' -> [1, 2, 5, 6, 7]; as ``--seeds``' type, a non-number
+    or an empty or reversed range is a usage error (exit 2)."""
     seeds = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds += range(int(lo), int(hi or lo) + 1)
+        span = range(int(lo), int(hi or lo) + 1)
+        if not span:
+            raise argparse.ArgumentTypeError(f"empty seed range {part}")
+        seeds += span
     return seeds
 
 
@@ -163,7 +187,8 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, default=Path("."))
     ap.add_argument("--workload", action="append", required=True,
                     help="benchmark workload name (repeatable)")
-    ap.add_argument("--seeds", required=True, help="e.g. 2101-2110 or 1,5,9")
+    ap.add_argument("--seeds", type=parse_seeds, required=True,
+                    help="e.g. 2101-2110 or 1,5,9")
     ap.add_argument("--seconds", type=float, default=20.0)
     args = ap.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -171,7 +196,7 @@ def main(argv=None) -> int:
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
     for workload in args.workload:
         pairs = []
-        for i, seed in enumerate(parse_seeds(args.seeds)):
+        for i, seed in enumerate(args.seeds):
             order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
             res = {side: run_one(getattr(args, side), workload, seed,
                                  args.seconds) for side in order}

@@ -27,14 +27,23 @@ statistics, read off the trace columns:
 - ``regret_slope``: the least-squares slope of log cum_regret against
   log t over t in {500, 1000, 2000, 5000}, t <= T; null with fewer than
   two such t or a non-positive regret. O~(sqrt T) regret predicts about
-  0.5; a run that locks in on a weak player gives about 1.
+  0.5; a run that locks in on a weak player gives about 1;
+- ``tail_rate``: the regret per round over the second half of the run,
+  (R(T) - R(T // 2)) / (T - T // 2), with R(0) = 0. It reads the
+  asymptotic regime the slope can miss: a locked-in run keeps a positive
+  rate, a run that has learned the best player tends to 0;
+- ``frozen_gap``: instant_regret at T, r*_best - r*_x, when the run ends
+  frozen on x; else null;
+- ``winner_correct``: whether the run ends frozen on a player with zero
+  regret, a true best player.
 
 Per (algo, game, n), over the seeds, it prints the median and quartiles
 of the final regret, the RR = 1 rate, the mean HR@4, how many runs
-identified and froze with the median of their rounds, and the medians of
-the other statistics; every deterministic statistic is also listed per
-seed. The JSON goes to ``--out`` or stdout. It is a report, not a gate:
-nothing here passes or fails.
+identified and froze with the median of their rounds, how many ended
+frozen on a true best player, the median frozen gap over the runs that
+froze, and the medians of the other statistics; every deterministic
+statistic is also listed per seed. The JSON goes to ``--out`` or
+stdout. It is a report, not a gate: nothing here passes or fails.
 """
 
 from __future__ import annotations
@@ -55,7 +64,8 @@ GAMES = ("elo", "noisy_elo", "triangular_rev", "cyclic_dominant")
 GAMMA, NOISE, T_MAXINP = 1.8, 0.1, 2000
 SLOPE_TS = (500, 1000, 2000, 5000)
 PER_SEED = ("final_regret", "rr1", "hr4", "rounds_to_identify",
-            "self_pair_share", "first_frozen_round", "regret_slope")
+            "self_pair_share", "first_frozen_round", "regret_slope",
+            "tail_rate", "frozen_gap", "winner_correct")
 
 
 def suffix_start(flags) -> int | None:
@@ -77,9 +87,17 @@ def regret_slope(cum_regret) -> float | None:
     return float(np.polyfit(np.log(ts), np.log(r), 1)[0])
 
 
+def tail_rate(cum_regret) -> float:
+    """(R(T) - R(T // 2)) / (T - T // 2), with R(0) = 0."""
+    T, half = len(cum_regret), len(cum_regret) // 2
+    start = cum_regret[half - 1] if half else 0.0
+    return float((cum_regret[-1] - start) / (T - half))
+
+
 def trace_stats(trace: harness.Trace) -> dict:
     """The per-run statistics of the module doc, except us_per_round."""
     self_pair = trace.x == trace.y
+    frozen_gap = float(trace.instant_regret[-1]) if self_pair[-1] else None
     return {
         "final_regret": float(trace.cum_regret[-1]),
         "rr1": bool(trace.rr[-1] == 1.0),
@@ -88,6 +106,9 @@ def trace_stats(trace: harness.Trace) -> dict:
         "self_pair_share": float(self_pair.mean()),
         "first_frozen_round": suffix_start(self_pair),
         "regret_slope": regret_slope(trace.cum_regret),
+        "tail_rate": tail_rate(trace.cum_regret),
+        "frozen_gap": frozen_gap,
+        "winner_correct": frozen_gap == 0.0,
     }
 
 
@@ -123,10 +144,12 @@ def summarize_cell(runs: list[dict]) -> dict:
            "final_regret": _quartiles([r["final_regret"] for r in ok]),
            "rr1_rate": sum(r["rr1"] for r in ok) / len(ok) if ok else None,
            "hr4_mean": float(np.mean([r["hr4"] for r in ok])) if ok else None}
-    for key in ("rounds_to_identify", "first_frozen_round"):
+    for key in ("rounds_to_identify", "first_frozen_round", "frozen_gap"):
         hits = [r[key] for r in ok if r[key] is not None]
         out[key] = {"runs": len(hits), "median": _median(hits)}
-    for key in ("self_pair_share", "us_per_round", "regret_slope"):
+    out["winner_correct"] = sum(r["winner_correct"] for r in ok)
+    for key in ("self_pair_share", "us_per_round", "regret_slope",
+                "tail_rate"):
         out[key] = _median([r[key] for r in ok])
     out["per_seed"] = {"seed": [r["seed"] for r in ok],
                        **{key: [r[key] for r in ok] for key in PER_SEED}}

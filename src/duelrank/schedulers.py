@@ -208,7 +208,7 @@ class _WarmupScheduler(Scheduler):
     MaxInP keeps every match, and the log doubles whenever it is full.
     """
 
-    selection: Selection | None = None  # the last round's; None in warmup
+    selection: Selection | None = None  # the last selecting round's, or None
 
     def __init__(self, config, rng):
         super().__init__(config, rng)
@@ -294,12 +294,14 @@ class MaxInScheduler(_WarmupScheduler):
     cyclic feature vectors are learned by the same gradients, unprojected.
 
     The estimate and rating gap change only per batch (see _fit_batch).
-    Every post-warmup round selects afresh, self-pair rounds included:
-    caching u over them is exact, but its gain (x1.59 on paper-n20-io)
-    follows each seed's self-pair share too widely to measure (ROADMAP 8).
+    A self-pair round under a fixed gamma is absorbing: it changes no
+    input of the next selection (tracker, log, SGD state, gap, gamma),
+    so every later round replays that pair without selecting, and
+    `selection` stays the record of the round that froze.
     """
 
     sgd: SgdState | None = None  # None until the warmup fit
+    _held: tuple[int, int] | None = None  # the absorbing self-pair
 
     def _fit_batch(self):
         """The warm start from the first full log, an SGD step from every
@@ -318,10 +320,14 @@ class MaxInScheduler(_WarmupScheduler):
 
     def step(self, env):
         self.t += 1
-        if self.sgd is None:
+        if self._held is not None:
+            x, y = self._held
+        elif self.sgd is None:
             x, y = self.uniform_pair()
         else:
             x, y = self._select(self._gap, self._gamma())
+            if x == y and self.config.gamma_mode == "fixed":
+                self._held = x, y
         o = env.play(x, y)
         if x != y:  # self-pairs carry zero information
             self._record(x, y, o)

@@ -640,7 +640,8 @@ class TestMaxInStep:
     ])
     def test_selects_after_self_pair(self, monkeypatch, algo, mode):
         # force a self-pair on every other selection; the round after it
-        # must still select afresh
+        # must still select afresh, except under MaxIn's fixed gamma, where
+        # the first self-pair is held for the rest of the run
         calls = []
         cls = MaxInPScheduler if algo == "maxinp" else MaxInScheduler
         original = cls._select
@@ -654,9 +655,35 @@ class TestMaxInStep:
         tau, T = 4, 40
         sched = build(algo, 6, T=T, tau=tau, gamma_mode=mode)
         env = env_for(games.gen_elo_game(6, 1.0, 1))
+        played = [sched.step(env)[:2] for _ in range(T)]
+        if (algo, mode) == ("maxin_elo", "fixed"):
+            x, y = played[tau]
+            assert len(calls) == 1 and x == y
+            assert played[tau:] == [(x, x)] * (T - tau)
+        else:
+            assert len(calls) == T - tau
+
+    @pytest.mark.parametrize("algo", ["maxin_elo", "maxin_melo"])
+    @pytest.mark.parametrize("seed", [1, 2, 6, 7])
+    def test_held_pair_is_what_selection_picks(self, algo, seed):
+        # the oracle for the hold: in every held round, selecting afresh
+        # from a copy of the scheduler gives the held pair and a record
+        # equal to the frozen one, bit for bit
+        T = 500
+        sched = build(algo, 20, T=T, tau=80, gamma=1.8, k=1, seed=seed)
+        env = env_for(games.gen_elo_game(20, 1.0, seed), seed=seed + 100)
+        held = 0
         for _ in range(T):
+            if sched._held is not None:
+                held += 1
+                fresh = copy.deepcopy(sched)
+                assert fresh._select(fresh._gap, fresh._gamma()) == sched._held
+                got, want = fresh.selection, sched.selection
+                assert np.array_equal(got.mask, want.mask)
+                for a, b in ((got.gamma, want.gamma), (got.u, want.u)):
+                    assert np.float64(a).tobytes() == np.float64(b).tobytes()
             sched.step(env)
-        assert len(calls) == T - tau
+        assert held > 0  # the run froze
 
     def test_melo_requires_k(self):
         with pytest.raises(ConfigError):

@@ -108,6 +108,18 @@ def test_ab_bench_seed_ranges():
     assert _ab_bench().parse_seeds("1,5-7,10") == [1, 5, 6, 7, 10]
 
 
+@pytest.mark.parametrize("seeds", ["10-1", "1,3-2", "", "1,x"])
+def test_ab_bench_rejects_bad_seeds(capsys, seeds):
+    """A reversed range, an empty list or a non-number is a usage error
+    (exit 2) before any run starts, not an IndexError after none ran."""
+    with pytest.raises(SystemExit) as exc:
+        _ab_bench().main(["--base", ".", "--workload", "paper-n20-io",
+                          "--seeds", seeds])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seeds" in err and "Traceback" not in err
+
+
 def test_ab_bench_spread_check():
     """Each side's q3 - q1 against bound x base median; either side over
     the limit flags SPREAD, and a metric without a bound gets no check."""
@@ -129,7 +141,23 @@ def test_ab_bench_spread_check():
     failing = ab.summarize(list(zip(base, wide)), better, bounds)
     spread = failing["metrics"]["rounds_per_s"]["spread"]
     assert spread["change"] == 47.5 and not spread["ok"]
-    assert "SPREAD" in ab.format_summary("w", failing)
+    # the flag names the runs that decide it: 100 < 110, so not resolved
+    rounds = failing["metrics"]["rounds_per_s"]
+    assert (rounds["worst_change"], rounds["best_base"]) == (100, 110)
+    assert not rounds["every_run_better"]
+    assert ("SPREAD: worst change 100, best base 110, not every change "
+            "run better") in ab.format_summary("w", failing)
+    # as wide, but every change run beats every base run
+    resolved = ab.summarize(
+        list(zip(base, runs((250, 120, 260, 200)))), better, bounds)
+    assert not resolved["metrics"]["rounds_per_s"]["spread"]["ok"]
+    assert ("SPREAD: worst change 120, best base 110, every change run "
+            "better") in ab.format_summary("w", resolved)
+    # lower is better: the worst change run is the largest
+    lower = ab.summarize(list(zip(base, wide)), {"rounds_per_s": "lower"},
+                         bounds)["metrics"]["rounds_per_s"]
+    assert (lower["worst_change"], lower["best_base"]) == (160, 90)
+    assert not lower["every_run_better"]
     # a wide base fails too: 47.5 > 0.25 x 145
     wide_base = ab.summarize(list(zip(wide, tight)), better, bounds)
     assert not wide_base["metrics"]["rounds_per_s"]["spread"]["ok"]
@@ -223,21 +251,42 @@ def test_scorecard_trace_stats_of_a_hand_built_trace(sc):
     assert sc.trace_stats(trace) == {
         "final_regret": 1.0, "rr1": True, "hr4": 0.75,
         "rounds_to_identify": 5, "self_pair_share": 0.5,
-        "first_frozen_round": 4, "regret_slope": None}
+        "first_frozen_round": 4, "regret_slope": None,
+        "tail_rate": 0.0, "frozen_gap": 0.0, "winner_correct": True}
     rr[-1] = 0.5
     stats = sc.trace_stats(trace)
     assert not stats["rr1"] and stats["rounds_to_identify"] is None
+    # frozen on a player 0.5 below the best: R(6) - R(3) = 1.5 over 3
+    # rounds, a wrong winner
+    weak = np.array([0.5, 0.25, 0.25, 0.5, 0.5, 0.5])
+    trace.instant_regret, trace.cum_regret = weak, np.cumsum(weak)
+    stats = sc.trace_stats(trace)
+    assert stats["tail_rate"] == 0.5 and stats["frozen_gap"] == 0.5
+    assert not stats["winner_correct"]
+    # not frozen at T: no gap and no winner, whatever the regret
+    trace.y = np.array([1, 2, 3, 3, 3, 4])
+    stats = sc.trace_stats(trace)
+    assert stats["frozen_gap"] is None and not stats["winner_correct"]
+    assert stats["first_frozen_round"] is None
+
+
+def test_scorecard_tail_rate(sc):
+    assert sc.tail_rate(np.array([2.0])) == 2.0           # R(0) = 0
+    assert sc.tail_rate(np.array([1.0, 3.0])) == 2.0      # over round 2
+    # T = 5: (R(5) - R(2)) / 3
+    assert sc.tail_rate(np.array([1.0, 2.0, 2.0, 2.0, 5.0])) == 1.0
 
 
 def test_scorecard_cell_summary(sc):
     runs = [{"seed": s, "final_regret": reg, "rr1": rr1, "hr4": hr4,
              "rounds_to_identify": ident, "self_pair_share": share,
              "first_frozen_round": frozen, "regret_slope": slope,
-             "us_per_round": us}
-            for s, reg, rr1, hr4, ident, share, frozen, slope, us in [
-                (1, 10.0, True, 1.0, 40, 0.5, 90, 0.5, 3.0),
-                (2, 20.0, False, 0.5, None, 0.25, None, 1.0, 5.0),
-                (3, 30.0, True, 0.75, 60, 0.75, 70, None, 4.0)]]
+             "us_per_round": us, "tail_rate": tail, "frozen_gap": gap,
+             "winner_correct": gap == 0.0}
+            for s, reg, rr1, hr4, ident, share, frozen, slope, us, tail, gap
+            in [(1, 10.0, True, 1.0, 40, 0.5, 90, 0.5, 3.0, 0.0, 0.0),
+                (2, 20.0, False, 0.5, None, 0.25, None, 1.0, 5.0, 0.5, None),
+                (3, 30.0, True, 0.75, 60, 0.75, 70, None, 4.0, 0.25, 0.5)]]
     runs.append({"seed": 4, "error": "SolverError", "message": "x"})
     out = sc.summarize_cell(runs)
     assert out["runs"] == 3 and out["failed"] == [runs[3]]
@@ -247,8 +296,13 @@ def test_scorecard_cell_summary(sc):
     assert out["first_frozen_round"] == {"runs": 2, "median": 80.0}
     assert out["self_pair_share"] == 0.5 and out["us_per_round"] == 4.0
     assert out["regret_slope"] == 0.75       # the null slope is left out
+    assert out["tail_rate"] == 0.25
+    assert out["frozen_gap"] == {"runs": 2, "median": 0.25}
+    assert out["winner_correct"] == 1
     assert out["per_seed"]["seed"] == [1, 2, 3]
     assert out["per_seed"]["rounds_to_identify"] == [40, None, 60]
+    assert out["per_seed"]["frozen_gap"] == [0.0, None, 0.5]
+    assert out["per_seed"]["winner_correct"] == [True, False, False]
 
 
 def test_scorecard_two_cell_grid_in_a_pool_and_serially(sc, capsys):
