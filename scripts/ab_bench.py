@@ -5,6 +5,9 @@ Example:
     python3 scripts/ab_bench.py --base /path/to/parent --change . \\
         --workload paper-n20-io --seeds 2101-2110 --seconds 20
 
+``--workload`` defaults to every workload in the change checkout's
+``BENCHMARK.json``, and ``--seconds`` to its ``run_seconds``.
+
 For each seed it runs ``perfbench/run.py --trace 0`` once in each
 checkout, base first on the 1st, 3rd, ... pair and change first on the
 others, so slow phases of the machine fall on both sides. It then prints,
@@ -185,13 +188,18 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", type=Path, required=True)
     ap.add_argument("--change", type=Path, default=Path("."))
-    ap.add_argument("--workload", action="append", required=True,
-                    help="benchmark workload name (repeatable)")
+    ap.add_argument("--workload", action="append",
+                    help="benchmark workload name (repeatable; default: "
+                    "every workload in BENCHMARK.json)")
     ap.add_argument("--seeds", type=parse_seeds, required=True,
                     help="e.g. 2101-2110 or 1,5,9")
-    ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--seconds", type=float,
+                    help="default: BENCHMARK.json's run_seconds")
     args = ap.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    args.workload = args.workload or [w["name"] for w in spec["workloads"]]
+    if args.seconds is None:
+        args.seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
     for workload in args.workload:

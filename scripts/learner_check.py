@@ -8,10 +8,11 @@ Example:
 This checks the learner alone, with no scheduler choosing the pairs.
 The game, tau (round(0.7 n)) and the MLE ridge are those of a
 ``maxin_elo`` run with the same flags (``RunConfig.resolve`` and
-``harness.build_matrix``). One seeded stream of uniform pairs (never
-self-pairs) is played on the game, and its outcomes are cut into batches
-of tau records. Batch 0 starts the learner as MaxIn does
-(``schedulers.warm_start``), and batch j >= 1 is SGD step j
+``harness.build_matrix``); ``--game`` takes any ``RunConfig.game``
+generator, and an unknown one is a usage error. One seeded stream of
+uniform pairs (never self-pairs) is played on the game, and its outcomes
+are cut into batches of tau records. Batch 0 starts the learner as MaxIn
+does (``schedulers.warm_start``), and batch j >= 1 is SGD step j
 (``ratings.batch_update``). The same records go to every alpha. At
 j = 1, 2, 4, ... and at the last batch it reports the L2 distance of the
 SGD average r_bar_j from the MLE of batches 0..j (``ratings.mle_fit``),
@@ -54,11 +55,11 @@ def checkpoints(batches: int) -> list[int]:
     return js + [batches]
 
 
-def learner_check(cfg: RunConfig, batches: int, alphas: list[float]) -> dict:
-    """The report for a resolved config's game, tau, ridge, eta0 and seed;
-    see the module doc."""
+def learner_check(cfg: RunConfig, matrix: games.WinMatrix, batches: int,
+                  alphas: list[float]) -> dict:
+    """The report for a resolved config's tau, ridge, eta0 and seed on
+    its game ``matrix``; see the module doc."""
     n, tau = cfg.n, cfg.tau
-    matrix = harness.build_matrix(cfg)
     r_star = games.true_ratings(matrix).r_star
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 3]))
     records = uniform_records(matrix.p, tau * (batches + 1), rng)
@@ -93,7 +94,8 @@ def parse_alphas(text: str, tau: int) -> list[float]:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--game", choices=("elo", "noisy_elo"), default="elo")
+    ap.add_argument("--game", default="elo",
+                    help="a RunConfig.game generator")
     ap.add_argument("--n", type=int, default=20)
     ap.add_argument("--noise", type=float, default=0.0)
     ap.add_argument("--batches", type=int, default=256,
@@ -109,12 +111,13 @@ def main(argv=None) -> int:
         cfg = RunConfig(algo="maxin_elo", game=args.game, n=args.n,
                         noise=args.noise, eta0=args.eta0,
                         seed=args.seed).resolve()
+        matrix = harness.build_matrix(cfg)
         alphas = parse_alphas(args.alphas, cfg.tau)
     except ConfigError as e:
         ap.error(str(e))
     except ValueError as e:
         ap.error(f"--alphas: {e}")
-    report = learner_check(cfg, args.batches, alphas)
+    report = learner_check(cfg, matrix, args.batches, alphas)
     harness.write_json({"game": args.game, "noise": args.noise, **report})
     return 0
 

@@ -4,20 +4,27 @@
 Example (the command behind the committed SCORECARD.json):
     python3 scripts/scorecard.py --workers 2 --out SCORECARD.json
 
-The games are ``elo``, ``noisy_elo`` with noise = NOISE (0.1), both with
-the matrix seed equal to the seed, and two fixed games whose best player
-is n - 1: ``triangular_rev`` (higher index always wins) and
-``cyclic_dominant`` (acceptance test 7's ring plus a dominant player).
-All four are ``duelrank.games`` generators, played by name through
-``RunConfig.game``.
-A run is one ``harness.simulate`` of an (algo, game, n, seed) cell, with
-gamma = GAMMA (1.8) and ks = (4,); maxinp, whose refit is O(t) per
-round, stops at T_MAXINP (2000) rounds. Runs go through
-``harness.pool_map`` to ``--workers`` processes, as ``harness.sweep``'s
-points do; each worker keeps its trace and returns only these
-statistics, read off the trace columns:
+It reads ``duelrank sweep``'s flags: ``--config`` and one ``--<field>``
+flag per ``RunConfig`` field for the template, repeatable ``--grid
+KEY=V1,V2,...`` axes, and ``--workers``; ``--out`` is the JSON path
+(default: stdout). DEFAULTS come first, so a later flag replaces a value
+and a later ``--grid`` replaces an axis: gamma 1.8, noise 0.1, ks 4,
+every algorithm, n in {20, 100}, seeds 1..12, and four games: ``elo``
+and ``noisy_elo`` (matrix seed = seed), and ``triangular_rev`` and
+``cyclic_dominant``, whose best player is n - 1. An axis overrides the
+template, so a flag for an axis key (``--n 6``) is a usage error: write
+``--grid n=6``, or drop the axis with ``--grid n=``.
+
+A run is one ``harness.simulate`` of a grid point; maxinp, whose refit
+is O(t) per round, stops at T_MAXINP (2000) rounds. A run with ks
+lacking 4 or replicates != 1 is a usage error. Runs go through
+``harness.pool_map``, as ``harness.sweep``'s points do; each worker
+keeps its trace and returns only these statistics, read off the trace
+columns:
 
 - ``final_regret``: cum_regret at T;
+- ``regret_at_common_t``: cum_regret at t = min(T, T_MAXINP), where
+  every algorithm, maxinp included, can be compared;
 - ``rr1``: whether RR = 1 at T, and ``hr4``: HR@4 at T;
 - ``rounds_to_identify``: the first t from which rr stays 1 up to T, or
   null;
@@ -25,9 +32,10 @@ statistics, read off the trace columns:
 - ``first_frozen_round``: the first t from which x == y up to T, or null;
 - ``us_per_round``: simulate's wall time over T;
 - ``regret_slope``: the least-squares slope of log cum_regret against
-  log t over t in {500, 1000, 2000, 5000}, t <= T; null with fewer than
-  two such t or a non-positive regret. O~(sqrt T) regret predicts about
-  0.5; a run that locks in on a weak player gives about 1;
+  log t over t in SLOPE_TS = {500, 1000, 2000, 5000, 10000, 20000},
+  t <= T; null with fewer than two such t or a non-positive regret.
+  O~(sqrt T) regret predicts about 0.5; a run that locks in on a weak
+  player gives about 1;
 - ``tail_rate``: the regret per round over the second half of the run,
   (R(T) - R(T // 2)) / (T - T // 2), with R(0) = 0. It reads the
   asymptotic regime the slope can miss: a locked-in run keeps a positive
@@ -37,19 +45,18 @@ statistics, read off the trace columns:
 - ``winner_correct``: whether the run ends frozen on a player with zero
   regret, a true best player.
 
-Per (algo, game, n), over the seeds, it prints the median and quartiles
-of the final regret, the RR = 1 rate, the mean HR@4, how many runs
-identified and froze with the median of their rounds, how many ended
-frozen on a true best player, the median frozen gap over the runs that
-froze, and the medians of the other statistics; every deterministic
-statistic is also listed per seed. The JSON goes to ``--out`` or
-stdout. It is a report, not a gate: nothing here passes or fails.
+Per cell (a grid point without its seed), over the seeds, it gives the
+median and quartiles of the final regret, the RR = 1 rate, the mean
+HR@4, the runs that identified, froze, and froze on a true best player,
+with their median rounds and frozen gap, and the medians of the other
+statistics, and lists every deterministic statistic per seed. It is a
+report, not a gate: nothing here passes or fails.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -57,15 +64,19 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from duelrank import harness  # noqa: E402
+from duelrank import cli, harness  # noqa: E402
 from duelrank.config import ALGORITHMS, RunConfig  # noqa: E402
+from duelrank.errors import ConfigError  # noqa: E402
 
-GAMES = ("elo", "noisy_elo", "triangular_rev", "cyclic_dominant")
-GAMMA, NOISE, T_MAXINP = 1.8, 0.1, 2000
-SLOPE_TS = (500, 1000, 2000, 5000)
-PER_SEED = ("final_regret", "rr1", "hr4", "rounds_to_identify",
-            "self_pair_share", "first_frozen_round", "regret_slope",
-            "tail_rate", "frozen_gap", "winner_correct")
+DEFAULTS = ["--gamma", "1.8", "--noise", "0.1", "--ks", "4",
+            "--grid", "algo=" + ",".join(ALGORITHMS),
+            "--grid", "game=elo,noisy_elo,triangular_rev,cyclic_dominant",
+            "--grid", "n=20,100", "--grid", "seed=1,2,3,4,5,6,7,8,9,10,11,12"]
+T_MAXINP = 2000
+SLOPE_TS = (500, 1000, 2000, 5000, 10000, 20000)
+PER_SEED = ("final_regret", "regret_at_common_t", "rr1", "hr4",
+            "rounds_to_identify", "self_pair_share", "first_frozen_round",
+            "regret_slope", "tail_rate", "frozen_gap", "winner_correct")
 
 
 def suffix_start(flags) -> int | None:
@@ -100,6 +111,8 @@ def trace_stats(trace: harness.Trace) -> dict:
     frozen_gap = float(trace.instant_regret[-1]) if self_pair[-1] else None
     return {
         "final_regret": float(trace.cum_regret[-1]),
+        "regret_at_common_t": float(
+            trace.cum_regret[min(len(trace.cum_regret), T_MAXINP) - 1]),
         "rr1": bool(trace.rr[-1] == 1.0),
         "hr4": float(trace.hr[-1, trace.ks.index(4)]),
         "rounds_to_identify": suffix_start(trace.rr == 1.0),
@@ -148,66 +161,52 @@ def summarize_cell(runs: list[dict]) -> dict:
         hits = [r[key] for r in ok if r[key] is not None]
         out[key] = {"runs": len(hits), "median": _median(hits)}
     out["winner_correct"] = sum(r["winner_correct"] for r in ok)
-    for key in ("self_pair_share", "us_per_round", "regret_slope",
-                "tail_rate"):
+    for key in ("regret_at_common_t", "self_pair_share", "us_per_round",
+                "regret_slope", "tail_rate"):
         out[key] = _median([r[key] for r in ok])
     out["per_seed"] = {"seed": [r["seed"] for r in ok],
                        **{key: [r[key] for r in ok] for key in PER_SEED}}
     return out
 
 
-def grid_configs(args) -> list[RunConfig]:
-    """One config per (algo, game, n, seed), in that nesting order."""
-    return [RunConfig(algo=algo, game=game, n=n, seed=seed, gamma=GAMMA,
-                      noise=NOISE, ks=(4,),
-                      T=min(args.T, T_MAXINP) if algo == "maxinp" else args.T)
-            for algo in args.algos for game in args.games for n in args.n
-            for seed in range(1, args.seeds + 1)]
-
-
-def scorecard(args) -> dict:
-    configs = grid_configs(args)
-    runs = harness.pool_map(run_cell, configs, args.workers)
-    cells = []
-    cell_keys = itertools.product(args.algos, args.games, args.n)
-    for i, (algo, game, n) in zip(range(0, len(runs), args.seeds), cell_keys):
-        cells.append({"algo": algo, "game": game, "n": n, "T": configs[i].T,
-                      **summarize_cell(runs[i:i + args.seeds])})
-    return {"grid": {"algos": args.algos, "games": args.games, "n": args.n,
-                     "seeds": list(range(1, args.seeds + 1)), "T": args.T,
-                     "T_maxinp": T_MAXINP, "gamma": GAMMA, "noise": NOISE,
-                     "ks": [4]},
-            "cells": cells}
-
-
-def _names(allowed):
-    def parse(text):
-        names = text.split(",")
-        bad = [x for x in names if x not in allowed]
-        if bad:
-            raise argparse.ArgumentTypeError(f"unknown: {','.join(bad)}")
-        return names
-    return parse
+def scorecard(template: RunConfig, grid: dict, workers: int) -> dict:
+    """Every run of ``harness.grid_points(template, grid)``, maxinp's T
+    capped at T_MAXINP, summarized per cell: a point without its seed.
+    A run the statistics cannot read is a ConfigError, before any runs."""
+    points = harness.grid_points(template, grid)
+    configs = [dataclasses.replace(cfg, T=min(cfg.T, T_MAXINP))
+               if cfg.algo == "maxinp" else cfg for _, cfg in points]
+    if any(4 not in cfg.ks or cfg.replicates != 1 for cfg in configs):
+        raise ConfigError("every run needs 4 in ks and replicates=1")
+    runs = harness.pool_map(run_cell, configs, workers)
+    cells: dict[tuple, tuple[dict, list]] = {}
+    for (point, _), cfg, run in zip(points, configs, runs):
+        key = tuple((k, v) for k, v in point.items() if k != "seed")
+        cells.setdefault(key, ({**dict(key), "T": cfg.T}, []))[1].append(run)
+    return {"grid": {"template": template.digest(), "axes": grid,
+                     "T_maxinp": T_MAXINP, "common_t": T_MAXINP},
+            "cells": [{**cell, **summarize_cell(cell_runs)}
+                      for cell, cell_runs in cells.values()]}
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--algos", type=_names(ALGORITHMS),
-                    default=list(ALGORITHMS))
-    ap.add_argument("--games", type=_names(GAMES), default=list(GAMES))
-    ap.add_argument("--n", type=lambda s: [int(v) for v in s.split(",")],
-                    default=[20, 100])
-    ap.add_argument("--seeds", type=int, default=12,
-                    help="matrix seeds 1..SEEDS")
-    ap.add_argument("--T", type=int, default=5000)
-    ap.add_argument("--workers", type=int, default=1)
-    ap.add_argument("--out", help="JSON path (default: stdout)")
     argv = sys.argv[1:] if argv is None else argv
-    args = ap.parse_args(argv)
-    if args.seeds < 1 or args.workers < 1:
-        ap.error("--seeds and --workers must be at least 1")
+    ap = argparse.ArgumentParser(
+        description=__doc__.splitlines()[0],
+        epilog="defaults, applied before the arguments: " + " ".join(DEFAULTS))
+    cli.add_config_flags(ap, sweep=True)
+    given, args = ap.parse_args(argv), ap.parse_args(DEFAULTS + argv)
+    try:
+        template, grid, workers = cli.sweep_args(args)
+        for key, values in grid.items():
+            if values and getattr(given, key) is not None:
+                raise ConfigError(f"{key} is a --grid axis; give one value "
+                                  f"as --grid {key}=VALUE")
+        result = scorecard(template, grid, workers)
+    except ConfigError as exc:
+        ap.error(str(exc))
     command = " ".join(["python3", "scripts/scorecard.py", *argv])
-    harness.write_json({"command": command, **scorecard(args)}, args.out)
+    harness.write_json({"command": command, **result}, template.out)
     return 0
 
 

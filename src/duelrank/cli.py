@@ -9,16 +9,21 @@ import sys
 import numpy as np
 
 from . import harness
-from .config import _convert, _field_types, parse_config
+from .config import RunConfig, _convert, _field_types, parse_config
 from .errors import ConfigError, DuelRankError
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
+def add_config_flags(p: argparse.ArgumentParser, sweep=False) -> None:
     """``--<field>`` for every RunConfig field, kept as text for
-    parse_config to convert."""
+    parse_config to convert; with ``sweep``, ``--grid`` and ``--workers``."""
     p.add_argument("--config", help="key=value config file ('#' comments)")
     for key in _field_types():
         p.add_argument("--" + key.replace("_", "-"), dest=key)
+    if sweep:
+        p.add_argument("--grid", action="append", default=[],
+                       metavar="KEY=V1,V2,...",
+                       help="sweep values for one config key (repeatable)")
+        p.add_argument("--workers", default="1", help="worker processes")
 
 
 def _overrides(args: argparse.Namespace) -> dict:
@@ -32,17 +37,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="write the matrix CSV that run plays")
-    _add_config_flags(p_gen)
+    add_config_flags(p_gen)
 
     p_run = sub.add_parser("run", help="simulate one configuration")
-    _add_config_flags(p_run)
+    add_config_flags(p_run)
 
     p_sweep = sub.add_parser("sweep", help="grid of configurations")
-    _add_config_flags(p_sweep)
-    p_sweep.add_argument("--grid", action="append", default=[],
-                         metavar="KEY=V1,V2,...",
-                         help="sweep values for one config key (repeatable)")
-    p_sweep.add_argument("--workers", default="1", help="worker processes")
+    add_config_flags(p_sweep, sweep=True)
 
     p_rep = sub.add_parser("report", help="summarize existing trace CSVs")
     p_rep.add_argument("--traces", nargs="+", required=True)
@@ -82,10 +83,19 @@ def _parse_grid(specs: list[str], field_types: dict) -> dict:
     return grid
 
 
-def cmd_sweep(args) -> int:
+def sweep_args(args) -> tuple[RunConfig, dict, int]:
+    """``sweep``'s template, grid and workers (ConfigError if any is bad)."""
     cfg = parse_config(args.config, _overrides(args))
     grid = _parse_grid(args.grid, _field_types())
-    results = harness.sweep(cfg, grid, _convert("workers", args.workers, int))
+    workers = _convert("workers", args.workers, int)
+    if workers < 1:
+        raise ConfigError("workers must be at least 1", key="workers")
+    return cfg, grid, workers
+
+
+def cmd_sweep(args) -> int:
+    cfg, grid, workers = sweep_args(args)
+    results = harness.sweep(cfg, grid, workers)
     harness.write_json(results, f"{cfg.out}.sweep.json" if cfg.out else None)
     return 0
 
@@ -104,16 +114,10 @@ def cmd_report(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "gen":
-            return cmd_gen(args)
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        return cmd_report(args)
+        return {"gen": cmd_gen, "run": cmd_run, "sweep": cmd_sweep,
+                "report": cmd_report}[args.command](args)
     except (DuelRankError, OSError) as exc:
         err = {"error": type(exc).__name__, "message": str(exc)}
         key = getattr(exc, "key", None)

@@ -199,29 +199,33 @@ def pool_map(fn, items, workers: int) -> list:
         os.environ.update(saved)
 
 
+def grid_points(template: RunConfig, grid: dict[str, list]) -> list[tuple]:
+    """The cartesian grid over the template as (point, config) pairs:
+    keys sorted, values in the order given. Keys with empty value lists
+    fall back to the template's value; an unknown key is a ConfigError."""
+    types = _field_types()
+    for k in grid:
+        if k not in types:
+            raise ConfigError(f"unknown sweep key: {k}", key=k)
+    keys = sorted(k for k, vals in grid.items() if vals)
+    points = [dict(zip(keys, combo))
+              for combo in itertools.product(*(grid[k] for k in keys))]
+    return [(p, dataclasses.replace(template, **p)) for p in points]
+
+
 def sweep(template: RunConfig, grid: dict[str, list],
           workers: int = 1) -> list[dict]:
-    """Run the cartesian grid over the template; order is deterministic.
-
-    Keys with empty value lists fall back to the template's value.
-    Point failures are recorded in place without stopping the sweep.
+    """Run ``grid_points(template, grid)`` in order, each result with its
+    point. Point failures are recorded in place without stopping the sweep.
     Points go through ``pool_map``, so a script calling this with
     ``workers > 1`` needs an ``if __name__ == "__main__":`` guard.
     """
     if workers < 1:
         raise ConfigError("workers must be at least 1", key="workers")
-    keys = sorted(k for k, vals in grid.items() if vals)
-    types = _field_types()
-    for k in grid:
-        if k not in types:
-            raise ConfigError(f"unknown sweep key: {k}", key=k)
-    value_lists = [grid[k] for k in keys]
-    combos = [dict(zip(keys, combo))
-              for combo in itertools.product(*value_lists)]
-    points = [dataclasses.replace(template, **combo) for combo in combos]
-    results = pool_map(_sweep_point, points, workers)
-    for res, combo in zip(results, combos):
-        res["point"] = combo
+    points = grid_points(template, grid)
+    results = pool_map(_sweep_point, [cfg for _, cfg in points], workers)
+    for res, (point, _) in zip(results, points):
+        res["point"] = point
     return results
 
 

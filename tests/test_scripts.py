@@ -120,6 +120,32 @@ def test_ab_bench_rejects_bad_seeds(capsys, seeds):
     assert "--seeds" in err and "Traceback" not in err
 
 
+def test_ab_bench_defaults_come_from_benchmark_json(monkeypatch, capsys):
+    """With no --workload and no --seconds, every workload BENCHMARK.json
+    lists is run for its run_seconds, on both sides of each pair."""
+    ab = _ab_bench()
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    calls = []
+
+    def run_one(checkout, workload, seed, seconds):
+        calls.append((checkout, workload, seed, seconds))
+        return {"metrics": {m["name"]: 1.0 for m in spec["end_to_end"]},
+                "sha256": "ab12", "failed": 0, "correct": True}
+
+    monkeypatch.setattr(ab, "run_one", run_one)
+    assert ab.main(["--base", "b", "--change", str(ROOT), "--seeds", "7"]) \
+        == 0
+    names = [w["name"] for w in spec["workloads"]]
+    assert len(names) > 1
+    assert calls == [(Path(side), name, 7, spec["run_seconds"])
+                     for name in names for side in ("b", ROOT)]
+    assert capsys.readouterr().out.count("trace_sha256 equal") == len(names)
+    calls.clear()
+    assert ab.main(["--base", "b", "--change", str(ROOT), "--seeds", "7",
+                    "--workload", names[0], "--seconds", "0.5"]) == 0
+    assert [c[1:] for c in calls] == [(names[0], 7, 0.5)] * 2
+
+
 def test_ab_bench_spread_check():
     """Each side's q3 - q1 against bound x base median; either side over
     the limit flags SPREAD, and a metric without a bound gets no check."""
@@ -191,16 +217,40 @@ def test_learner_check_report_keys_and_repeatable(capsys):
             assert c["records"] == 4 * (c["j"] + 1)
 
 
-@pytest.mark.parametrize("alphas", ["tau,x", "0", "-1", "nan", "inf"])
-def test_learner_check_rejects_bad_alphas(capsys, alphas):
-    """A non-number and a non-positive or non-finite alpha are usage
-    errors (exit 2), as a bad --batches is, before any fit runs."""
+def _learner_check():
     spec = importlib.util.spec_from_file_location(
         "learner_check", ROOT / "scripts" / "learner_check.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_learner_check_runs_any_generated_game(capsys):
+    """--game takes any RunConfig.game generator, not only elo games."""
+    assert _learner_check().main(["--game", "triangular_rev", "--n", "6",
+                                  "--batches", "2", "--alphas", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["game"] == "triangular_rev" and report["tau"] == 4
+    assert [c["j"] for c in report["runs"][0]["checkpoints"]] == [1, 2]
+
+
+def test_learner_check_rejects_an_unknown_game(capsys):
+    """An unknown game is harness.build_matrix's ConfigError, reported as
+    a usage error (exit 2) with no traceback."""
     with pytest.raises(SystemExit) as exc:
-        module.main(["--n", "6", "--batches", "2", "--alphas", alphas])
+        _learner_check().main(["--game", "nope", "--n", "6"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown game generator: nope" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("alphas", ["tau,x", "0", "-1", "nan", "inf"])
+def test_learner_check_rejects_bad_alphas(capsys, alphas):
+    """A non-number and a non-positive or non-finite alpha are usage
+    errors (exit 2), as a bad --batches is, before any fit runs."""
+    with pytest.raises(SystemExit) as exc:
+        _learner_check().main(["--n", "6", "--batches", "2", "--alphas",
+                               alphas])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--alphas:" in err and "Traceback" not in err
@@ -236,7 +286,7 @@ def test_scorecard_regret_slope(sc):
     assert sc.regret_slope(zero_start) is None
 
 
-def test_scorecard_trace_stats_of_a_hand_built_trace(sc):
+def test_scorecard_trace_stats_of_a_hand_built_trace(sc, monkeypatch):
     from duelrank.harness import Trace
     # rounds 1-6: rr reaches 1 at round 3, dips at 4, holds from 5;
     # x == y from round 4 on; hr@4 ends at 0.75 (ks = (1, 4))
@@ -249,13 +299,20 @@ def test_scorecard_trace_stats_of_a_hand_built_trace(sc):
                   instant_regret=regret, cum_regret=np.cumsum(regret), rr=rr,
                   hr=hr, ndcg=hr.copy(), ks=(1, 4))
     assert sc.trace_stats(trace) == {
-        "final_regret": 1.0, "rr1": True, "hr4": 0.75,
+        "final_regret": 1.0, "regret_at_common_t": 1.0, "rr1": True,
+        "hr4": 0.75,
         "rounds_to_identify": 5, "self_pair_share": 0.5,
         "first_frozen_round": 4, "regret_slope": None,
         "tail_rate": 0.0, "frozen_gap": 0.0, "winner_correct": True}
     rr[-1] = 0.5
     stats = sc.trace_stats(trace)
     assert not stats["rr1"] and stats["rounds_to_identify"] is None
+    # a common t below T reads R(t) there: R(2) = 0.5 + 0.25
+    monkeypatch.setattr(sc, "T_MAXINP", 2)
+    stats = sc.trace_stats(trace)
+    assert stats["regret_at_common_t"] == 0.75
+    assert stats["final_regret"] == 1.0
+    monkeypatch.undo()
     # frozen on a player 0.5 below the best: R(6) - R(3) = 1.5 over 3
     # rounds, a wrong winner
     weak = np.array([0.5, 0.25, 0.25, 0.5, 0.5, 0.5])
@@ -278,15 +335,18 @@ def test_scorecard_tail_rate(sc):
 
 
 def test_scorecard_cell_summary(sc):
-    runs = [{"seed": s, "final_regret": reg, "rr1": rr1, "hr4": hr4,
+    runs = [{"seed": s, "final_regret": reg, "regret_at_common_t": reg / c,
+             "rr1": rr1, "hr4": hr4,
              "rounds_to_identify": ident, "self_pair_share": share,
              "first_frozen_round": frozen, "regret_slope": slope,
              "us_per_round": us, "tail_rate": tail, "frozen_gap": gap,
              "winner_correct": gap == 0.0}
-            for s, reg, rr1, hr4, ident, share, frozen, slope, us, tail, gap
-            in [(1, 10.0, True, 1.0, 40, 0.5, 90, 0.5, 3.0, 0.0, 0.0),
-                (2, 20.0, False, 0.5, None, 0.25, None, 1.0, 5.0, 0.5, None),
-                (3, 30.0, True, 0.75, 60, 0.75, 70, None, 4.0, 0.25, 0.5)]]
+            for s, reg, c, rr1, hr4, ident, share, frozen, slope, us, tail, gap
+            in [(1, 10.0, 1, True, 1.0, 40, 0.5, 90, 0.5, 3.0, 0.0, 0.0),
+                (2, 20.0, 4, False, 0.5, None, 0.25, None, 1.0, 5.0, 0.5,
+                 None),
+                (3, 30.0, 2, True, 0.75, 60, 0.75, 70, None, 4.0, 0.25,
+                 0.5)]]
     runs.append({"seed": 4, "error": "SolverError", "message": "x"})
     out = sc.summarize_cell(runs)
     assert out["runs"] == 3 and out["failed"] == [runs[3]]
@@ -299,6 +359,9 @@ def test_scorecard_cell_summary(sc):
     assert out["tail_rate"] == 0.25
     assert out["frozen_gap"] == {"runs": 2, "median": 0.25}
     assert out["winner_correct"] == 1
+    # common-t regrets 10, 5 and 15: the median is not the final one's
+    assert out["regret_at_common_t"] == 10.0
+    assert out["per_seed"]["regret_at_common_t"] == [10.0, 5.0, 15.0]
     assert out["per_seed"]["seed"] == [1, 2, 3]
     assert out["per_seed"]["rounds_to_identify"] == [40, None, 60]
     assert out["per_seed"]["frozen_gap"] == [0.0, None, 0.5]
@@ -311,8 +374,8 @@ def test_scorecard_two_cell_grid_in_a_pool_and_serially(sc, capsys):
     import subprocess
     import sys
     script = ROOT / "scripts" / "scorecard.py"
-    argv = ["--n", "6", "--T", "200", "--seeds", "2", "--algos",
-            "maxin_elo", "--games", "elo,cyclic_dominant"]
+    argv = ["--grid", "n=6", "--T", "200", "--grid", "seed=1,2", "--grid",
+            "algo=maxin_elo", "--grid", "game=elo,cyclic_dominant"]
     pooled = json.loads(subprocess.run(
         [sys.executable, str(script), *argv, "--workers", "2"],
         capture_output=True, text=True, check=True).stdout)
@@ -334,15 +397,81 @@ def test_scorecard_two_cell_grid_in_a_pool_and_serially(sc, capsys):
     assert serial["cells"][1]["final_regret"]["median"] > 0
 
 
+def _spy_runs(sc, monkeypatch) -> list:
+    """The configs the scorecard runs, in order, on its serial path."""
+    seen, run_cell = [], sc.run_cell
+    monkeypatch.setattr(sc, "run_cell",
+                        lambda cfg: seen.append(cfg) or run_cell(cfg))
+    return seen
+
+
 @pytest.mark.parametrize("n", [4, 6, 20])
 @pytest.mark.parametrize("game", ["triangular_rev", "cyclic_dominant"])
-def test_scorecard_matrix_games_load_with_best_last(sc, game, n):
+def test_scorecard_matrix_games_load_with_best_last(sc, monkeypatch, capsys,
+                                                    game, n):
     """The scorecard plays its fixed games by name, with no matrix file;
     the games themselves are tested in test_games.TestFixedGames."""
-    import argparse
     from duelrank import games, harness
-    args = argparse.Namespace(algos=["random"], games=[game], n=[n],
-                              seeds=1, T=10)
-    (cfg,) = sc.grid_configs(args)
-    assert cfg.game == game and cfg.matrix is None
+    seen = _spy_runs(sc, monkeypatch)
+    # an empty --grid drops the default algo axis for the template's
+    assert sc.main(["--grid", "algo=", "--algo", "random", "--grid",
+                    f"game={game}", "--grid", f"n={n}", "--grid", "seed=1",
+                    "--T", "10"]) == 0
+    (cfg,) = seen
+    assert cfg.algo == "random" and cfg.game == game and cfg.matrix is None
     assert games.true_ratings(harness.build_matrix(cfg)).best == n - 1
+    (cell,) = json.loads(capsys.readouterr().out)["cells"]
+    assert (cell["game"], cell["n"], cell["runs"]) == (game, n, 1)
+    assert "algo" not in cell and not cell["failed"]
+
+
+def test_scorecard_template_flag_reaches_every_run(sc, monkeypatch, capsys):
+    """A RunConfig flag the scorecard does not default (--alpha) is set
+    on every run and recorded in the template's digest."""
+    seen = _spy_runs(sc, monkeypatch)
+    assert sc.main(["--alpha", "1", "--T", "50", "--grid",
+                    "algo=maxin_elo,random,maxinp", "--grid", "game=elo",
+                    "--grid", "n=6", "--grid", "seed=1,2"]) == 0
+    assert [(c.algo, c.seed) for c in seen] == [
+        ("maxin_elo", 1), ("maxin_elo", 2), ("random", 1), ("random", 2),
+        ("maxinp", 1), ("maxinp", 2)]
+    assert all(c.alpha == 1.0 and c.gamma == 1.8 and c.ks == (4,)
+               for c in seen)
+    out = json.loads(capsys.readouterr().out)
+    assert "alpha=1.0;" in out["grid"]["template"]
+    assert out["grid"]["axes"] == {"algo": ["maxin_elo", "random", "maxinp"],
+                                   "game": ["elo"], "n": [6],
+                                   "seed": [1, 2]}
+    assert out["grid"]["common_t"] == out["grid"]["T_maxinp"] == 2000
+    assert [c["runs"] for c in out["cells"]] == [2, 2, 2]
+
+
+def test_scorecard_cells_group_by_point_not_position(sc, capsys):
+    """An axis that sorts after seed still gives one cell per value, with
+    every seed in it; T and the other axes come from the point."""
+    assert sc.main(["--grid", "tau=3,4", "--grid", "algo=maxin_elo",
+                    "--grid", "game=elo", "--grid", "n=6", "--grid",
+                    "seed=1,2,3", "--T", "50"]) == 0
+    cells = json.loads(capsys.readouterr().out)["cells"]
+    assert [(c["algo"], c["game"], c["n"], c["tau"], c["T"]) for c in cells] \
+        == [("maxin_elo", "elo", 6, 3, 50), ("maxin_elo", "elo", 6, 4, 50)]
+    for c in cells:
+        assert c["runs"] == 3 and not c["failed"]
+        assert c["per_seed"]["seed"] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--grid", "nope=1"], "unknown sweep key: nope"),
+    (["--grid", "n=x"], "bad value for n"),
+    (["--ks", "10"], "4 in ks"),
+    (["--replicates", "2"], "replicates=1"),
+    (["--workers", "0"], "workers must be at least 1"),
+    (["--n", "6"], "n is a --grid axis")])
+def test_scorecard_usage_errors(sc, capsys, argv, message):
+    """A bad key or value, a run the statistics cannot read, fewer than
+    one worker, and a flag for an axis key exit 2 before any run."""
+    with pytest.raises(SystemExit) as exc:
+        sc.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
