@@ -11,9 +11,12 @@ Example:
 For each seed it runs ``perfbench/run.py --trace 0`` once in each
 checkout, base first on the 1st, 3rd, ... pair and change first on the
 others, so slow phases of the machine fall on both sides. It then prints,
-per side, the median and quartiles of every end-to-end metric, how many
-pairs the change won, and whether ``trace_sha256`` and the ``failed``
-count matched in every pair. Metric names, their better direction and
+per side, the median and quartiles of every end-to-end metric, the
+quartiles of the per-pair ratio change/base, how many pairs the change
+won, and whether ``trace_sha256`` and the ``failed`` count matched in
+every pair. Seeds can differ in speed far more than the two sides do;
+the pair ratio cancels that, so it shows pairs that agree even when
+each side's spread is wide. Metric names, their better direction and
 their bounds are read from the change checkout's ``BENCHMARK.json``.
 
 The spread check: each side's middle-half spread (q3 - q1) is printed
@@ -100,7 +103,8 @@ def verdict(base: list[float], change: list[float], sign: float,
 def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
               bounds: dict[str, float] | None = None) -> dict:
     """Per metric: base and change (q1, median, q3), the pairs the change
-    won, the median ratio change/base, and the worst change run, the best
+    won, the median ratio change/base, ``pair_ratio``: the (q1, median,
+    q3) of change/base over the pairs, and the worst change run, the best
     base run and whether every change run beat every base run; plus
     whether every pair agreed on trace bytes and failed operations.
     ``pairs`` holds (base, change) results of ``parse_run``; ``better``
@@ -121,8 +125,11 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
         qb, qc = quartiles(base), quartiles(change)
         worst, best, every = extremes(base, change, sign)
         bound = (bounds or {}).get(name)
+        ratios = [c / b for b, c in zip(base, change) if b]
         out["metrics"][name] = {"base": qb, "change": qc, "won": won,
                                 "ratio": qc[1] / qb[1] if qb[1] else None,
+                                "pair_ratio":
+                                    quartiles(ratios) if ratios else None,
                                 "worst_change": worst, "best_base": best,
                                 "every_run_better": every,
                                 "verdict": verdict(base, change, sign, won,
@@ -144,6 +151,9 @@ def format_summary(workload: str, summary: dict) -> str:
     for name, m in summary["metrics"].items():
         (b1, b2, b3), (c1, c2, c3) = m["base"], m["change"]
         ratio = f"x{m['ratio']:.3f}" if m["ratio"] is not None else "-"
+        if m["pair_ratio"] is not None:
+            r1, r2, r3 = m["pair_ratio"]
+            ratio += f"  pair x{r2:.3f} [x{r1:.3f}, x{r3:.3f}]"
         row = (f"  {name:14s} base {b2:.6g} [{b1:.6g}, {b3:.6g}]  "
                f"change {c2:.6g} [{c1:.6g}, {c3:.6g}]  {ratio}  "
                f"won {m['won']}/{summary['pairs']}")

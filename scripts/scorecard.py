@@ -8,8 +8,8 @@ It reads ``duelrank sweep``'s flags: ``--config`` and one ``--<field>``
 flag per ``RunConfig`` field for the template, repeatable ``--grid
 KEY=V1,V2,...`` axes, and ``--workers``; ``--out`` is the JSON path
 (default: stdout). DEFAULTS come first, so a later flag replaces a value
-and a later ``--grid`` replaces an axis: gamma 1.8, noise 0.1, ks 4,
-every algorithm, n in {20, 100}, seeds 1..12, and four games: ``elo``
+and a later ``--grid`` replaces an axis or flag: gamma 1.8, noise 0.1,
+ks 4, every algorithm, n in {20, 100}, seeds 1..12, and four games: ``elo``
 and ``noisy_elo`` (matrix seed = seed), and ``triangular_rev`` and
 ``cyclic_dominant``, whose best player is n - 1. An axis overrides the
 template, so a flag for an axis key (``--n 6``) is a usage error: write
@@ -51,12 +51,20 @@ HR@4, the runs that identified, froze, and froze on a true best player,
 with their median rounds and frozen gap, and the medians of the other
 statistics, and lists every deterministic statistic per seed. It is a
 report, not a gate: nothing here passes or fails.
+
+``--diff A.json B.json`` runs nothing. It matches the cells of two
+scorecards on their point, every non-empty axis but seed, and prints a
+markdown table with one row per cell in both, each column A -> B: the
+median final regret, the runs with RR = 1 at T, the runs ending frozen
+on a true best player (``winner_correct``) and the median tail rate.
+Cells in only one file are listed after it.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
 from pathlib import Path
 
@@ -189,19 +197,69 @@ def scorecard(template: RunConfig, grid: dict, workers: int) -> dict:
                       for cell, cell_runs in cells.values()]}
 
 
+def cells_by_point(result: dict) -> dict:
+    """A scorecard's cells keyed by their point: the (axis, value) pairs
+    of every non-empty axis but seed, in the file's axis order."""
+    keys = [k for k, vals in result["grid"]["axes"].items()
+            if vals and k != "seed"]
+    return {tuple((k, cell[k]) for k in keys): cell
+            for cell in result["cells"]}
+
+
+def _label(point) -> str:
+    return ", ".join(f"`{v}`" if isinstance(v, str) else f"{k}={v}"
+                     for k, v in point)
+
+
+def _diff_stats(cell: dict) -> list[str]:
+    def fmt(value, spec):
+        return "—" if value is None else format(value, spec)
+
+    runs = cell["runs"]
+    return [fmt((cell["final_regret"] or {}).get("median"), ".0f"),
+            f"{sum(cell['per_seed']['rr1'])}/{runs}",
+            f"{cell['winner_correct']}/{runs}", fmt(cell["tail_rate"], ".2f")]
+
+
+def diff(a: dict, b: dict) -> str:
+    """The ``--diff`` table of scorecards a and b (see the module doc)."""
+    cells_a, cells_b = cells_by_point(a), cells_by_point(b)
+    rows = ["| cell | median regret | RR=1 | winner | tail rate |",
+            "|---|---|---|---|---|"]
+    for point, cell in cells_a.items():
+        if point in cells_b:
+            pairs = zip(_diff_stats(cell), _diff_stats(cells_b[point]))
+            rows.append(f"| {_label(point)} | "
+                        + " | ".join(f"{x} → {y}" for x, y in pairs) + " |")
+    for name, mine, other in (("A", cells_a, cells_b),
+                              ("B", cells_b, cells_a)):
+        rows += [f"only in {name}: {_label(p)}"
+                 for p in mine if p not in other]
+    return "\n".join(rows) + "\n"
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     ap = argparse.ArgumentParser(
         description=__doc__.splitlines()[0],
         epilog="defaults, applied before the arguments: " + " ".join(DEFAULTS))
     cli.add_config_flags(ap, sweep=True)
+    ap.add_argument("--diff", nargs=2, metavar=("A.json", "B.json"),
+                    help="compare two scorecards cell by cell; runs nothing")
     given, args = ap.parse_args(argv), ap.parse_args(DEFAULTS + argv)
+    if given.diff:
+        try:
+            a, b = (json.loads(Path(path).read_text()) for path in given.diff)
+            text = diff(a, b)
+        except (OSError, ValueError, KeyError) as exc:
+            ap.error(f"--diff: {type(exc).__name__}: {exc}")
+        sys.stdout.write(text)
+        return 0
+    for spec in given.grid:  # the user's axis replaces a default flag
+        key = spec.split("=", 1)[0]
+        setattr(args, key, getattr(given, key, None))
     try:
         template, grid, workers = cli.sweep_args(args)
-        for key, values in grid.items():
-            if values and getattr(given, key) is not None:
-                raise ConfigError(f"{key} is a --grid axis; give one value "
-                                  f"as --grid {key}=VALUE")
         result = scorecard(template, grid, workers)
     except ConfigError as exc:
         ap.error(str(exc))

@@ -84,12 +84,27 @@ def _parse_grid(specs: list[str], field_types: dict) -> dict:
 
 
 def sweep_args(args) -> tuple[RunConfig, dict, int]:
-    """``sweep``'s template, grid and workers (ConfigError if any is bad)."""
-    cfg = parse_config(args.config, _overrides(args))
+    """``sweep``'s template, grid and workers, or a ConfigError: for a bad
+    value, a flag whose key also has an axis, or the first grid point
+    that does not validate. The template is validated only as a point."""
+    cfg = parse_config(args.config, _overrides(args), validate=False)
     grid = _parse_grid(args.grid, _field_types())
+    for key, values in grid.items():
+        if values and getattr(args, key) is not None:
+            raise ConfigError(f"{key} is a --grid axis; give one value as "
+                              f"--grid {key}=VALUE", key=key)
     workers = _convert("workers", args.workers, int)
     if workers < 1:
         raise ConfigError("workers must be at least 1", key="workers")
+    for point, point_cfg in harness.grid_points(cfg, grid):
+        try:
+            point_cfg.resolve()
+        except ConfigError as exc:
+            if not point:
+                raise
+            where = ", ".join(f"{k}={v}" for k, v in point.items())
+            raise ConfigError(f"grid point {where}: {exc}",
+                              key=exc.key) from exc
     return cfg, grid, workers
 
 

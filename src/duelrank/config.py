@@ -142,11 +142,13 @@ def _field_types() -> dict:
     return types
 
 
-def parse_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
+def parse_config(path: str | None = None, overrides: dict | None = None,
+                 validate: bool = True) -> RunConfig:
     """Build a RunConfig from a key=value file plus overrides.
 
     Unknown keys are rejected; overrides win over file values, and None
-    overrides are ignored. The result is validated but not resolved.
+    overrides are ignored. The result is validated (unless ``validate``
+    is false) but not resolved.
     """
     types = _field_types()
     values: dict = {}
@@ -169,5 +171,6 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
             continue
         values[key] = _convert(key, str(v), types[key]) if isinstance(v, str) else v
     cfg = RunConfig(**values)
-    cfg.resolve()
+    if validate:
+        cfg.resolve()
     return cfg

@@ -88,6 +88,11 @@ def run_replicate(cfg: RunConfig, matrix: WinMatrix, truth: TrueRatings,
     writes into its arrays cannot change a score; a full buffer, and the
     rest after the last round, is scored in one call, and every other
     round copies the row of the estimate it returned.
+
+    Once the scheduler holds a pair (Scheduler.held), which leaves its
+    estimate as it is, the remaining rounds are filled at once: the held
+    pair, and outcomes from MatchEnv.play_many, the same draws that a
+    step per round would make.
     """
     outcome_rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, rep, 1]))
@@ -117,6 +122,10 @@ def run_replicate(cfg: RunConfig, matrix: WinMatrix, truth: TrueRatings,
             last, src[t] = est, t
             if len(rounds) == BLOCK:
                 score_block()
+        if scheduler.held is not None:
+            x[t + 1:], y[t + 1:] = scheduler.held
+            outcome[t + 1:] = env.play_many(*scheduler.held, T - t - 1)
+            break
     if rounds:
         score_block()
     src = np.maximum.accumulate(src)  # other rounds copy the last scored row

@@ -75,14 +75,17 @@ def cyclic_matrix(c: np.ndarray) -> np.ndarray:
     return -_omega_dot(c) @ c.T
 
 
+# Both predictions are sigmoid(z) on one scalar gap z, computed without
+# sigmoid's array conversion: -z is exact, and r[y] - r[x] == -(r[x] - r[y]).
 def predict_elo(state: RatingState, x: int, y: int) -> float:
-    return float(sigmoid(state.r[x] - state.r[y]))
+    return float(1.0 / (1.0 + np.exp(state.r[y] - state.r[x])))
 
 
 def predict_melo(state: RatingState, x: int, y: int) -> float:
     if state.c is None:
         raise ConfigError("state has no cyclic features; use predict_elo")
-    return float(sigmoid(state.r[x] - state.r[y] + cyclic_term(state.c, x, y)))
+    z = state.r[x] - state.r[y] + cyclic_term(state.c, x, y)
+    return float(1.0 / (1.0 + np.exp(-z)))
 
 
 def elo_loss(o: float, p_hat: float) -> float:

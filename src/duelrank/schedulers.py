@@ -9,6 +9,7 @@ always recorded from the first-listed player's perspective.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -59,19 +60,61 @@ def warm_start(records, cfg: RunConfig, rng: np.random.Generator) -> SgdState:
                     c_bar=None if c is None else c.copy())
 
 
+# Values per block of a _Blocks stream. numpy's Generator returns the
+# same values from k scalar draws as from one k-vector draw, and leaves
+# its stream in the same state, so a stream with a single consumer can be
+# drawn B at a time without changing a bit.
+B = 256
+
+
+class _Blocks:
+    """``draw()``'s values served one per call, drawn ``draw(size=B)`` at a
+    time; only for a stream that nothing else reads from the first call on."""
+
+    def __init__(self, draw):
+        self._draw = draw
+        self._vals, self._next = [], 0
+
+    def __call__(self):
+        if self._next == len(self._vals):
+            self._vals, self._next = self._draw(size=B).tolist(), 0
+        self._next += 1
+        return self._vals[self._next - 1]
+
+    def take(self, k: int) -> np.ndarray:
+        """The next k values at once: the buffered rest, then one draw."""
+        rest = np.array(self._vals[self._next:self._next + k])
+        self._next += len(rest)
+        if len(rest) == k:
+            return rest
+        return np.concatenate((rest, self._draw(size=k - len(rest))))
+
+
 class MatchEnv:
-    """A win matrix plus the random stream its outcomes are drawn from."""
+    """A win matrix plus the random stream its outcomes are drawn from.
+
+    ``random()`` serves the stream's uniforms from blocks of B, and ``play``
+    passes the env itself as ``sample_outcome``'s rng, so every outcome is
+    the scalar ``int(rng.random() < p[x, y])`` of the same stream, in the
+    same order. Nothing else may draw from ``rng`` once play has begun.
+    """
 
     def __init__(self, matrix: WinMatrix, rng: np.random.Generator):
         self.matrix = matrix
-        self.rng = rng
+        self.random = _Blocks(rng.random)
 
     def play(self, x: int, y: int) -> int:
-        return sample_outcome(self.matrix, x, y, self.rng)
+        return sample_outcome(self.matrix, x, y, self)
+
+    def play_many(self, x: int, y: int, k: int) -> np.ndarray:
+        """The outcomes of k more plays of (x, y), as int64, in one draw."""
+        return (self.random.take(k) < self.matrix.p[x, y]).astype(np.int64)
 
 
 class Scheduler:
     """Common bookkeeping for all policies; pair i is (_iu[i], _ju[i])."""
+
+    held: tuple[int, int] | None = None  # a pair every later round replays
 
     def __init__(self, config: RunConfig, rng: np.random.Generator):
         self.config = config.resolve()
@@ -114,9 +157,13 @@ class _OnlineBaseline(Scheduler):
 class RandomScheduler(_OnlineBaseline):
     """Uniform pair from all n(n-1)/2 unordered pairs, with replacement."""
 
+    def __init__(self, config, rng):
+        super().__init__(config, rng)
+        self._pair_index = _Blocks(partial(rng.integers, len(self._iu)))
+
     def step(self, env):
         self.t += 1
-        x, y = self.uniform_pair()
+        x, y = self._pair(self._pair_index())
         o = env.play(x, y)
         self._learn(x, y, o)
         return x, y, o
@@ -176,10 +223,11 @@ class DbgdScheduler(_OnlineBaseline):
     def __init__(self, config, rng):
         super().__init__(config, rng)
         self.champion = int(rng.integers(self.n))
+        self._opponent = _Blocks(partial(rng.integers, self.n - 1))
 
     def step(self, env):
         self.t += 1
-        opponent = int(self.rng.integers(self.n - 1))
+        opponent = self._opponent()
         if opponent >= self.champion:
             opponent += 1
         champ = self.champion
@@ -296,12 +344,11 @@ class MaxInScheduler(_WarmupScheduler):
     The estimate and rating gap change only per batch (see _fit_batch).
     A self-pair round under a fixed gamma is absorbing: it changes no
     input of the next selection (tracker, log, SGD state, gap, gamma),
-    so every later round replays that pair without selecting, and
-    `selection` stays the record of the round that froze.
+    so it becomes `held`: every later round replays that pair without
+    selecting, and `selection` stays the record of the round that froze.
     """
 
     sgd: SgdState | None = None  # None until the warmup fit
-    _held: tuple[int, int] | None = None  # the absorbing self-pair
 
     def _fit_batch(self):
         """The warm start from the first full log, an SGD step from every
@@ -320,14 +367,14 @@ class MaxInScheduler(_WarmupScheduler):
 
     def step(self, env):
         self.t += 1
-        if self._held is not None:
-            x, y = self._held
+        if self.held is not None:
+            x, y = self.held
         elif self.sgd is None:
             x, y = self.uniform_pair()
         else:
             x, y = self._select(self._gap, self._gamma())
             if x == y and self.config.gamma_mode == "fixed":
-                self._held = x, y
+                self.held = x, y
         o = env.play(x, y)
         if x != y:  # self-pairs carry zero information
             self._record(x, y, o)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import types
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from duelrank import games, harness
+from duelrank import games, harness, schedulers
 from duelrank.config import ALGORITHMS, RunConfig, _field_types, parse_config
 from duelrank.errors import ConfigError
 from duelrank.harness import (
@@ -396,26 +397,29 @@ class TestTraceBytes:
 
 
 def reference_run(cfg: RunConfig):
-    """run_replicate's rounds, scoring every estimate with RankScorer.
+    """run_replicate's rounds, one step each, scoring every estimate with
+    RankScorer and drawing every outcome as one scalar uniform.
 
     Also checks the estimate contract: an estimate returned again on the
     next round has the same bits as when it first appeared. Returns the
-    per-round (rr, hr, ndcg), the scheduler, and the number of distinct
-    estimates returned, the warmup's zero ratings included.
+    per-round (rr, hr, ndcg), the scheduler, the number of distinct
+    estimates returned, the warmup's zero ratings included, and the
+    per-round (x, y, outcome).
     """
     from duelrank.metrics import RankScorer
-    from duelrank.schedulers import MatchEnv, make_scheduler
+    from duelrank.schedulers import make_scheduler
     cfg = cfg.resolve()
     matrix = harness.build_matrix(cfg)
     truth = games.true_ratings(matrix, clip_eps=cfg.clip_eps)
-    env = MatchEnv(matrix, np.random.default_rng(
-        np.random.SeedSequence([cfg.seed, 0, 1])))
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0, 1]))
+    env = types.SimpleNamespace(
+        play=lambda x, y: int(rng.random() < matrix.p[x, y]))
     sched = make_scheduler(cfg, np.random.default_rng(
         np.random.SeedSequence([cfg.seed, 0, 2])))
     scorer = RankScorer(truth, cfg.ks)
-    rows, last, first_bits, distinct = [], None, None, 0
+    rows, played, last, first_bits, distinct = [], [], None, None, 0
     for _ in range(cfg.T):
-        sched.step(env)
+        played.append(sched.step(env))
         est = sched.estimate()
         bits = (est.r.tobytes(), None if est.c is None else est.c.tobytes())
         if est is last:
@@ -423,7 +427,7 @@ def reference_run(cfg: RunConfig):
         else:
             last, first_bits, distinct = est, bits, distinct + 1
         rows.append([a[0] for a in scorer.score(est.r[None, :])])
-    return rows, sched, distinct
+    return rows, sched, distinct, played
 
 
 class TestEstimateContract:
@@ -456,11 +460,12 @@ class TestEstimateContract:
         assert np.array_equal(trace.rr, np.array(rr))
         assert np.array_equal(trace.hr, np.array(hr).reshape(cfg.T, -1))
         assert np.array_equal(trace.ndcg, np.array(ndcg).reshape(cfg.T, -1))
+        return trace
 
     @pytest.mark.parametrize("kw", CASES, ids=CASE_IDS)
     def test_scores_match_every_round_reference(self, kw):
         cfg = RunConfig(**kw)
-        rows, sched, distinct = reference_run(cfg)
+        rows, sched, distinct, _ = reference_run(cfg)
         if kw["algo"].startswith("maxin_"):
             assert sched.sgd.j >= 2
             assert distinct == 2 + sched.sgd.j
@@ -479,7 +484,7 @@ class TestEstimateContract:
         ids=["random", "maxin_elo"])
     def test_block_boundaries_match_reference(self, kw, T):
         cfg = RunConfig(**kw, T=T)
-        rows, _, distinct = reference_run(cfg)
+        rows, _, distinct, _ = reference_run(cfg)
         assert distinct == T
         self.assert_run_matches(cfg, rows)
 
@@ -494,18 +499,55 @@ class TestEstimateContract:
 
         monkeypatch.setattr(harness, "_metric_snapshot", counting)
         cfg = RunConfig(**kw)
-        _, _, distinct = reference_run(cfg)
+        _, _, distinct, _ = reference_run(cfg)
         simulate(cfg)
         assert sum(sizes) == distinct
         assert all(s == harness.BLOCK for s in sizes[:-1])
         assert 0 < sizes[-1] <= harness.BLOCK
 
     def test_maxin_estimate_is_read_only(self):
-        _, sched, _ = reference_run(RunConfig(**self.CASES[2]))
+        _, sched, _, _ = reference_run(RunConfig(**self.CASES[2]))
         est = sched.estimate()
         for a in (est.r, est.c):
             with pytest.raises(ValueError):
                 a[0] = 0.0
+
+
+class TestHeldTail:
+    """run_replicate fills the rounds after a held pair in one draw; they
+    equal a step per round, whatever round the run freezes in."""
+
+    FROZEN_EARLY = dict(algo="maxin_elo", n=12, T=400, tau=8, gamma=1.0,
+                        rating_scale=2.0, ks=(1, 4, 10), seed=3)
+    # (config, the round whose self-pair is held, or None)
+    CASES = [
+        (FROZEN_EARLY, 141),
+        (dict(algo="maxin_melo", n=8, T=400, tau=6, gamma=1.0, k=2, ks=(4,),
+              seed=4), 69),
+        ({**FROZEN_EARLY, "T": 141}, 141),
+        (dict(algo="maxin_elo", n=8, T=300, tau=6, gamma=1.8, ks=(2,),
+              seed=1), None),
+        (dict(algo="maxin_elo", n=8, T=300, tau=6, gamma_mode="theoretical",
+              ks=(2,), seed=1), None),
+    ]
+
+    @pytest.mark.parametrize("kw,freeze", CASES, ids=[
+        "elo-early", "melo-early", "elo-last-round", "elo-never",
+        "theoretical"])
+    def test_trace_matches_a_step_per_round(self, kw, freeze):
+        cfg = RunConfig(**kw)
+        rows, sched, _, played = reference_run(cfg)
+        x, y, o = (np.array(col) for col in zip(*played))
+        assert (sched.held is None) == (freeze is None)
+        if freeze is not None:
+            assert (x[freeze - 1:] == y[freeze - 1:]).all()
+            assert sched.held == (x[-1], y[-1])
+            assert x[freeze - 2] != y[freeze - 2]
+            # a held tail longer than one block of outcome draws
+            assert freeze == cfg.T or cfg.T - freeze > schedulers.B
+        trace = TestEstimateContract.assert_run_matches(cfg, rows)
+        assert np.array_equal(trace.x, x) and np.array_equal(trace.y, y)
+        assert np.array_equal(trace.outcome, o)
 
 
 class TestReport:
@@ -847,6 +889,35 @@ class TestCli:
             results = json.loads(out)
             assert len(results) == 2
             assert all(r["ok"] for r in results)
+
+    def test_sweep_validates_each_grid_point_not_the_template(self, capsys):
+        # the template's default maxin_elo needs tau < T; no point plays it
+        code, out, _ = self._main(
+            ["sweep", "--T", "10", "--grid", "algo=random"], capsys)
+        assert code == 0
+        assert [r["ok"] for r in json.loads(out)] == [True]
+        # the first point that does not validate is the error, by name
+        code, out, err = self._main(
+            ["sweep", "--T", "10", "--grid", "algo=random,maxin_elo,maxinp"],
+            capsys)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "ConfigError", "key": "tau",
+            "message": "grid point algo=maxin_elo: warmup tau must be "
+                       "smaller than horizon T"}
+
+    def test_sweep_rejects_a_flag_for_an_axis_key(self, capsys):
+        argv = ["sweep", "--algo", "random", "--T", "10", "--n", "6"]
+        code, out, err = self._main([*argv, "--grid", "n=4"], capsys)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "ConfigError", "key": "n",
+            "message": "n is a --grid axis; give one value as --grid n=VALUE"}
+        # an empty axis is no axis: the flag's value is the run's
+        code, out, _ = self._main([*argv, "--grid", "n="], capsys)
+        assert code == 0
+        (result,) = json.loads(out)
+        assert result["ok"] and ";n=6;" in result["summary"]["config"]
 
     @pytest.mark.parametrize("command", ["run", "gen"])
     def test_workers_is_a_sweep_flag_only(self, capsys, command):

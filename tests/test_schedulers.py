@@ -13,7 +13,7 @@ from duelrank import games, schedulers
 from duelrank.config import ALGORITHMS, BASELINES, RunConfig
 from duelrank.errors import ConfigError, ContractViolationError, MatrixLoadError
 from duelrank.harness import simulate
-from duelrank.ratings import mle_fit
+from duelrank.ratings import initial_features, mle_fit
 from duelrank.schedulers import (
     DbgdScheduler,
     MatchEnv,
@@ -674,10 +674,10 @@ class TestMaxInStep:
         env = env_for(games.gen_elo_game(20, 1.0, seed), seed=seed + 100)
         held = 0
         for _ in range(T):
-            if sched._held is not None:
+            if sched.held is not None:
                 held += 1
                 fresh = copy.deepcopy(sched)
-                assert fresh._select(fresh._gap, fresh._gamma()) == sched._held
+                assert fresh._select(fresh._gap, fresh._gamma()) == sched.held
                 got, want = fresh.selection, sched.selection
                 assert np.array_equal(got.mask, want.mask)
                 for a, b in ((got.gamma, want.gamma), (got.u, want.u)):
@@ -878,6 +878,103 @@ class TestDbgd:
     def test_initial_estimate_zero(self):
         sched = build("dbgd", 4)
         np.testing.assert_allclose(sched.estimate().r, 0.0)
+
+
+class ScalarEnv:
+    """MatchEnv's outcomes as one scalar draw per play, the reference for
+    its block draws."""
+
+    def __init__(self, matrix, rng):
+        self.matrix, self.rng = matrix, rng
+
+    def play(self, x, y):
+        return int(self.rng.random() < self.matrix.p[x, y])
+
+
+def reference_baseline(algo, seed, **kw):
+    """A random or dbgd scheduler whose stream is replayed from seed by
+    scalar draws: the mElo features, then dbgd's champion, as __init__
+    draws them, and then one draw per step (reference_baseline_step)."""
+    sched = build(algo, seed=seed, **kw)
+    rng = sched.rng = np.random.default_rng(seed)
+    if sched.config.melo:
+        initial_features(rng, sched.n, sched.config.k)
+    if algo == "dbgd":
+        sched.champion = int(rng.integers(sched.n))
+    return sched
+
+
+def reference_baseline_step(sched, env):
+    """The random or dbgd step before block draws: one scalar
+    rng.integers call for the pair index or the opponent."""
+    sched.t += 1
+    if isinstance(sched, DbgdScheduler):
+        champ = sched.champion
+        opponent = int(sched.rng.integers(sched.n - 1))
+        opponent += opponent >= champ
+        x, y = min(champ, opponent), max(champ, opponent)
+        o = env.play(x, y)
+        if (o if x == champ else 1 - o) == 0:
+            sched.champion = opponent
+    else:
+        x, y = sched._pair(int(sched.rng.integers(len(sched._iu))))
+        o = env.play(x, y)
+    sched._learn(x, y, o)
+    return x, y, o
+
+
+class TestBlockDraws:
+    """Streams drawn B values at a time give the scalar draws' values."""
+
+    def test_outcome_stream_matches_scalar_draws(self):
+        m = games.gen_elo_game(7, 2.0, 1)
+        env, ref = env_for(m, seed=5), ScalarEnv(m, np.random.default_rng(5))
+        B = schedulers.B
+
+        def rest():  # what is left of the env's current block
+            return len(env.random._vals) - env.random._next
+
+        # (pair, plays, whether they are one play_many); a None count is
+        # the rest of the current block
+        script = [((0, 1), 3, False), ((2, 2), 0, True), ((1, 4), 1, False),
+                  ((3, 3), 1, True), ((5, 6), None, True), ((6, 5), 2, False),
+                  ((4, 4), 2 * B + 7, True), ((0, 6), B + 1, False),
+                  ((2, 2), None, True), ((1, 1), 0, True), ((1, 2), 1, False),
+                  ((3, 3), B - 1, True), ((3, 3), 1, True)]
+        seen_rest = set()
+        for (x, y), k, many in script:
+            if k is None:
+                k = rest()
+                seen_rest.add(k)
+            want = [ref.play(x, y) for _ in range(k)]
+            if many:
+                got = env.play_many(x, y, k)
+                assert got.dtype == np.int64 and got.shape == (k,)
+                assert got.tolist() == want
+            else:
+                assert [env.play(x, y) for _ in range(k)] == want
+        assert 0 not in seen_rest and B not in seen_rest
+        assert ([env.play(0, 3) for _ in range(3 * B)]
+                == [ref.play(0, 3) for _ in range(3 * B)])
+
+    @pytest.mark.parametrize("melo", [False, True])
+    @pytest.mark.parametrize("algo", ["random", "dbgd"])
+    def test_baseline_pairs_match_scalar_draws(self, algo, melo):
+        n, T = 9, 3 * schedulers.B + 17
+        kw = dict(n=n, T=T, melo=melo, k=2)
+        m = games.gen_elo_game(n, 1.0, 4)
+        sched, ref = build(algo, seed=8, **kw), reference_baseline(
+            algo, 8, **kw)
+        if algo == "dbgd":
+            assert sched.champion == ref.champion
+        env, ref_env = env_for(m, seed=6), ScalarEnv(
+            m, np.random.default_rng(6))
+        for _ in range(T):
+            assert sched.step(env) == reference_baseline_step(ref, ref_env)
+        est, ref_est = sched.estimate(), ref.estimate()
+        assert est.r.tobytes() == ref_est.r.tobytes()
+        if melo:
+            assert est.c.tobytes() == ref_est.c.tobytes()
 
 
 class TestMaxInP:

@@ -192,6 +192,31 @@ def test_ab_bench_spread_check():
     assert "spread" not in ab.format_summary("w", unbounded)
 
 
+def test_ab_bench_pair_ratio():
+    """The per-pair change/base quartiles: seeds 8x apart in speed that
+    agree within each pair give a tight pair ratio, while the spread
+    check and the verdict still read the runs themselves."""
+    ab = _ab_bench()
+
+    def runs(values):
+        return [ab.parse_run(_canned_run(r, 58.0)) for r in values]
+
+    better, bounds = {"rounds_per_s": "higher"}, {"rounds_per_s": 0.25}
+    base = runs((100, 200, 400, 800))      # q1 125, median 300, q3 700
+    agree = ab.summarize(list(zip(base, runs((110, 220, 440, 880)))),
+                         better, bounds)
+    rounds = agree["metrics"]["rounds_per_s"]
+    assert rounds["pair_ratio"] == pytest.approx((1.1, 1.1, 1.1))
+    assert not rounds["spread"]["ok"] and rounds["verdict"] == "unresolved"
+    text = ab.format_summary("w", agree)
+    assert "x1.100  pair x1.100 [x1.100, x1.100]  won 4/4" in text
+    # ratios 0.9, 1.2, 1.1 and 1.0: quartiles as of the runs themselves
+    mixed = ab.summarize(list(zip(runs((100,) * 4), runs((90, 120, 110,
+                                                          100)))), better)
+    assert mixed["metrics"]["rounds_per_s"]["pair_ratio"] == pytest.approx(
+        (0.925, 1.05, 1.175))
+
+
 def test_learner_check_report_keys_and_repeatable(capsys):
     """A tiny learner_check run, once as a script and once in-process,
     gives the same bytes with the documented keys; no value is pinned."""
@@ -458,6 +483,69 @@ def test_scorecard_cells_group_by_point_not_position(sc, capsys):
     for c in cells:
         assert c["runs"] == 3 and not c["failed"]
         assert c["per_seed"]["seed"] == [1, 2, 3]
+
+
+def test_scorecard_axis_replaces_a_default_flag(sc, monkeypatch, capsys):
+    """A --grid axis for a key the defaults give as a flag (gamma) is the
+    runs' value, not a usage error; the other default flags stay."""
+    seen = _spy_runs(sc, monkeypatch)
+    assert sc.main(["--grid", "gamma=1,3", "--grid", "algo=random",
+                    "--grid", "game=elo", "--grid", "n=6", "--grid",
+                    "seed=1", "--T", "20"]) == 0
+    assert [(c.gamma, c.noise, c.ks) for c in seen] == [(1.0, 0.1, (4,)),
+                                                        (3.0, 0.1, (4,))]
+    cells = json.loads(capsys.readouterr().out)["cells"]
+    assert [c["gamma"] for c in cells] == [1.0, 3.0]
+
+
+def _card(axes, cells):
+    """A hand-built scorecard JSON: (point, median regret, rr1 per seed,
+    winner_correct, tail rate) per cell."""
+    return {"grid": {"axes": axes}, "cells": [
+        {**point, "T": 50, "runs": len(rr1),
+         "final_regret": None if median is None else {"median": median},
+         "per_seed": {"rr1": rr1}, "winner_correct": winners,
+         "tail_rate": tail}
+        for point, median, rr1, winners, tail in cells]}
+
+
+def test_scorecard_diff_of_hand_built_files(sc, monkeypatch, capsys,
+                                            tmp_path):
+    """Cells match on every non-empty axis but seed, whatever their order
+    in the files; the others are listed, and nothing runs."""
+    seen = _spy_runs(sc, monkeypatch)
+    axes = {"algo": ["x", "y"], "game": [], "n": [6], "seed": [1, 2]}
+    a = _card(axes, [
+        ({"algo": "x", "n": 6}, 100.4, [True, False], 1, 0.5),
+        ({"algo": "y", "n": 6}, 7.0, [False, False], 0, 0.125)])
+    b = _card({**axes, "algo": ["y", "z"]}, [
+        ({"algo": "z", "n": 6}, 3.0, [True], 1, 0.0),
+        ({"algo": "y", "n": 6}, None, [], 0, None)])
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, card in zip(paths, (a, b)):
+        path.write_text(json.dumps(card))
+    assert sc.main(["--diff", *map(str, paths)]) == 0
+    assert capsys.readouterr().out == (
+        "| cell | median regret | RR=1 | winner | tail rate |\n"
+        "|---|---|---|---|---|\n"
+        "| `y`, n=6 | 7 → — | 0/2 → 0/0 | 0/2 → 0/0 | 0.12 → — |\n"
+        "only in A: `x`, n=6\n"
+        "only in B: `z`, n=6\n")
+    assert seen == []
+    # an axis only one file has keeps every cell apart
+    c = _card({**axes, "tau": [3]},
+              [({"algo": "y", "n": 6, "tau": 3}, 1.0, [True], 1, 0.0)])
+    assert sc.diff(a, c).splitlines()[2:] == [
+        "only in A: `x`, n=6", "only in A: `y`, n=6",
+        "only in B: `y`, n=6, tau=3"]
+    # a missing or foreign file is a usage error, not a traceback
+    paths[1].write_text("{}")
+    for second in (tmp_path / "none.json", paths[1]):
+        with pytest.raises(SystemExit) as exc:
+            sc.main(["--diff", str(paths[0]), str(second)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--diff: " in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv,message", [
