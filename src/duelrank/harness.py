@@ -83,16 +83,13 @@ def run_replicate(cfg: RunConfig, matrix: WinMatrix, truth: TrueRatings,
                   rep: int) -> Trace:
     """Play T rounds of one seeded replicate and record the trace.
 
-    A new estimate (see Scheduler.estimate) is copied into a BLOCK x n
-    buffer in the round it first appears, so a scheduler that later
-    writes into its arrays cannot change a score; a full buffer, and the
-    rest after the last round, is scored in one call, and every other
-    round copies the row of the estimate it returned.
-
-    Once the scheduler holds a pair (Scheduler.held), which leaves its
-    estimate as it is, the remaining rounds are filled at once: the held
-    pair, and outcomes from MatchEnv.play_many, the same draws that a
-    step per round would make.
+    Rounds are played by Scheduler.play, each call until the last round
+    or until the new estimates fill the free rows of a BLOCK x n buffer.
+    Their ratings are copied into the buffer; a full buffer, and the rest
+    after the last round, is scored in one call, and every other round
+    takes the scores of the last new estimate before it. So an online
+    baseline, which learns every round, plays 64 rounds per call and
+    scores them at once, and a held MaxIn pair's rounds are one call.
     """
     outcome_rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, rep, 1]))
@@ -105,29 +102,23 @@ def run_replicate(cfg: RunConfig, matrix: WinMatrix, truth: TrueRatings,
     x, y, outcome = (np.empty(T, dtype=np.int64) for _ in range(3))
     rr = np.empty(T)
     hr, ndcg = np.empty((T, len(cfg.ks))), np.empty((T, len(cfg.ks)))
-    src, last = np.zeros(T, dtype=np.intp), None  # src[t] = t if t was scored
-    block, rounds = np.empty((BLOCK, matrix.n)), []  # rounds of block's rows
-
-    def score_block():
-        rr[rounds], hr[rounds], ndcg[rounds] = _metric_snapshot(
-            scorer, block[:len(rounds)])
-        rounds.clear()
-
-    for t in range(T):
-        x[t], y[t], outcome[t] = scheduler.step(env)
-        est = scheduler.estimate()
-        if est is not last:  # a new estimate; see Scheduler.estimate
-            block[len(rounds)] = est.r
-            rounds.append(t)
-            last, src[t] = est, t
-            if len(rounds) == BLOCK:
-                score_block()
-        if scheduler.held is not None:
-            x[t + 1:], y[t + 1:] = scheduler.held
-            outcome[t + 1:] = env.play_many(*scheduler.held, T - t - 1)
-            break
-    if rounds:
-        score_block()
+    src = np.zeros(T, dtype=np.intp)  # src[t] = t if t was scored
+    block = np.empty((BLOCK, matrix.n))  # rows to score, one per new estimate
+    rounds = np.empty(BLOCK, dtype=np.intp)  # the round of each row
+    t = filled = 0  # rounds played; rows of block in use
+    while t < T:
+        xs, ys, os_, rows, at = scheduler.play(env, T - t, BLOCK - filled)
+        k = len(xs)
+        x[t:t + k], y[t:t + k], outcome[t:t + k] = xs, ys, os_
+        end = filled + len(at)
+        block[filled:end], rounds[filled:end] = rows, t + at
+        src[t + at] = t + at
+        t, filled = t + k, end
+        if filled == BLOCK or (t == T and filled):
+            scored = rounds[:filled]
+            rr[scored], hr[scored], ndcg[scored] = _metric_snapshot(
+                scorer, block[:filled])
+            filled = 0
     src = np.maximum.accumulate(src)  # other rounds copy the last scored row
     rr, hr, ndcg = rr[src], hr[src], ndcg[src]
     # np.cumsum adds in round order, as a running total would

@@ -3,7 +3,8 @@
 The scalar model predicts sigma(r_x - r_y). The multidimensional variant
 adds an antisymmetric bilinear term c_x' Omega c_y built from per-player
 2k-dimensional feature vectors, capturing cyclic (intransitive) relations.
-All update operations return new states; nothing is mutated in place.
+Update operations never write into their arguments: each returns new
+arrays, and sgd_rows updates only its own copies as it goes.
 """
 
 from __future__ import annotations
@@ -118,6 +119,39 @@ def sgd_step_melo(state: RatingState, x: int, y: int, o, eta: float) -> RatingSt
     return RatingState(r=r, c=c)
 
 
+def sgd_rows(state: RatingState, x, y, o, eta: float):
+    """k online gradient steps from state on the matches (x[i], y[i], o[i]),
+    x[i] != y[i]: bit for bit sgd_step_elo's, or sgd_step_melo's when state
+    has features. Returns the k x n ratings after each step and the last
+    features (None for Elo). The scalars are Python floats and np.exp,
+    which round as 0-d numpy does. The rows are one cumsum over the steps'
+    increments, +d at x[i], -d at y[i] (r - d == r + -d) and -0.0, which
+    leaves any float as it is, elsewhere.
+    """
+    r, c = state.r.tolist(), state.c
+    c = None if c is None else c.copy()
+    steps = []
+    for a, b, w in zip(x.tolist(), y.tolist(), o.tolist()):
+        if c is None:
+            d = eta * (w - float(1.0 / (1.0 + np.exp(r[b] - r[a]))))
+        else:
+            z = r[a] - r[b] + cyclic_term(c, a, b)
+            d = eta * (w - float(1.0 / (1.0 + np.exp(-z))))
+            c_a = c[a] + d * _omega_dot(c[b])
+            c[b] = c[b] - d * _omega_dot(c[a])
+            c[a] = c_a
+        r[a] += d
+        r[b] -= d
+        steps.append(d)
+    k = len(steps)
+    rows = np.full((k + 1, len(r)), -0.0)
+    rows[0] = state.r
+    step, i = np.array(steps), np.arange(1, k + 1)
+    rows[i, x] = step
+    rows[i, y] = -step
+    return np.cumsum(rows, axis=0, out=rows)[1:], c
+
+
 def project(r: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection onto the ball of given radius around center."""
     diff = r - center
@@ -140,7 +174,8 @@ def _batch_gradients(r: np.ndarray, c: np.ndarray | None,
     z = r[xs] - r[ys]
     if c is not None:
         z = z + cyclic_term(c, xs, ys)
-    delta = recs[:, 2] - sigmoid(z)
+    with np.errstate(over="ignore"):  # exp(-z) -> inf is sigmoid 0.0
+        delta = recs[:, 2] - sigmoid(z)
     # rows x1, y1, x2, y2, ... with weights -delta1, delta1, -delta2, ...
     rows = xy.ravel()
     w = np.stack((-delta, delta), axis=1).ravel()

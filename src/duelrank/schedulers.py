@@ -1,7 +1,8 @@
 """Match-scheduling policies: the UCB/SGD schedulers and five baselines.
 
 Every policy exposes the same surface: step(env) plays one match and
-returns (x, y, outcome); estimate() returns the current RatingState.
+returns (x, y, outcome); play(env, k, m) plays up to k and also returns
+the new estimates' ratings; estimate() returns the current RatingState.
 Pairs are unordered with the canonical ordering x < y, and outcomes are
 always recorded from the first-listed player's perspective.
 """
@@ -9,6 +10,7 @@ always recorded from the first-listed player's perspective.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import partial
 from typing import NamedTuple
 
@@ -24,9 +26,10 @@ from .ratings import (
     cyclic_matrix,
     initial_features,
     mle_fit,
-    sgd_step_elo,
-    sgd_step_melo,
+    sgd_rows,
 )
+# Looked up here by perfbench/tracer.py, which times them by these names.
+from .ratings import sgd_step_elo, sgd_step_melo  # noqa: F401
 from .tracker import DesignTracker
 
 
@@ -83,10 +86,12 @@ class _Blocks:
 
     def take(self, k: int) -> np.ndarray:
         """The next k values at once: the buffered rest, then one draw."""
-        rest = np.array(self._vals[self._next:self._next + k])
+        rest = self._vals[self._next:self._next + k]
         self._next += len(rest)
+        if not rest:  # an empty list would make an int stream float
+            return self._draw(size=k)
         if len(rest) == k:
-            return rest
+            return np.array(rest)
         return np.concatenate((rest, self._draw(size=k - len(rest))))
 
 
@@ -106,8 +111,15 @@ class MatchEnv:
     def play(self, x: int, y: int) -> int:
         return sample_outcome(self.matrix, x, y, self)
 
-    def play_many(self, x: int, y: int, k: int) -> np.ndarray:
-        """The outcomes of k more plays of (x, y), as int64, in one draw."""
+    def plays(self, k: int):
+        """A play function for the next k matches: outcome i is
+        int(u[i] < p[x, y]) of one draw u of k uniforms, as play's is."""
+        u, p = iter(self.random.take(k).tolist()), self.matrix.p
+        return lambda x, y: int(next(u) < p[x, y])
+
+    def play_many(self, x, y, k: int) -> np.ndarray:
+        """k outcomes, as int64, from one draw: of k plays of (x, y), or
+        of the pairs (x[i], y[i]) if x and y are arrays of k players."""
         return (self.random.take(k) < self.matrix.p[x, y]).astype(np.int64)
 
 
@@ -115,6 +127,7 @@ class Scheduler:
     """Common bookkeeping for all policies; pair i is (_iu[i], _ju[i])."""
 
     held: tuple[int, int] | None = None  # a pair every later round replays
+    _reported: RatingState | None = None  # the estimate play last returned
 
     def __init__(self, config: RunConfig, rng: np.random.Generator):
         self.config = config.resolve()
@@ -133,6 +146,36 @@ class Scheduler:
     def step(self, env: MatchEnv) -> tuple[int, int, int]:
         raise NotImplementedError
 
+    def play(self, env: MatchEnv, k: int, m: int):
+        """Play k rounds, or fewer: stop after the round that gives the m-th
+        new estimate (see estimate). Returns the rounds' x, y and outcomes
+        as int64 arrays, the new estimates' ratings as the rows of an array
+        (at most m rows, one per round at most), and the round (0, 1, ...)
+        after which each appeared.
+
+        Here a step per round; once a pair is held, the rest of the rounds
+        are its outcomes from one MatchEnv.play_many draw.
+        """
+        x, y, o = (np.empty(k, dtype=np.int64) for _ in range(3))
+        rows, at = [], []
+        for i in range(k):
+            if self.held is not None:
+                x[i:], y[i:] = self.held
+                o[i:] = env.play_many(*self.held, k - i)
+                self.t += k - i
+                break
+            x[i], y[i], o[i] = self.step(env)
+            est = self.estimate()
+            if est is not self._reported:
+                self._reported = est
+                rows.append(est.r)
+                at.append(i)
+                if len(at) == m:
+                    x, y, o = x[:i + 1], y[:i + 1], o[:i + 1]
+                    break
+        return (x, y, o, np.array(rows).reshape(len(at), self.n),
+                np.array(at, dtype=np.intp))
+
     def estimate(self) -> RatingState:
         """The current estimate, zero ratings until the policy has learned:
         the same object for as long as it is unchanged, and a new object
@@ -141,7 +184,14 @@ class Scheduler:
 
 
 class _OnlineBaseline(Scheduler):
-    """Baselines that apply a constant-step SGD update every round."""
+    """Baselines that apply a constant-step SGD update every round.
+
+    None of them picks a pair from its ratings, and each round gives a new
+    estimate, so play(env, k, m) makes min(k, m) matches first, then runs
+    the SGD recurrence over them (ratings.sgd_rows). A match is
+    _match(play), whose outcome is play(x, y): env.play in step, the
+    one-round case, and MatchEnv.plays(k) in a block.
+    """
 
     def __init__(self, config, rng):
         super().__init__(config, rng)
@@ -149,9 +199,26 @@ class _OnlineBaseline(Scheduler):
             c = initial_features(rng, self.n, self.config.k)
             self._estimate = RatingState(r=np.zeros(self.n), c=c)
 
-    def _learn(self, x: int, y: int, o: int) -> None:
-        step = sgd_step_melo if self.config.melo else sgd_step_elo
-        self._estimate = step(self._estimate, x, y, o, self.config.eta0)
+    def _matches(self, env: MatchEnv, k: int):
+        play = env.plays(k)
+        return np.array([self._match(play) for _ in range(k)],
+                        dtype=np.int64).reshape(k, 3).T
+
+    def _learn(self, x, y, o) -> np.ndarray:
+        rows, c = sgd_rows(self._estimate, x, y, o, self.config.eta0)
+        self._estimate = RatingState(r=rows[-1], c=c)
+        self.t += len(rows)
+        return rows
+
+    def step(self, env):
+        match = self._match(env.play)
+        self._learn(*np.array([match]).T)
+        return match
+
+    def play(self, env, k, m):
+        k = min(k, m)
+        x, y, o = self._matches(env, k)
+        return x, y, o, self._learn(x, y, o), np.arange(k)
 
 
 class RandomScheduler(_OnlineBaseline):
@@ -161,12 +228,14 @@ class RandomScheduler(_OnlineBaseline):
         super().__init__(config, rng)
         self._pair_index = _Blocks(partial(rng.integers, len(self._iu)))
 
-    def step(self, env):
-        self.t += 1
+    def _match(self, play):
         x, y = self._pair(self._pair_index())
-        o = env.play(x, y)
-        self._learn(x, y, o)
-        return x, y, o
+        return x, y, play(x, y)
+
+    def _matches(self, env, k):
+        i = self._pair_index.take(k)
+        x, y = self._iu[i], self._ju[i]
+        return x, y, env.play_many(x, y, k)
 
 
 class RgUcbScheduler(_OnlineBaseline):
@@ -175,11 +244,11 @@ class RgUcbScheduler(_OnlineBaseline):
     A pair is resolved once its Hoeffding interval around the empirical
     win rate excludes 0.5, or once it has hit the per-pair sample cap
     (which guarantees termination on exactly-even matchups). A pair's
-    status depends only on its own count and wins, so `_open` is kept up
-    to date by re-checking just the pair played each round. `counts`,
-    `wins` and `_open` hold one entry per pair index; `wins` counts wins
-    by the first-listed player. When no pair is open, the draw is uniform
-    over all pairs.
+    status depends only on its own count and wins, so `_open`, the open
+    pair indices in ascending order, is kept up to date by re-checking
+    just the pair played each round. `counts` and `wins` hold one entry
+    per pair index; `wins` counts wins by the first-listed player. When no
+    pair is open, the draw is uniform over all pairs.
     """
 
     N_MAX_PER_PAIR = 200  # per-pair sample cap
@@ -189,7 +258,7 @@ class RgUcbScheduler(_OnlineBaseline):
         self.counts = np.zeros(len(self._iu), dtype=int)
         self.wins = np.zeros(len(self._iu), dtype=float)
         self._log_term = math.log(2.0 / self.config.delta)
-        self._open = np.ones(len(self._iu), dtype=bool)
+        self._open = list(range(len(self._iu)))
 
     def _unresolved(self, idx: int) -> bool:
         n_xy = self.counts[idx]
@@ -201,19 +270,22 @@ class RgUcbScheduler(_OnlineBaseline):
         p_hat = self.wins[idx] / n_xy
         return abs(p_hat - 0.5) <= half_width
 
-    def step(self, env):
-        self.t += 1
-        open_idx = np.flatnonzero(self._open)
-        if len(open_idx):
-            idx = int(open_idx[self.rng.integers(len(open_idx))])
+    def _match(self, play):
+        open_ = self._open
+        if open_:
+            idx = open_[self.rng.integers(len(open_))]
         else:
             idx = int(self.rng.integers(len(self._iu)))
         x, y = self._pair(idx)
-        o = env.play(x, y)
+        o = play(x, y)
         self.counts[idx] += 1
         self.wins[idx] += o
-        self._open[idx] = self._unresolved(idx)
-        self._learn(x, y, o)
+        i = bisect_left(open_, idx)
+        if i < len(open_) and open_[i] == idx:
+            if not self._unresolved(idx):
+                del open_[i]
+        elif self._unresolved(idx):
+            open_.insert(i, idx)
         return x, y, o
 
 
@@ -225,18 +297,16 @@ class DbgdScheduler(_OnlineBaseline):
         self.champion = int(rng.integers(self.n))
         self._opponent = _Blocks(partial(rng.integers, self.n - 1))
 
-    def step(self, env):
-        self.t += 1
+    def _match(self, play):
         opponent = self._opponent()
         if opponent >= self.champion:
             opponent += 1
         champ = self.champion
         x, y = (champ, opponent) if champ < opponent else (opponent, champ)
-        o = env.play(x, y)
+        o = play(x, y)
         champ_won = o if x == champ else 1 - o
         if not champ_won:
             self.champion = opponent
-        self._learn(x, y, o)
         return x, y, o
 
 

@@ -3,6 +3,8 @@
 import copy
 import dataclasses
 import math
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,7 +15,12 @@ from duelrank import games, schedulers
 from duelrank.config import ALGORITHMS, BASELINES, RunConfig
 from duelrank.errors import ConfigError, ContractViolationError, MatrixLoadError
 from duelrank.harness import simulate
-from duelrank.ratings import initial_features, mle_fit
+from duelrank.ratings import (
+    initial_features,
+    mle_fit,
+    sgd_step_elo,
+    sgd_step_melo,
+)
 from duelrank.schedulers import (
     DbgdScheduler,
     MatchEnv,
@@ -603,6 +610,19 @@ class TestBatchInvariant:
 
 
 class TestMaxInStep:
+    def test_melo_batch_exp_overflow_does_not_warn(self):
+        # c_tilde grows at alpha = 0.1 until exp(-z) overflows in the
+        # batch gradient of round 40; exp -> inf is sigmoid 0.0 all the same
+        sched = build("maxin_melo", 12, T=200, seed=3, alpha=0.1, gamma=1.0,
+                      k=2)
+        env = env_for(games.gen_elo_game(12, 1.0, 2), seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(60):
+                sched.step(env)
+        assert sched.sgd.j >= 2
+        assert np.isfinite(sched.estimate().r).all()
+
     def test_batch_count(self):
         n, tau = 6, 4
         T = tau + 3 * tau
@@ -764,6 +784,13 @@ def pair_index(sched, x, y):
     return int(np.flatnonzero((sched._iu == x) & (sched._ju == y))[0])
 
 
+def oracle_learn(sched, x, y, o):
+    """One round's SGD step by ratings' scalar step functions, kept as the
+    reference scheduler's estimate."""
+    step = sgd_step_melo if sched.config.melo else sgd_step_elo
+    sched._estimate = step(sched._estimate, x, y, o, sched.config.eta0)
+
+
 def reference_rg_ucb_step(sched, env):
     """The rg_ucb step the open-pair mask replaced: scan every pair."""
     sched.t += 1
@@ -775,7 +802,7 @@ def reference_rg_ucb_step(sched, env):
     o = env.play(x, y)
     sched.counts[idx] += 1
     sched.wins[idx] += o
-    sched._learn(x, y, o)
+    oracle_learn(sched, x, y, o)
     return x, y, o
 
 
@@ -799,13 +826,13 @@ class TestRgUcb:
                 sched.N_MAX_PER_PAIR = ref.N_MAX_PER_PAIR = cap
                 env, ref_env = env_for(matrix, 7), env_for(matrix, 7)
                 for _ in range(rounds):
-                    before = sched._open.copy()
-                    fallback += not before.any()
+                    before = set(sched._open)
+                    fallback += not before
                     assert sched.step(env) == reference_rg_ucb_step(ref,
                                                                      ref_env)
-                    assert sched._open.tolist() == [
-                        sched._unresolved(i) for i in range(len(sched._iu))]
-                    reopened += bool((sched._open & ~before).any())
+                    assert sched._open == [i for i in range(n_pairs)
+                                           if sched._unresolved(i)]
+                    reopened += bool(set(sched._open) - before)
                 assert (sched.estimate().r.tobytes()
                         == ref.estimate().r.tobytes())
         if n < 30:
@@ -892,9 +919,9 @@ class ScalarEnv:
 
 
 def reference_baseline(algo, seed, **kw):
-    """A random or dbgd scheduler whose stream is replayed from seed by
-    scalar draws: the mElo features, then dbgd's champion, as __init__
-    draws them, and then one draw per step (reference_baseline_step)."""
+    """An online baseline whose stream is replayed from seed by scalar
+    draws: the mElo features, then dbgd's champion, as __init__ draws
+    them, and then one draw per step (reference_baseline_step)."""
     sched = build(algo, seed=seed, **kw)
     rng = sched.rng = np.random.default_rng(seed)
     if sched.config.melo:
@@ -905,8 +932,11 @@ def reference_baseline(algo, seed, **kw):
 
 
 def reference_baseline_step(sched, env):
-    """The random or dbgd step before block draws: one scalar
-    rng.integers call for the pair index or the opponent."""
+    """The baseline step before block draws and block learning: one
+    scalar rng.integers call for the pair index, the opponent or rg_ucb's
+    open pair, then one ratings.sgd_step_elo or sgd_step_melo."""
+    if isinstance(sched, RgUcbScheduler):
+        return reference_rg_ucb_step(sched, env)
     sched.t += 1
     if isinstance(sched, DbgdScheduler):
         champ = sched.champion
@@ -919,12 +949,48 @@ def reference_baseline_step(sched, env):
     else:
         x, y = sched._pair(int(sched.rng.integers(len(sched._iu))))
         o = env.play(x, y)
-    sched._learn(x, y, o)
+    oracle_learn(sched, x, y, o)
     return x, y, o
 
 
 class TestBlockDraws:
     """Streams drawn B values at a time give the scalar draws' values."""
+
+    @pytest.mark.parametrize("kind", ["integers", "random"])
+    def test_take_keeps_the_stream_dtype_and_values(self, kind):
+        def stream(seed):
+            rng = np.random.default_rng(seed)
+            return rng.random if kind == "random" else partial(rng.integers, 10)
+
+        blocks, scalar = schedulers._Blocks(stream(2)), stream(2)
+        dtype = scalar(size=0).dtype
+        B = schedulers.B
+
+        def buffered():
+            return len(blocks._vals) - blocks._next
+
+        # (how many values, taken at once or one call each); None takes
+        # exactly what the current block has left
+        script = [(3, True),           # nothing buffered
+                  (1, False), (5, True),   # a partial block
+                  (None, True),        # the exact rest of a block
+                  (4, True),           # nothing buffered after a drained block
+                  (2, False), (2 * B + 3, True),  # more than B values
+                  (1, False), (B + 1, True), (B, False), (B - 1, True)]
+        seen = []
+        for k, at_once in script:
+            if k is None:
+                k = buffered()
+            seen.append(buffered())
+            want = [scalar() for _ in range(k)]
+            if at_once:
+                got = blocks.take(k)
+                assert got.dtype == dtype and got.shape == (k,)
+                assert got.tolist() == want
+            else:
+                assert [blocks() for _ in range(k)] == want
+        assert seen[:6] == [0, 0, B - 1, B - 6, 0, 0]
+        assert [blocks() for _ in range(B)] == [scalar() for _ in range(B)]
 
     def test_outcome_stream_matches_scalar_draws(self):
         m = games.gen_elo_game(7, 2.0, 1)
@@ -975,6 +1041,64 @@ class TestBlockDraws:
         assert est.r.tobytes() == ref_est.r.tobytes()
         if melo:
             assert est.c.tobytes() == ref_est.c.tobytes()
+
+
+class TestBlockPlay:
+    """An online baseline's play(env, k, m) gives, bit for bit, the matches
+    and per-round ratings of a scalar oracle: one draw per round and one
+    ratings.sgd_step_elo or sgd_step_melo per round."""
+
+    # calls: all T rounds in one, or as run_replicate makes them, stopping
+    # at 64 new estimates, or a step before each call of at most 40
+    @pytest.mark.parametrize("calls", ["one", "blocks", "mixed"])
+    @pytest.mark.parametrize("T", [2, 63, 64, 65, 3 * schedulers.B + 17])
+    @pytest.mark.parametrize("melo", [False, True], ids=["elo", "melo"])
+    @pytest.mark.parametrize("algo", ["random", "dbgd", "rg_ucb"])
+    def test_rows_match_scalar_oracle(self, algo, melo, T, calls):
+        n = 9
+        kw = dict(n=n, T=T, melo=melo, k=2)
+        matrix = games.gen_noisy_elo_game(n, 1.0, 0.1, 4)
+        sched, ref = build(algo, seed=8, **kw), reference_baseline(
+            algo, 8, **kw)
+        env, ref_env = env_for(matrix, seed=6), ScalarEnv(
+            matrix, np.random.default_rng(6))
+        want, want_rows = [], []
+        for _ in range(T):
+            want.append(reference_baseline_step(ref, ref_env))
+            want_rows.append(ref.estimate().r.tobytes())
+        m = {"one": T, "blocks": 64, "mixed": 40}[calls]
+        got, got_rows = [], []
+        while len(got) < T:
+            if calls == "mixed":
+                got.append(sched.step(env))
+                got_rows.append(sched.estimate().r.tobytes())
+                if len(got) == T:
+                    break
+            x, y, o, rows, at = sched.play(env, T - len(got), m)
+            k = min(T - len(got), m)
+            assert all(a.dtype == np.int64 and a.shape == (k,)
+                       for a in (x, y, o))
+            assert rows.shape == (k, n) and at.tolist() == list(range(k))
+            got += zip(x.tolist(), y.tolist(), o.tolist())
+            got_rows += [row.tobytes() for row in rows]
+            assert sched.estimate().r.tobytes() == got_rows[-1]
+        assert got == want
+        assert got_rows == want_rows
+        if melo:
+            assert sched.estimate().c.tobytes() == ref.estimate().c.tobytes()
+
+    @pytest.mark.parametrize("algo", ["random", "dbgd", "rg_ucb"])
+    def test_play_leaves_earlier_estimates_alone(self, algo):
+        sched = build(algo, 6, T=200, melo=True, k=2)
+        env = env_for(games.gen_elo_game(6, 1.0, 1))
+        sched.play(env, 1, 1)
+        est = sched.estimate()
+        kept = est.r.copy(), est.c.copy()
+        rows = sched.play(env, 70, 100)[3]
+        assert sched.estimate() is not est
+        assert not np.shares_memory(rows, est.r)
+        assert est.r.tobytes() == kept[0].tobytes()
+        assert est.c.tobytes() == kept[1].tobytes()
 
 
 class TestMaxInP:
