@@ -19,6 +19,10 @@ the pair ratio cancels that, so it shows pairs that agree even when
 each side's spread is wide. Metric names, their better direction and
 their bounds are read from the change checkout's ``BENCHMARK.json``.
 
+Every run compiles its imports from source (see ``run_one``). Each
+side's ``src/duelrank/*.py`` line count is printed once, before the
+runs, and added to every workload's JSON summary as ``src_lines``.
+
 The spread check: each side's middle-half spread (q3 - q1) is printed
 next to ``bound x base median``, and a metric is flagged ``SPREAD`` when
 either side exceeds it, since runs that spread that widely cannot tell a
@@ -43,9 +47,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 MIN_GAIN_PAIRS = 10
@@ -183,11 +189,25 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def src_lines(checkout: Path) -> int:
+    """The lines of the checkout's src/duelrank/*.py, counted as
+    ``cat src/duelrank/*.py | wc -l`` counts them."""
+    return sum(p.read_bytes().count(b"\n")
+               for p in (checkout / "src" / "duelrank").glob("*.py"))
+
+
 def run_one(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=False)
+    """One benchmark run, compiling its imports from source: it neither
+    reads a ``__pycache__`` left in the checkout nor writes one, so a
+    cache on one side only cannot skew ``setup_s``."""
+    with tempfile.TemporaryDirectory() as cache:
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+               "PYTHONPYCACHEPREFIX": cache}
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+            cwd=checkout, capture_output=True, text=True, check=False,
+            env=env)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout} seed {seed}: exit {proc.returncode}\n"
                            f"{proc.stderr}")
@@ -212,6 +232,10 @@ def main(argv=None) -> int:
         args.seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
+    lines = {side: src_lines(getattr(args, side)) for side in ("base", "change")}
+    print(f"src/duelrank/*.py lines: base {lines['base']}, change "
+          f"{lines['change']} ({lines['change'] - lines['base']:+d})",
+          flush=True)
     for workload in args.workload:
         pairs = []
         for i, seed in enumerate(args.seeds):
@@ -225,7 +249,8 @@ def main(argv=None) -> int:
                 flush=True)
         summary = summarize(pairs, better, bounds)
         print(format_summary(workload, summary), flush=True)
-        print(json.dumps({"workload": workload, **summary}), flush=True)
+        print(json.dumps({"workload": workload, "src_lines": lines,
+                          **summary}), flush=True)
     return 0
 
 

@@ -182,10 +182,8 @@ def true_ratings(m: WinMatrix, clip_eps: float = DEFAULT_CLIP_EPS) -> TrueRating
 
 
 def sample_outcome(m: WinMatrix, x: int, y: int, rng) -> int:
-    """Bernoulli draw: 1 if x beats y. Self-pairs draw Bern(0.5).
-
-    Reads one ``rng.random()``, so rng is a Generator or anything with
-    that method, such as ``schedulers.MatchEnv``'s buffered stream."""
+    """Bernoulli draw from one ``rng.random()``: 1 if x beats y.
+    Self-pairs draw Bern(0.5)."""
     if not (0 <= x < m.n and 0 <= y < m.n):
         raise IndexError(f"player index out of range: ({x}, {y})")
     return int(rng.random() < m.p[x, y])

@@ -1,4 +1,4 @@
-"""Match-scheduling policies: the UCB/SGD schedulers and five baselines.
+"""Match-scheduling policies: the UCB/SGD schedulers and four baselines.
 
 Every policy exposes the same surface: step(env) plays one match and
 returns (x, y, outcome); play(env, k, m) plays up to k and also returns
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -63,64 +62,33 @@ def warm_start(records, cfg: RunConfig, rng: np.random.Generator) -> SgdState:
                     c_bar=None if c is None else c.copy())
 
 
-# Values per block of a _Blocks stream. numpy's Generator returns the
-# same values from k scalar draws as from one k-vector draw, and leaves
-# its stream in the same state, so a stream with a single consumer can be
-# drawn B at a time without changing a bit.
-B = 256
-
-
-class _Blocks:
-    """``draw()``'s values served one per call, drawn ``draw(size=B)`` at a
-    time; only for a stream that nothing else reads from the first call on."""
-
-    def __init__(self, draw):
-        self._draw = draw
-        self._vals, self._next = [], 0
-
-    def __call__(self):
-        if self._next == len(self._vals):
-            self._vals, self._next = self._draw(size=B).tolist(), 0
-        self._next += 1
-        return self._vals[self._next - 1]
-
-    def take(self, k: int) -> np.ndarray:
-        """The next k values at once: the buffered rest, then one draw."""
-        rest = self._vals[self._next:self._next + k]
-        self._next += len(rest)
-        if not rest:  # an empty list would make an int stream float
-            return self._draw(size=k)
-        if len(rest) == k:
-            return np.array(rest)
-        return np.concatenate((rest, self._draw(size=k - len(rest))))
-
-
 class MatchEnv:
     """A win matrix plus the random stream its outcomes are drawn from.
 
-    ``random()`` serves the stream's uniforms from blocks of B, and ``play``
-    passes the env itself as ``sample_outcome``'s rng, so every outcome is
-    the scalar ``int(rng.random() < p[x, y])`` of the same stream, in the
-    same order. Nothing else may draw from ``rng`` once play has begun.
+    Each outcome is int(u < p[x, y]) of the stream's next uniform u:
+    ``play`` draws one, and ``plays(k)`` and ``play_many`` draw k at once.
+    numpy's Generator gives one k-vector draw the values of k scalar
+    draws, and leaves its stream in the same state, so every outcome is
+    the same whichever of the three plays it.
     """
 
     def __init__(self, matrix: WinMatrix, rng: np.random.Generator):
         self.matrix = matrix
-        self.random = _Blocks(rng.random)
+        self.rng = rng
 
     def play(self, x: int, y: int) -> int:
-        return sample_outcome(self.matrix, x, y, self)
+        return sample_outcome(self.matrix, x, y, self.rng)
 
     def plays(self, k: int):
         """A play function for the next k matches: outcome i is
-        int(u[i] < p[x, y]) of one draw u of k uniforms, as play's is."""
-        u, p = iter(self.random.take(k).tolist()), self.matrix.p
+        int(u[i] < p[x, y]) of one draw u of k uniforms."""
+        u, p = iter(self.rng.random(k).tolist()), self.matrix.p
         return lambda x, y: int(next(u) < p[x, y])
 
     def play_many(self, x, y, k: int) -> np.ndarray:
         """k outcomes, as int64, from one draw: of k plays of (x, y), or
         of the pairs (x[i], y[i]) if x and y are arrays of k players."""
-        return (self.random.take(k) < self.matrix.p[x, y]).astype(np.int64)
+        return (self.rng.random(k) < self.matrix.p[x, y]).astype(np.int64)
 
 
 class Scheduler:
@@ -187,10 +155,9 @@ class _OnlineBaseline(Scheduler):
     """Baselines that apply a constant-step SGD update every round.
 
     None of them picks a pair from its ratings, and each round gives a new
-    estimate, so play(env, k, m) makes min(k, m) matches first, then runs
-    the SGD recurrence over them (ratings.sgd_rows). A match is
-    _match(play), whose outcome is play(x, y): env.play in step, the
-    one-round case, and MatchEnv.plays(k) in a block.
+    estimate, so play(env, k, m) makes min(k, m) matches first, as
+    _matches(env, k)'s x, y and outcome arrays, then runs the SGD
+    recurrence over them (ratings.sgd_rows). step is play(env, 1, 1).
     """
 
     def __init__(self, config, rng):
@@ -199,41 +166,24 @@ class _OnlineBaseline(Scheduler):
             c = initial_features(rng, self.n, self.config.k)
             self._estimate = RatingState(r=np.zeros(self.n), c=c)
 
-    def _matches(self, env: MatchEnv, k: int):
-        play = env.plays(k)
-        return np.array([self._match(play) for _ in range(k)],
-                        dtype=np.int64).reshape(k, 3).T
-
-    def _learn(self, x, y, o) -> np.ndarray:
-        rows, c = sgd_rows(self._estimate, x, y, o, self.config.eta0)
-        self._estimate = RatingState(r=rows[-1], c=c)
-        self.t += len(rows)
-        return rows
-
     def step(self, env):
-        match = self._match(env.play)
-        self._learn(*np.array([match]).T)
-        return match
+        x, y, o = self.play(env, 1, 1)[:3]
+        return int(x[0]), int(y[0]), int(o[0])
 
     def play(self, env, k, m):
         k = min(k, m)
         x, y, o = self._matches(env, k)
-        return x, y, o, self._learn(x, y, o), np.arange(k)
+        rows, c = sgd_rows(self._estimate, x, y, o, self.config.eta0)
+        self._estimate = RatingState(r=rows[-1], c=c)
+        self.t += k
+        return x, y, o, rows, np.arange(k)
 
 
 class RandomScheduler(_OnlineBaseline):
     """Uniform pair from all n(n-1)/2 unordered pairs, with replacement."""
 
-    def __init__(self, config, rng):
-        super().__init__(config, rng)
-        self._pair_index = _Blocks(partial(rng.integers, len(self._iu)))
-
-    def _match(self, play):
-        x, y = self._pair(self._pair_index())
-        return x, y, play(x, y)
-
     def _matches(self, env, k):
-        i = self._pair_index.take(k)
+        i = self.rng.integers(len(self._iu), size=k)
         x, y = self._iu[i], self._ju[i]
         return x, y, env.play_many(x, y, k)
 
@@ -270,23 +220,25 @@ class RgUcbScheduler(_OnlineBaseline):
         p_hat = self.wins[idx] / n_xy
         return abs(p_hat - 0.5) <= half_width
 
-    def _match(self, play):
-        open_ = self._open
-        if open_:
-            idx = open_[self.rng.integers(len(open_))]
-        else:
-            idx = int(self.rng.integers(len(self._iu)))
-        x, y = self._pair(idx)
-        o = play(x, y)
-        self.counts[idx] += 1
-        self.wins[idx] += o
-        i = bisect_left(open_, idx)
-        if i < len(open_) and open_[i] == idx:
-            if not self._unresolved(idx):
-                del open_[i]
-        elif self._unresolved(idx):
-            open_.insert(i, idx)
-        return x, y, o
+    def _matches(self, env, k):
+        play, open_, matches = env.plays(k), self._open, []
+        for _ in range(k):
+            if open_:
+                idx = open_[self.rng.integers(len(open_))]
+            else:
+                idx = int(self.rng.integers(len(self._iu)))
+            x, y = self._pair(idx)
+            o = play(x, y)
+            self.counts[idx] += 1
+            self.wins[idx] += o
+            i = bisect_left(open_, idx)
+            if i < len(open_) and open_[i] == idx:
+                if not self._unresolved(idx):
+                    del open_[i]
+            elif self._unresolved(idx):
+                open_.insert(i, idx)
+            matches.append((x, y, o))
+        return np.array(matches, dtype=np.int64).T
 
 
 class DbgdScheduler(_OnlineBaseline):
@@ -295,19 +247,18 @@ class DbgdScheduler(_OnlineBaseline):
     def __init__(self, config, rng):
         super().__init__(config, rng)
         self.champion = int(rng.integers(self.n))
-        self._opponent = _Blocks(partial(rng.integers, self.n - 1))
 
-    def _match(self, play):
-        opponent = self._opponent()
-        if opponent >= self.champion:
-            opponent += 1
-        champ = self.champion
-        x, y = (champ, opponent) if champ < opponent else (opponent, champ)
-        o = play(x, y)
-        champ_won = o if x == champ else 1 - o
-        if not champ_won:
-            self.champion = opponent
-        return x, y, o
+    def _matches(self, env, k):
+        play, champ, matches = env.plays(k), self.champion, []
+        for opponent in self.rng.integers(self.n - 1, size=k).tolist():
+            opponent += opponent >= champ
+            x, y = (champ, opponent) if champ < opponent else (opponent, champ)
+            o = play(x, y)
+            matches.append((x, y, o))
+            if (o if x == champ else 1 - o) == 0:
+                champ = opponent
+        self.champion = champ
+        return np.array(matches, dtype=np.int64).T
 
 
 class Selection(NamedTuple):

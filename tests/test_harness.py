@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from duelrank import games, harness, schedulers
+from duelrank import games, harness
 from duelrank.config import ALGORITHMS, RunConfig, _field_types, parse_config
 from duelrank.errors import ConfigError
 from duelrank.harness import (
@@ -412,8 +412,16 @@ def reference_run(cfg: RunConfig):
     matrix = harness.build_matrix(cfg)
     truth = games.true_ratings(matrix, clip_eps=cfg.clip_eps)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0, 1]))
-    env = types.SimpleNamespace(
-        play=lambda x, y: int(rng.random() < matrix.p[x, y]))
+
+    def play(x, y):
+        return int(rng.random() < matrix.p[x, y])
+
+    def play_many(x, y, k):
+        x, y = (np.broadcast_to(a, k).tolist() for a in (x, y))
+        return np.array([play(a, b) for a, b in zip(x, y)], dtype=np.int64)
+
+    env = types.SimpleNamespace(play=play, plays=lambda k: play,
+                                play_many=play_many)
     sched = make_scheduler(cfg, np.random.default_rng(
         np.random.SeedSequence([cfg.seed, 0, 2])))
     scorer = RankScorer(truth, cfg.ks)
@@ -543,8 +551,8 @@ class TestHeldTail:
             assert (x[freeze - 1:] == y[freeze - 1:]).all()
             assert sched.held == (x[-1], y[-1])
             assert x[freeze - 2] != y[freeze - 2]
-            # a held tail longer than one block of outcome draws
-            assert freeze == cfg.T or cfg.T - freeze > schedulers.B
+            # a held tail of hundreds of rounds, played as one draw
+            assert freeze == cfg.T or cfg.T - freeze > 256
         trace = TestEstimateContract.assert_run_matches(cfg, rows)
         assert np.array_equal(trace.x, x) and np.array_equal(trace.y, y)
         assert np.array_equal(trace.outcome, o)

@@ -4,7 +4,6 @@ import copy
 import dataclasses
 import math
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
@@ -954,79 +953,74 @@ def reference_baseline_step(sched, env):
 
 
 class TestBlockDraws:
-    """Streams drawn B values at a time give the scalar draws' values."""
+    """A block of k draws gives the values of k scalar draws."""
 
-    @pytest.mark.parametrize("kind", ["integers", "random"])
-    def test_take_keeps_the_stream_dtype_and_values(self, kind):
-        def stream(seed):
-            rng = np.random.default_rng(seed)
-            return rng.random if kind == "random" else partial(rng.integers, 10)
+    # rng.integers(b) for b = n - 1 (dbgd's opponents) and n(n-1)/2 (the
+    # random pair index) at n = 9 and n = 100; skip scalar draws come
+    # first, so an odd skip starts integers' block inside a 64-bit word
+    @pytest.mark.parametrize("skip", [0, 1])
+    @pytest.mark.parametrize("k", [0, 1, 63, 64, 65, 785])
+    @pytest.mark.parametrize("bound", [None, 8, 36, 99, 4950],
+                             ids=["random", "8", "36", "99", "4950"])
+    def test_vector_draw_is_scalar_draws(self, bound, k, skip):
+        def draw(rng, **size):
+            if bound is None:
+                return rng.random(**size)
+            return rng.integers(bound, **size)
 
-        blocks, scalar = schedulers._Blocks(stream(2)), stream(2)
-        dtype = scalar(size=0).dtype
-        B = schedulers.B
-
-        def buffered():
-            return len(blocks._vals) - blocks._next
-
-        # (how many values, taken at once or one call each); None takes
-        # exactly what the current block has left
-        script = [(3, True),           # nothing buffered
-                  (1, False), (5, True),   # a partial block
-                  (None, True),        # the exact rest of a block
-                  (4, True),           # nothing buffered after a drained block
-                  (2, False), (2 * B + 3, True),  # more than B values
-                  (1, False), (B + 1, True), (B, False), (B - 1, True)]
-        seen = []
-        for k, at_once in script:
-            if k is None:
-                k = buffered()
-            seen.append(buffered())
-            want = [scalar() for _ in range(k)]
-            if at_once:
-                got = blocks.take(k)
-                assert got.dtype == dtype and got.shape == (k,)
-                assert got.tolist() == want
-            else:
-                assert [blocks() for _ in range(k)] == want
-        assert seen[:6] == [0, 0, B - 1, B - 6, 0, 0]
-        assert [blocks() for _ in range(B)] == [scalar() for _ in range(B)]
+        vector, scalar = np.random.default_rng(2), np.random.default_rng(2)
+        for _ in range(skip):
+            assert draw(vector) == draw(scalar)
+        got = draw(vector, size=k)
+        want = [draw(scalar) for _ in range(k)]
+        assert got.dtype == np.asarray(draw(np.random.default_rng(0))).dtype
+        assert got.shape == (k,) and got.tolist() == want
+        assert vector.bit_generator.state == scalar.bit_generator.state
 
     def test_outcome_stream_matches_scalar_draws(self):
-        m = games.gen_elo_game(7, 2.0, 1)
+        n = 7
+        m = games.gen_elo_game(n, 2.0, 1)
         env, ref = env_for(m, seed=5), ScalarEnv(m, np.random.default_rng(5))
-        B = schedulers.B
+        pick = np.random.default_rng(9)
 
-        def rest():  # what is left of the env's current block
-            return len(env.random._vals) - env.random._next
+        def pairs(k):  # k pairs as index arrays, self-pairs included
+            return pick.integers(n, size=k), pick.integers(n, size=k)
 
-        # (pair, plays, whether they are one play_many); a None count is
-        # the rest of the current block
-        script = [((0, 1), 3, False), ((2, 2), 0, True), ((1, 4), 1, False),
-                  ((3, 3), 1, True), ((5, 6), None, True), ((6, 5), 2, False),
-                  ((4, 4), 2 * B + 7, True), ((0, 6), B + 1, False),
-                  ((2, 2), None, True), ((1, 1), 0, True), ((1, 2), 1, False),
-                  ((3, 3), B - 1, True), ((3, 3), 1, True)]
-        seen_rest = set()
-        for (x, y), k, many in script:
-            if k is None:
-                k = rest()
-                seen_rest.add(k)
-            want = [ref.play(x, y) for _ in range(k)]
-            if many:
+        # (how, k, pairs): "play" plays each match by env.play, "plays"
+        # by one env.plays(k), "many" by one env.play_many, on one pair or
+        # on index arrays; "draw" takes k uniforms from env.rng itself,
+        # which the scalar side takes from its stream too
+        script = [("play", 1, (0, 1)), ("many", 0, (2, 2)),
+                  ("plays", 64, (1, 4)), ("many", 1, (3, 3)),
+                  ("many", 785, pairs(785)), ("play", 64, (6, 5)),
+                  ("plays", 0, (0, 2)), ("many", 64, (4, 4)),
+                  ("draw", 3, (0, 0)), ("plays", 785, pairs(785)),
+                  ("many", 0, pairs(0)), ("play", 1, (1, 2)),
+                  ("plays", 1, (5, 5)), ("many", 64, pairs(64)),
+                  ("many", 785, (0, 6)), ("plays", 64, pairs(64))]
+        for how, k, (x, y) in script:
+            xs, ys = (np.broadcast_to(a, k).tolist() for a in (x, y))
+            if how == "draw":
+                got = env.rng.random(k).tolist()
+                assert got == [ref.rng.random() for _ in range(k)]
+                continue
+            want = [ref.play(a, b) for a, b in zip(xs, ys)]
+            if how == "play":
+                got = [env.play(a, b) for a, b in zip(xs, ys)]
+            elif how == "plays":
+                play = env.plays(k)
+                got = [play(a, b) for a, b in zip(xs, ys)]
+            else:
                 got = env.play_many(x, y, k)
                 assert got.dtype == np.int64 and got.shape == (k,)
-                assert got.tolist() == want
-            else:
-                assert [env.play(x, y) for _ in range(k)] == want
-        assert 0 not in seen_rest and B not in seen_rest
-        assert ([env.play(0, 3) for _ in range(3 * B)]
-                == [ref.play(0, 3) for _ in range(3 * B)])
+                got = got.tolist()
+            assert got == want
+        assert env.rng.bit_generator.state == ref.rng.bit_generator.state
 
     @pytest.mark.parametrize("melo", [False, True])
     @pytest.mark.parametrize("algo", ["random", "dbgd"])
     def test_baseline_pairs_match_scalar_draws(self, algo, melo):
-        n, T = 9, 3 * schedulers.B + 17
+        n, T = 9, 785
         kw = dict(n=n, T=T, melo=melo, k=2)
         m = games.gen_elo_game(n, 1.0, 4)
         sched, ref = build(algo, seed=8, **kw), reference_baseline(
@@ -1051,7 +1045,7 @@ class TestBlockPlay:
     # calls: all T rounds in one, or as run_replicate makes them, stopping
     # at 64 new estimates, or a step before each call of at most 40
     @pytest.mark.parametrize("calls", ["one", "blocks", "mixed"])
-    @pytest.mark.parametrize("T", [2, 63, 64, 65, 3 * schedulers.B + 17])
+    @pytest.mark.parametrize("T", [2, 63, 64, 65, 785])
     @pytest.mark.parametrize("melo", [False, True], ids=["elo", "melo"])
     @pytest.mark.parametrize("algo", ["random", "dbgd", "rg_ucb"])
     def test_rows_match_scalar_oracle(self, algo, melo, T, calls):

@@ -1,9 +1,11 @@
 """The scripts under scripts/: ab_bench.py parses and summarizes canned
-benchmark output, learner_check.py reports in a fixed shape, and
-scorecard.py reads its statistics off hand-built traces and a tiny grid."""
+benchmark output, runs each side from source and counts its lines;
+learner_check.py reports in a fixed shape, and scorecard.py reads its
+statistics off hand-built traces and a tiny grid."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +146,63 @@ def test_ab_bench_defaults_come_from_benchmark_json(monkeypatch, capsys):
     assert ab.main(["--base", "b", "--change", str(ROOT), "--seeds", "7",
                     "--workload", names[0], "--seconds", "0.5"]) == 0
     assert [c[1:] for c in calls] == [(names[0], 7, 0.5)] * 2
+
+
+def test_ab_bench_runs_compile_from_source(monkeypatch, tmp_path):
+    """Each run gets PYTHONDONTWRITEBYTECODE=1 and a new, empty
+    PYTHONPYCACHEPREFIX outside the checkout, whatever the caller's
+    environment says, so a __pycache__ in the checkout is never read."""
+    ab = _ab_bench()
+    (tmp_path / "src" / "__pycache__").mkdir(parents=True)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "")
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "src"))
+    seen = []
+
+    def run(cmd, **kw):
+        prefix = Path(kw["env"]["PYTHONPYCACHEPREFIX"])
+        seen.append((kw["env"]["PYTHONDONTWRITEBYTECODE"], prefix,
+                     list(prefix.iterdir()), kw["cwd"]))
+        return subprocess.CompletedProcess(cmd, 0, _canned_run(100, 58.0), "")
+
+    monkeypatch.setattr(ab.subprocess, "run", run)
+    for seed in (1, 2):
+        assert ab.run_one(tmp_path, "paper-n20-io", seed, 0.5)[
+            "sha256"] == "ab12"
+    assert [(s[0], s[2], s[3]) for s in seen] == [("1", [], tmp_path)] * 2
+    prefixes = [s[1] for s in seen]
+    assert prefixes[0] != prefixes[1]
+    assert not any(p.exists() or tmp_path in p.parents for p in prefixes)
+
+
+def test_ab_bench_counts_src_lines(monkeypatch, capsys, tmp_path):
+    """Each side's src/duelrank/*.py lines, as wc -l counts them, are
+    printed once and added to every workload's JSON summary."""
+    ab = _ab_bench()
+    files = {"base": {"a.py": "x = 1\ny = 2\n\n", "b.py": "z\nw\n"},
+             "change": {"a.py": "x = 1\n", "c.py": "\n\nlast"}}
+    for side, texts in files.items():
+        pkg = tmp_path / side / "src" / "duelrank"
+        (pkg / "sub").mkdir(parents=True)
+        (pkg / "sub" / "d.py").write_text("not counted\n")
+        (pkg / "notes.txt").write_text("not counted\n")
+        for name, text in texts.items():
+            (pkg / name).write_text(text)
+    base, change = tmp_path / "base", tmp_path / "change"
+    assert (ab.src_lines(base), ab.src_lines(change)) == (5, 3)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    (change / "BENCHMARK.json").write_text(json.dumps(spec))
+    monkeypatch.setattr(ab, "run_one", lambda *a: {
+        "metrics": {m["name"]: 1.0 for m in spec["end_to_end"]},
+        "sha256": "ab12", "failed": 0, "correct": True})
+    assert ab.main(["--base", str(base), "--change", str(change),
+                    "--seeds", "7", "--seconds", "0.5"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [ln for ln in out if ln.startswith("src/")] == [
+        "src/duelrank/*.py lines: base 5, change 3 (-2)"]
+    summaries = [json.loads(ln) for ln in out if ln.startswith("{")]
+    assert len(summaries) == len(spec["workloads"])
+    assert all(s["src_lines"] == {"base": 5, "change": 3}
+               for s in summaries)
 
 
 def test_ab_bench_spread_check():
