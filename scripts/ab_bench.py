@@ -19,6 +19,10 @@ the pair ratio cancels that, so it shows pairs that agree even when
 each side's spread is wide. Metric names, their better direction and
 their bounds are read from the change checkout's ``BENCHMARK.json``.
 
+Before the runs, each side's ``src/``, ``perfbench/`` and
+``BENCHMARK.json`` are copied the same way under one temporary parent
+(see ``copy_checkout``), and every run starts in its side's copy: where
+a checkout lives can move ``setup_s`` and ``peak_rss_mb`` by itself.
 Every run compiles its imports from source (see ``run_one``). Each
 side's ``src/duelrank/*.py`` line count is printed once, before the
 runs, and added to every workload's JSON summary as ``src_lines``.
@@ -48,6 +52,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -55,6 +60,10 @@ import tempfile
 from pathlib import Path
 
 MIN_GAIN_PAIRS = 10
+# What a benchmark run reads from a checkout; bytecode and the benchmark's
+# work files stay behind.
+COPIED = ("src", "perfbench", "BENCHMARK.json")
+IGNORED = shutil.ignore_patterns("__pycache__", "_work")
 
 
 def parse_run(stdout: str) -> dict:
@@ -196,6 +205,19 @@ def src_lines(checkout: Path) -> int:
                for p in (checkout / "src" / "duelrank").glob("*.py"))
 
 
+def copy_checkout(checkout: Path, dest: Path) -> Path:
+    """A copy of what the benchmark reads from the checkout (COPIED; what
+    the checkout lacks is skipped) in the new directory dest."""
+    dest.mkdir()
+    for name in COPIED:
+        src = checkout / name
+        if src.is_dir():
+            shutil.copytree(src, dest / name, ignore=IGNORED)
+        elif src.exists():
+            shutil.copy2(src, dest / name)
+    return dest
+
+
 def run_one(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run, compiling its imports from source: it neither
     reads a ``__pycache__`` left in the checkout nor writes one, so a
@@ -236,21 +258,27 @@ def main(argv=None) -> int:
     print(f"src/duelrank/*.py lines: base {lines['base']}, change "
           f"{lines['change']} ({lines['change'] - lines['base']:+d})",
           flush=True)
-    for workload in args.workload:
-        pairs = []
-        for i, seed in enumerate(args.seeds):
-            order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
-            res = {side: run_one(getattr(args, side), workload, seed,
-                                 args.seconds) for side in order}
-            pairs.append((res["base"], res["change"]))
-            print(f"{workload} seed {seed} ({order[0]} first): " + "  ".join(
-                f"{name} {res['base']['metrics'][name]:.6g} -> "
-                f"{res['change']['metrics'][name]:.6g}" for name in better),
-                flush=True)
-        summary = summarize(pairs, better, bounds)
-        print(format_summary(workload, summary), flush=True)
-        print(json.dumps({"workload": workload, "src_lines": lines,
-                          **summary}), flush=True)
+    with tempfile.TemporaryDirectory() as parent:
+        # names of one length, so the two paths differ in one byte only
+        copies = {side: copy_checkout(getattr(args, side), Path(parent) / name)
+                  for side, name in (("base", "a"), ("change", "b"))}
+        for workload in args.workload:
+            pairs = []
+            for i, seed in enumerate(args.seeds):
+                order = (["base", "change"] if i % 2 == 0
+                         else ["change", "base"])
+                res = {side: run_one(copies[side], workload, seed,
+                                     args.seconds) for side in order}
+                pairs.append((res["base"], res["change"]))
+                print(f"{workload} seed {seed} ({order[0]} first): "
+                      + "  ".join(
+                          f"{name} {res['base']['metrics'][name]:.6g} -> "
+                          f"{res['change']['metrics'][name]:.6g}"
+                          for name in better), flush=True)
+            summary = summarize(pairs, better, bounds)
+            print(format_summary(workload, summary), flush=True)
+            print(json.dumps({"workload": workload, "src_lines": lines,
+                              **summary}), flush=True)
     return 0
 
 

@@ -29,6 +29,7 @@ from .ratings import (
 )
 # Looked up here by perfbench/tracer.py, which times them by these names.
 from .ratings import sgd_step_elo, sgd_step_melo  # noqa: F401
+from .thresholds import pass_thresholds
 from .tracker import DesignTracker
 
 
@@ -261,6 +262,33 @@ class DbgdScheduler(_OnlineBaseline):
         return np.array(matches, dtype=np.int64).T
 
 
+class Gap(NamedTuple):
+    """A rating gap, held transposed as the candidate test reads it: d is
+    r_j - r_i at [i, j] with an inf diagonal, c the cyclic term
+    (c Omega c')' or None. `q_min`, when not None, holds the thresholds
+    pass_thresholds(d, c, gamma) for this `gamma`: under it, the test
+    h > 0 of pair [i, j] is q > q_min[i, j], q its squared uncertainty."""
+    d: np.ndarray
+    c: np.ndarray | None
+    gamma: float | None = None
+    q_min: np.ndarray | None = None
+
+
+def _root_argmax(q: np.ndarray) -> int:
+    """The first flat index of the largest sqrt(max(q, 0)), read from q:
+    the first index of the largest q, unless a smaller q has the same
+    square root; then the first index of a q at or above the least such
+    q. Only a few doubles share one correctly rounded square root."""
+    i = int(q.argmax())
+    top = q.item(i)
+    if top <= 0.0:
+        return 0  # every root is 0
+    root, low = math.sqrt(top), top
+    while math.sqrt(below := math.nextafter(low, -math.inf)) == root:
+        low = below
+    return i if low == top else int((q >= low).argmax())
+
+
 class Selection(NamedTuple):
     """A post-warmup round's mask S (|S| is `size`), gamma_t and pair's u."""
     mask: np.ndarray
@@ -285,6 +313,7 @@ class _WarmupScheduler(Scheduler):
         self._log = np.empty((self.config.tau, 3), dtype=np.int64)
         self._logged = 0
         self._h = np.empty((self.n, self.n))
+        self._passed = np.empty((self.n, self.n), dtype=bool)
 
     @property
     def history(self) -> np.ndarray:
@@ -297,34 +326,38 @@ class _WarmupScheduler(Scheduler):
         self._log[self._logged] = x, y, o
         self._logged += 1
 
-    def _rating_gap(self, r: np.ndarray, c: np.ndarray | None):
-        """Transposed (D, C): r_j - r_i with an inf diagonal; (c Omega c')' or None."""
+    def _rating_gap(self, r: np.ndarray, c: np.ndarray | None) -> Gap:
+        """The Gap of ratings r and features c, without thresholds."""
         d = r[None, :] - r[:, None]
         np.fill_diagonal(d, np.inf)
-        return d, None if c is None else np.ascontiguousarray(cyclic_matrix(c).T)
+        return Gap(d, None if c is None
+                   else np.ascontiguousarray(cyclic_matrix(c).T))
 
-    def _candidate_mask(self, u: np.ndarray, gap, gamma: float) -> np.ndarray:
+    def _candidate_mask(self, u: np.ndarray, gap: Gap,
+                        gamma: float) -> np.ndarray:
         """A new mask S of the players with the fewest confident dominators
-        under the score h, held transposed; u is symmetric with a 0 diagonal.
-        That is the undominated players whenever there are any, as Elo's
-        transitive dominance guarantees; mElo's cyclic term can close a
-        cycle through every player. Only a NaN in h can leave S empty."""
-        d, c_term = gap
+        under the score h = d + gamma * u [+ c], held transposed; u is
+        symmetric with a 0 diagonal. That is the undominated players
+        whenever there are any, as Elo's transitive dominance guarantees;
+        mElo's cyclic term can close a cycle through every player. Only a
+        NaN in h can leave S empty. The reference test: it reads neither
+        q_min nor gap.gamma."""
         h = np.multiply(gamma, u, out=self._h)
-        np.add(d, h, out=h)
-        if c_term is not None:
-            np.add(h, c_term, out=h)
+        np.add(gap.d, h, out=h)
+        if gap.c is not None:
+            np.add(h, gap.c, out=h)
         mask = np.minimum.reduce(h, axis=0) > 0.0
         if np.count_nonzero(mask) or np.isnan(h).any():  # cheaper than any()
             return mask
         beaten = np.count_nonzero(h <= 0.0, axis=0)
         return beaten == beaten.min()
 
-    def _select_pair(self, u: np.ndarray,
-                     mask: np.ndarray) -> tuple[int, int]:
+    def _select_pair(self, u: np.ndarray, mask: np.ndarray,
+                     argmax=lambda a: int(a.argmax())) -> tuple[int, int]:
         """The candidate pair x < y of largest u[x, y], lowest pair on ties:
         the first argmax of u on S x S in row-major order, since u is
-        symmetric with a zero diagonal. A single candidate x gives (x, x)."""
+        symmetric with a zero diagonal. A single candidate x gives (x, x).
+        With argmax=_root_argmax, u may be q, read as its clamped root."""
         size = np.count_nonzero(mask)
         if size == 0:
             raise ContractViolationError(
@@ -333,17 +366,33 @@ class _WarmupScheduler(Scheduler):
             x = int(mask.argmax())
             return x, x
         if size == self.n:
-            return divmod(int(u.argmax()), self.n)
+            return divmod(argmax(u), self.n)
         idx = np.flatnonzero(mask)
-        i, j = divmod(int(u.take(idx, 0).take(idx, 1).argmax()), size)
+        i, j = divmod(argmax(u.take(idx, 0).take(idx, 1)), size)
         return int(idx[i]), int(idx[j])
 
-    def _select(self, gap, gamma: float) -> tuple[int, int]:
-        """One round's pair from one uncertainty matrix; keeps its record."""
-        u = self.tracker.uncertainty_matrix()
-        mask = self._candidate_mask(u, gap, gamma)
-        x, y = self._select_pair(u, mask)
-        self.selection = Selection(mask, gamma, u.item(x, y))
+    def _select(self, gap: Gap, gamma: float) -> tuple[int, int]:
+        """One round's pair; keeps its record. Under the gamma the gap's
+        thresholds were built for, from q alone: S is the columns where
+        q > q_min holds throughout, or else where it holds most often, and
+        the pair reads q as its clamped root (_root_argmax). Otherwise from
+        one uncertainty matrix, by _candidate_mask: the reference, and the
+        path of a gamma or gap that changes every round."""
+        if gap.q_min is None or gamma != gap.gamma:
+            u = self.tracker.uncertainty_matrix()
+            mask = self._candidate_mask(u, gap, gamma)
+            x, y = self._select_pair(u, mask)
+            self.selection = Selection(mask, gamma, u.item(x, y))
+            return x, y
+        q = self.tracker.squared_uncertainty_matrix()
+        passed = np.greater(q, gap.q_min, out=self._passed)
+        mask = passed.all(axis=0)
+        if not mask.any():
+            wins = np.count_nonzero(passed, axis=0)
+            mask = wins == wins.max()
+        x, y = self._select_pair(q, mask, _root_argmax)
+        self.selection = Selection(mask, gamma,
+                                   math.sqrt(max(q.item(x, y), 0.0)))
         return x, y
 
     def _gamma(self) -> float:
@@ -374,7 +423,12 @@ class MaxInScheduler(_WarmupScheduler):
     def _fit_batch(self):
         """The warm start from the first full log, an SGD step from every
         later one; then empty the log and set the estimate and rating gap.
-        Every caller shares the estimate, whose arrays are made read-only."""
+        Every caller shares the estimate, whose arrays are made read-only.
+
+        Under a fixed gamma the gap also gets its thresholds q_min (see
+        _select), unless it is not finite off the diagonal: only there can
+        h be NaN, and the reference test keeps the empty-S rule for it. A
+        theoretical gamma grows every round, so its gap has none."""
         if self.sgd is None:
             self.sgd = warm_start(self.history, self.config, self.rng)
         else:
@@ -384,7 +438,14 @@ class MaxInScheduler(_WarmupScheduler):
         for a in (r, c) if c is not None else (r,):
             a.flags.writeable = False
         self._estimate = RatingState(r=r, c=c)
-        self._gap = self._rating_gap(r, c)
+        gap = self._rating_gap(r, c)
+        if (self.config.gamma_mode == "fixed"
+                and np.isfinite(gap.d).sum() == self.n * (self.n - 1)
+                and (gap.c is None or np.isfinite(gap.c).all())):
+            gamma = self.config.gamma
+            gap = gap._replace(gamma=gamma,
+                               q_min=pass_thresholds(gap.d, gap.c, gamma))
+        self._gap = gap
 
     def step(self, env):
         self.t += 1

@@ -26,8 +26,7 @@ class DesignTracker:
             raise ConfigError("lambda_ridge must be positive",
                               key="lambda_ridge")
         self.v_inv = (1.0 / lambda_ridge) * np.eye(n)
-        diag = self.v_inv.reshape(-1)[::n + 1]  # a view: updates are in place
-        self._d_col, self._d_row = diag[:, None], diag[None, :]
+        self._diag = self.v_inv.reshape(-1)[::n + 1]  # a view of V^{-1}
         # n x n work buffers, reused by every call; fresh 80 kB arrays at
         # n=100 make run time depend on when glibc trims the heap
         self._term = np.empty((n, n))
@@ -51,16 +50,26 @@ class DesignTracker:
         vi = self.v_inv
         return float(np.sqrt(max(vi[x, x] + vi[y, y] - 2.0 * vi[x, y], 0.0)))
 
-    def uncertainty_matrix(self) -> np.ndarray:
-        """All pairwise uncertainties at once (zero diagonal).
+    def squared_uncertainty_matrix(self) -> np.ndarray:
+        """All pairwise squared uncertainties at once, unclamped: q = d_i +
+        d_j - 2 V^{-1}_ij, d the diagonal of V^{-1}. uncertainty_matrix()
+        is sqrt(max(q, 0)).
 
-        The result is a buffer the tracker owns: the next call overwrites
-        it, so copy it to keep it, and never write into it. The diagonal is
-        exactly zero, since d_i + d_i - 2 d_i cancels without rounding. Off
-        it, q >= 2 / (lambda + 2t) > 0 after t updates, so only rounding can
-        make q < 0; a min(), cheaper than the clamp at n = 100, gates it."""
-        q = np.add(self._d_col, self._d_row, out=self._q)
+        The result is a buffer the tracker owns: the next call of either
+        method overwrites it, so copy it to keep it, and never write into
+        it. The diagonal is exactly zero, since d_i + d_i - 2 d_i cancels
+        without rounding. Off it, q >= 2 / (lambda + 2t) > 0 after t
+        updates, so only rounding can make q < 0."""
+        d = self._diag.copy()  # contiguous: broadcasts faster from n = 100 on
+        q = np.add(d[:, None], d, out=self._q)
         q -= np.multiply(2.0, self.v_inv, out=self._two_v)
+        return q
+
+    def uncertainty_matrix(self) -> np.ndarray:
+        """All pairwise uncertainties at once (zero diagonal): the square
+        root of squared_uncertainty_matrix(), clamped at 0, in the same
+        buffer. A min(), cheaper than the clamp at n = 100, gates it."""
+        q = self.squared_uncertainty_matrix()
         if q.min() < 0.0:
             np.maximum(q, 0.0, out=q)
         return np.sqrt(q, out=q)

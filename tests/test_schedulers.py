@@ -480,6 +480,14 @@ class TestRunSelectionOracle:
         (dict(algo="maxinp", n=6, T=80, tau=5, gamma=1.8), True),
         (dict(algo="maxinp", n=6, T=60, tau=5, gamma_mode="theoretical"),
          False),
+        # n = 100: the two gamma = 0.5 runs hold a pair from round
+        # 150-210, after two SGD batches; gamma = 8 keeps |S| = n
+        (dict(algo="maxin_elo", n=100, T=300, tau=70, gamma=0.5), False),
+        (dict(algo="maxin_melo", n=100, T=300, tau=50, gamma=0.5, k=2),
+         False),
+        (dict(algo="maxin_elo", n=100, T=300, tau=70, gamma=8.0), False),
+        (dict(algo="maxin_melo", n=100, T=300, tau=70, gamma=8.0, k=2),
+         False),
     ]
 
     @pytest.mark.parametrize("kw,plays_self_pairs", CASES, ids=[
@@ -632,25 +640,23 @@ class TestMaxInStep:
         # gamma large keeps |S| > 1, so no self-pairs stall the buffer
         assert sched.sgd.j == 3
 
-    def test_pairs_come_from_candidate_set(self, monkeypatch):
+    def test_pairs_come_from_candidate_set(self):
+        # S recomputed by the reference test before each round; the round
+        # itself selects from q and the batch's thresholds
         sched = build("maxin_elo", 8, T=300, tau=6)
         env = env_for(games.gen_elo_game(8, 1.0, 2))
-        seen = []
-        original = MaxInScheduler._candidate_mask
-
-        def spy(self, u, gap, gamma):
-            mask = original(self, u, gap, gamma)
-            seen.append([int(x) for x in np.flatnonzero(mask)])
-            return mask
-
-        monkeypatch.setattr(MaxInScheduler, "_candidate_mask", spy)
-        played = []
+        active = 0
         for _ in range(100):
-            played.append(sched.step(env))
-        active = played[6:]
-        assert len(seen) == len(active)
-        for (x, y, _), cand in zip(active, seen):
-            assert x in cand and y in cand
+            cand = None
+            if sched.sgd is not None:
+                u = sched.tracker.uncertainty_matrix()
+                cand = np.flatnonzero(
+                    sched._candidate_mask(u, sched._gap, sched._gamma()))
+            x, y, _ = sched.step(env)
+            if cand is not None:
+                active += 1
+                assert x in cand and y in cand
+        assert active == 94
 
     @pytest.mark.parametrize("algo,mode", [
         ("maxin_elo", "fixed"),
@@ -685,22 +691,43 @@ class TestMaxInStep:
     @pytest.mark.parametrize("algo", ["maxin_elo", "maxin_melo"])
     @pytest.mark.parametrize("seed", [1, 2, 6, 7])
     def test_held_pair_is_what_selection_picks(self, algo, seed):
+        self._check_hold(build(algo, 20, T=500, tau=80, gamma=1.8, k=1,
+                               seed=seed), seed)
+
+    @pytest.mark.parametrize("algo", ["maxin_elo", "maxin_melo"])
+    def test_held_pair_is_what_selection_picks_at_n100(self, algo):
+        # gamma = 0.5 holds from about round 210; at gamma = 8 no n = 100
+        # run short enough for a test holds a pair
+        self._check_hold(build(algo, 100, T=300, tau=70, gamma=0.5, k=2,
+                               seed=3), 2)
+
+    @staticmethod
+    def _check_hold(sched, seed):
         # the oracle for the hold: in every held round, selecting afresh
         # from a copy of the scheduler gives the held pair and a record
-        # equal to the frozen one, bit for bit
-        T = 500
-        sched = build(algo, 20, T=T, tau=80, gamma=1.8, k=1, seed=seed)
-        env = env_for(games.gen_elo_game(20, 1.0, seed), seed=seed + 100)
+        # equal to the frozen one, bit for bit; and so does the reference
+        # test, from the uncertainty matrix, on a second copy
+        cfg = sched.config
+        env = env_for(games.gen_elo_game(cfg.n, 1.0, seed), seed=seed + 100)
         held = 0
-        for _ in range(T):
+        for _ in range(cfg.T):
             if sched.held is not None:
                 held += 1
-                fresh = copy.deepcopy(sched)
+                fresh, ref = copy.deepcopy(sched), copy.deepcopy(sched)
+                assert fresh._gap.q_min is not None
                 assert fresh._select(fresh._gap, fresh._gamma()) == sched.held
                 got, want = fresh.selection, sched.selection
                 assert np.array_equal(got.mask, want.mask)
                 for a, b in ((got.gamma, want.gamma), (got.u, want.u)):
                     assert np.float64(a).tobytes() == np.float64(b).tobytes()
+                u = ref.tracker.uncertainty_matrix()
+                mask = ref._candidate_mask(u, ref._gap, cfg.gamma)
+                assert np.array_equal(mask, want.mask)
+                assert ref._select_pair(u, mask) == sched.held
+                assert u.tobytes() == np.sqrt(np.maximum(
+                    fresh.tracker.squared_uncertainty_matrix(), 0.0)).tobytes()
+                assert np.float64(u.item(*sched.held)).tobytes() == \
+                    np.float64(want.u).tobytes()
             sched.step(env)
         assert held > 0  # the run froze
 
@@ -1153,12 +1180,16 @@ SELECTION_RUNS = [
     FALLBACK_RUN,
     dict(algo="maxinp", n=6, T=60, tau=5, gamma=1.8),
     dict(algo="maxinp", n=6, T=40, tau=5, gamma_mode="theoretical"),
+    *[dict(algo=algo, n=100, T=300, tau=70, gamma=gamma, k=2)
+      for algo in ("maxin_elo", "maxin_melo") for gamma in (0.5, 8.0)],
 ]
 
 
 class TestSelectionRecord:
     """`selection` holds what each post-warmup round chose: its mask
-    equals `_candidate_mask` recomputed from the state before the round."""
+    equals `_candidate_mask` recomputed from the state before the round,
+    and its gamma and u are that round's, bit for bit. Fixed-gamma MaxIn
+    rounds select from q and the batch's thresholds; the rest from u."""
 
     @pytest.mark.parametrize("kw", SELECTION_RUNS, ids=[
         "-".join(str(kw.get(k, "")) for k in ("algo", "gamma", "gamma_mode"))
@@ -1167,7 +1198,7 @@ class TestSelectionRecord:
         sched = build(seed=3, **kw)
         cfg = sched.config
         env = env_for(games.gen_elo_game(cfg.n, cfg.rating_scale, 2), seed=4)
-        kept = []
+        kept, thresholded = [], 0
         for t in range(1, cfg.T + 1):
             if t <= cfg.tau:
                 assert sched.selection is None
@@ -1179,6 +1210,7 @@ class TestSelectionRecord:
                 gap = sched._rating_gap(r, None)
             else:
                 gap = sched._gap
+                thresholded += gap.q_min is not None
             gamma = cfg.gamma
             if cfg.gamma_mode == "theoretical":
                 gamma = 2.0 * g1(t, cfg.n, cfg.T, cfg.c1)
@@ -1190,8 +1222,11 @@ class TestSelectionRecord:
             assert rec.size == np.count_nonzero(mask)
             assert rec.gamma == gamma
             assert rec.u == u[x, y]
+            assert np.float64(rec.u).tobytes() == u[x, y].tobytes()
             assert rec.mask[x] and rec.mask[y]
             kept.append((rec, mask))
+        fixed_maxin = cfg.algo != "maxinp" and cfg.gamma_mode == "fixed"
+        assert thresholded == (cfg.T - cfg.tau if fixed_maxin else 0)
         # records stay as they were made: no later round writes into them
         assert all(np.array_equal(rec.mask, mask) for rec, mask in kept)
 

@@ -124,13 +124,14 @@ def test_ab_bench_rejects_bad_seeds(capsys, seeds):
 
 def test_ab_bench_defaults_come_from_benchmark_json(monkeypatch, capsys):
     """With no --workload and no --seconds, every workload BENCHMARK.json
-    lists is run for its run_seconds, on both sides of each pair."""
+    lists is run for its run_seconds, on both sides of each pair (their
+    copies a and b, base first)."""
     ab = _ab_bench()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     calls = []
 
     def run_one(checkout, workload, seed, seconds):
-        calls.append((checkout, workload, seed, seconds))
+        calls.append((checkout.name, workload, seed, seconds))
         return {"metrics": {m["name"]: 1.0 for m in spec["end_to_end"]},
                 "sha256": "ab12", "failed": 0, "correct": True}
 
@@ -139,8 +140,8 @@ def test_ab_bench_defaults_come_from_benchmark_json(monkeypatch, capsys):
         == 0
     names = [w["name"] for w in spec["workloads"]]
     assert len(names) > 1
-    assert calls == [(Path(side), name, 7, spec["run_seconds"])
-                     for name in names for side in ("b", ROOT)]
+    assert calls == [(side, name, 7, spec["run_seconds"])
+                     for name in names for side in ("a", "b")]
     assert capsys.readouterr().out.count("trace_sha256 equal") == len(names)
     calls.clear()
     assert ab.main(["--base", "b", "--change", str(ROOT), "--seeds", "7",
@@ -172,6 +173,47 @@ def test_ab_bench_runs_compile_from_source(monkeypatch, tmp_path):
     prefixes = [s[1] for s in seen]
     assert prefixes[0] != prefixes[1]
     assert not any(p.exists() or tmp_path in p.parents for p in prefixes)
+
+
+def test_ab_bench_runs_each_side_from_a_copy(monkeypatch, tmp_path):
+    """Both sides run in copies of their src/, perfbench/ and
+    BENCHMARK.json, made the same way under one temporary parent, without
+    bytecode, benchmark work files or anything else in the checkout; the
+    parent is gone once the runs are done."""
+    ab = _ab_bench()
+    spec = {"run_seconds": 1, "workloads": [{"name": "paper-n20-io"}],
+            "end_to_end": [
+                {"name": "rounds_per_s", "better": "higher", "bound": 0.25},
+                {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]}
+    for side in ("base", "change"):
+        root = tmp_path / side
+        for name in ("src/duelrank/__init__.py", "perfbench/run.py",
+                     "perfbench/__pycache__/run.pyc", "perfbench/_work/x.csv",
+                     "README.md"):
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_text(f"{side} {name}\n")
+        (root / "BENCHMARK.json").write_text(json.dumps(spec))
+    seen = []
+
+    def run(cmd, **kw):
+        cwd = Path(kw["cwd"])
+        files = sorted(str(p.relative_to(cwd)) for p in cwd.rglob("*")
+                       if p.is_file())
+        side = (cwd / "perfbench" / "run.py").read_text().split()[0]
+        seen.append((side, cwd, files))
+        return subprocess.CompletedProcess(cmd, 0, _canned_run(100, 58.0), "")
+
+    monkeypatch.setattr(ab.subprocess, "run", run)
+    assert ab.main(["--base", str(tmp_path / "base"), "--change",
+                    str(tmp_path / "change"), "--seeds", "1-2"]) == 0
+    assert [s[0] for s in seen] == ["base", "change", "change", "base"]
+    cwds = {side: cwd for side, cwd, _ in seen}
+    assert len({cwd for _, cwd, _ in seen}) == 2
+    assert cwds["base"].parent == cwds["change"].parent
+    assert tmp_path not in cwds["base"].parents
+    assert all(files == ["BENCHMARK.json", "perfbench/run.py",
+                         "src/duelrank/__init__.py"] for _, _, files in seen)
+    assert not cwds["base"].parent.exists()
 
 
 def test_ab_bench_counts_src_lines(monkeypatch, capsys, tmp_path):

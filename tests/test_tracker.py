@@ -256,6 +256,22 @@ class TestBuffersMatchReference:
         tr.update(0, 1)
         assert tr.uncertainty_matrix() is first
 
+    def test_uncertainty_matrix_is_the_clamped_root_of_q(self):
+        """q is d_i + d_j - 2 V^{-1}_ij bit for bit, in the same buffer as
+        u, and u is sqrt(max(q, 0)) bit for bit."""
+        rng = np.random.default_rng(4)
+        tr = DesignTracker(30, 1.0)
+        for _ in range(300):
+            x, y = rng.choice(30, size=2, replace=False)
+            tr.update(int(x), int(y))
+            d = np.diag(tr.v_inv)
+            q = tr.squared_uncertainty_matrix()
+            assert q.tobytes() == (d[:, None] + d[None, :]
+                                   - 2.0 * tr.v_inv).tobytes()
+            root = np.sqrt(np.maximum(q, 0.0))
+            assert tr.uncertainty_matrix() is q
+            assert q.tobytes() == root.tobytes()
+
 
 @st.composite
 def pair_sequences(draw):
