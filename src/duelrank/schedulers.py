@@ -122,26 +122,30 @@ class Scheduler:
         (at most m rows, one per round at most), and the round (0, 1, ...)
         after which each appeared.
 
-        Here a step per round; once a pair is held, the rest of the rounds
-        are its outcomes from one MatchEnv.play_many draw.
+        Here a step per round, its (x, y, o) kept in a list made int64 once;
+        once a pair is held, the rest of the rounds are its outcomes from
+        one MatchEnv.play_many draw.
         """
-        x, y, o = (np.empty(k, dtype=np.int64) for _ in range(3))
-        rows, at = [], []
-        for i in range(k):
+        played, rows, at = [], [], []
+        for _ in range(k):
             if self.held is not None:
-                x[i:], y[i:] = self.held
-                o[i:] = env.play_many(*self.held, k - i)
-                self.t += k - i
                 break
-            x[i], y[i], o[i] = self.step(env)
+            played.append(self.step(env))
             est = self.estimate()
             if est is not self._reported:
                 self._reported = est
                 rows.append(est.r)
-                at.append(i)
+                at.append(len(played) - 1)
                 if len(at) == m:
-                    x, y, o = x[:i + 1], y[:i + 1], o[:i + 1]
+                    k = len(played)
                     break
+        i = len(played)
+        x, y, o = xyo = np.empty((3, k), dtype=np.int64)
+        xyo[:, :i] = np.array(played, dtype=np.int64).reshape(i, 3).T
+        if i < k:
+            x[i:], y[i:] = self.held
+            o[i:] = env.play_many(*self.held, k - i)
+            self.t += k - i
         return (x, y, o, np.array(rows).reshape(len(at), self.n),
                 np.array(at, dtype=np.intp))
 
@@ -290,7 +294,8 @@ def _root_argmax(q: np.ndarray) -> int:
 
 
 class Selection(NamedTuple):
-    """A post-warmup round's mask S (|S| is `size`), gamma_t and pair's u."""
+    """A post-warmup round's mask S (|S| is `size`), gamma_t and pair's u;
+    built when read, a threshold round's u from its pair's q."""
     mask: np.ndarray
     gamma: float
     u: float
@@ -305,7 +310,8 @@ class _WarmupScheduler(Scheduler):
     MaxInP keeps every match, and the log doubles whenever it is full.
     """
 
-    selection: Selection | None = None  # the last selecting round's, or None
+    _sel: tuple | None = None  # (mask, gamma, the pair's u or q, is it q)
+    _full = False  # whether the last round's S was every player
 
     def __init__(self, config, rng):
         super().__init__(config, rng)
@@ -314,6 +320,16 @@ class _WarmupScheduler(Scheduler):
         self._logged = 0
         self._h = np.empty((self.n, self.n))
         self._passed = np.empty((self.n, self.n), dtype=bool)
+        self._every = np.ones(self.n, dtype=bool)  # copied: faster than ones
+
+    @property
+    def selection(self) -> Selection | None:
+        """The last selecting round's record, or None before the first."""
+        if self._sel is None:
+            return None
+        mask, gamma, value, is_q = self._sel
+        return Selection(mask, gamma,
+                         math.sqrt(max(value, 0.0)) if is_q else value)
 
     @property
     def history(self) -> np.ndarray:
@@ -353,46 +369,66 @@ class _WarmupScheduler(Scheduler):
         return beaten == beaten.min()
 
     def _select_pair(self, u: np.ndarray, mask: np.ndarray,
-                     argmax=lambda a: int(a.argmax())) -> tuple[int, int]:
+                     argmax=lambda a: int(a.argmax()),
+                     size: int | None = None) -> tuple[int, int]:
         """The candidate pair x < y of largest u[x, y], lowest pair on ties:
         the first argmax of u on S x S in row-major order, since u is
         symmetric with a zero diagonal. A single candidate x gives (x, x).
-        With argmax=_root_argmax, u may be q, read as its clamped root."""
-        size = np.count_nonzero(mask)
+        With argmax=_root_argmax, u may be q, read as its clamped root.
+        `size`, if given, is |S|; _full notes if it is n. For n/2 < |S| < n
+        the pick is made on S's rows, held with -inf outside S, without an
+        S x S copy: S is sorted, so it is S x S's first pick, unless it is
+        <= 0: then every root on S x S is 0 and the pair is (S[0], S[0])."""
+        n = self.n
+        size = np.count_nonzero(mask) if size is None else size
+        self._full = size == n
         if size == 0:
             raise ContractViolationError(
                 "empty candidate set: the ratings are not finite")
         if size == 1:
             x = int(mask.argmax())
             return x, x
-        if size == self.n:
-            return divmod(argmax(u), self.n)
-        idx = np.flatnonzero(mask)
-        i, j = divmod(argmax(u.take(idx, 0).take(idx, 1)), size)
-        return int(idx[i]), int(idx[j])
+        if size == n:
+            return divmod(argmax(u), n)
+        idx = mask.nonzero()[0]
+        if 2 * size <= n:  # faster here, and both copies fit in n x n
+            i, j = divmod(argmax(u.take(idx, 0).take(idx, 1)), size)
+            return int(idx[i]), int(idx[j])
+        rows = u.take(idx, 0, out=self._h[:size], mode="clip")
+        rows[:, ~mask] = -np.inf
+        i, j = divmod(argmax(rows), n)
+        if rows.item(i, j) <= 0.0:
+            i, j = 0, int(idx[0])
+        return int(idx[i]), j
 
     def _select(self, gap: Gap, gamma: float) -> tuple[int, int]:
         """One round's pair; keeps its record. Under the gamma the gap's
         thresholds were built for, from q alone: S is the columns where
         q > q_min holds throughout, or else where it holds most often, and
-        the pair reads q as its clamped root (_root_argmax). Otherwise from
-        one uncertainty matrix, by _candidate_mask: the reference, and the
-        path of a gamma or gap that changes every round."""
+        the pair reads q as its clamped root (_root_argmax); after a round
+        whose S was every player, a count of q > q_min tests that first.
+        Otherwise from one uncertainty matrix, by _candidate_mask: the
+        reference, and the path of a gamma or gap that changes every round."""
         if gap.q_min is None or gamma != gap.gamma:
             u = self.tracker.uncertainty_matrix()
             mask = self._candidate_mask(u, gap, gamma)
             x, y = self._select_pair(u, mask)
-            self.selection = Selection(mask, gamma, u.item(x, y))
+            self._sel = mask, gamma, u.item(x, y), False
             return x, y
         q = self.tracker.squared_uncertainty_matrix()
         passed = np.greater(q, gap.q_min, out=self._passed)
-        mask = passed.all(axis=0)
-        if not mask.any():
-            wins = np.count_nonzero(passed, axis=0)
-            mask = wins == wins.max()
-        x, y = self._select_pair(q, mask, _root_argmax)
-        self.selection = Selection(mask, gamma,
-                                   math.sqrt(max(q.item(x, y), 0.0)))
+        n = self.n
+        if self._full and np.count_nonzero(passed) == n * n:
+            mask, size = self._every.copy(), n
+        else:
+            mask = passed.all(axis=0)
+            size = np.count_nonzero(mask)
+            if size == 0:
+                wins = np.count_nonzero(passed, axis=0)
+                mask = wins == wins.max()
+                size = None
+        x, y = self._select_pair(q, mask, _root_argmax, size)
+        self._sel = mask, gamma, q.item(x, y), True
         return x, y
 
     def _gamma(self) -> float:

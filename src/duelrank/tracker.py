@@ -39,7 +39,7 @@ class DesignTracker:
         vi = self.v_inv
         # Sherman-Morrison with u = e_x - e_y; rows = columns, V^{-1} is symmetric
         vu = vi[x] - vi[y]
-        denom = 1.0 + (vu[x] - vu[y])
+        denom = 1.0 + (vu.item(x) - vu.item(y))
         term = np.multiply(vu[:, None], vu, out=self._term)
         term /= denom
         vi -= term

@@ -1,8 +1,10 @@
 """Policy behavior: exploration schedule, candidate sets, baselines."""
 
+import collections
 import copy
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,6 +24,7 @@ from duelrank.ratings import (
 )
 from duelrank.schedulers import (
     DbgdScheduler,
+    Gap,
     MatchEnv,
     MaxInPScheduler,
     MaxInScheduler,
@@ -329,6 +332,82 @@ class TestSelectPair:
         with pytest.raises(ContractViolationError):
             self._pair(sched, [])
 
+    @staticmethod
+    def _take_pick(u, mask, argmax):
+        """The pick as the sub-matrix u[S][:, S] gives it, copied out."""
+        idx = np.flatnonzero(mask)
+        i, j = divmod(argmax(u.take(idx, 0).take(idx, 1)), len(idx))
+        return int(idx[i]), int(idx[j])
+
+    @staticmethod
+    def _random_q(rng, n, idx, kind):
+        """A symmetric q with a zero diagonal. kind 1 plants, inside S x S,
+        two adjacent doubles with one rounded root, the smaller first in
+        row-major order; kind 2 makes S x S <= 0 while the rest is
+        positive; kind 3 adds entries just below 0."""
+        q = np.triu(rng.uniform(0.0, 1.0, size=(n, n)), 1)
+        if kind == 1 and len(idx) >= 3:
+            while True:
+                base = float(rng.uniform(2.0, 3.0))
+                low = math.nextafter(base, -math.inf)
+                if math.sqrt(low) == math.sqrt(base):
+                    break
+            a, b, c = idx[0], idx[1], idx[-1]
+            q[a, b], q[b, c] = low, base
+        q += q.T
+        if kind == 2:
+            q[np.ix_(idx, idx)] = -rng.uniform(0.0, 1e-17, (len(idx),) * 2)
+        elif kind == 3:
+            q[rng.random((n, n)) < 0.2] = -1e-17
+            q = np.minimum(q, q.T)
+        np.fill_diagonal(q, 0.0)
+        return q
+
+    @pytest.mark.parametrize("n", [5, 20, 101])
+    @pytest.mark.parametrize("argmax", [schedulers._root_argmax,
+                                        lambda a: int(a.argmax())],
+                             ids=["root", "plain"])
+    def test_pick_equals_the_sub_matrix_pick(self, n, argmax):
+        """For every |S| from 2 to n, the pick _select_pair makes without
+        copying S x S out is the pick of the copied sub-matrix."""
+        rng = np.random.default_rng(n)
+        sched = self._warm_even(n)
+        for size in range(2, n + 1):
+            for kind in range(4):
+                mask = mask_of(rng.choice(n, size, replace=False), n)
+                q = self._random_q(rng, n, np.flatnonzero(mask), kind)
+                want = self._take_pick(q, mask, argmax)
+                assert sched._select_pair(q, mask, argmax) == want
+                assert sched._select_pair(q, mask, argmax, size) == want
+                assert sched._full == (size == n)
+                if kind == 2:  # S x S's largest entry is its first, 0
+                    first = int(np.flatnonzero(mask)[0])
+                    assert want == (first, first)
+
+    def test_all_pass_count_then_one_failing_entry(self):
+        """After a round whose S was every player, a passed matrix with one
+        failing entry still gives the column reduction's mask."""
+        n = 30
+        rng = np.random.default_rng(4)
+        q = np.triu(rng.uniform(0.1, 1.0, size=(n, n)), 1)
+        q += q.T
+        sched = build("maxin_elo", n, T=50, tau=4)
+        sched.tracker.squared_uncertainty_matrix = lambda: q
+        q_min = np.full((n, n), -np.inf)
+        sched._select(Gap(np.zeros((n, n)), None, 1.0, q_min), 1.0)
+        assert sched._full and sched.selection.mask.all()
+        for i, j in [(3, 17), (17, 3), (0, n - 1), (5, 5)]:
+            sched._select(Gap(np.zeros((n, n)), None, 1.0, q_min), 1.0)
+            assert sched._full
+            fails = q_min.copy()
+            fails[i, j] = q[i, j]  # q > q is False: this one entry fails
+            want = (q > fails).all(axis=0)
+            assert np.count_nonzero(want) == n - 1 and not want[j]
+            x, y = sched._select(Gap(np.zeros((n, n)), None, 1.0, fails),
+                                 1.0)
+            assert np.array_equal(sched.selection.mask, want)
+            assert not sched._full and want[x] and want[y]
+
 
 def omega(k):
     """mElo's 2k x 2k block-antisymmetric pairing matrix, built entry by
@@ -488,6 +567,9 @@ class TestRunSelectionOracle:
         (dict(algo="maxin_elo", n=100, T=300, tau=70, gamma=8.0), False),
         (dict(algo="maxin_melo", n=100, T=300, tau=70, gamma=8.0, k=2),
          False),
+        # reaches the fewest-dominators fallback at n = 100
+        (dict(algo="maxin_melo", n=100, T=300, tau=70, gamma=1.5, k=2,
+              alpha=0.1, rating_scale=2.0), False),
     ]
 
     @pytest.mark.parametrize("kw,plays_self_pairs", CASES, ids=[
@@ -519,6 +601,36 @@ class TestRunSelectionOracle:
         if cfg.algo != "maxinp":
             assert sched.sgd.j >= 2
         assert (self_pairs > cfg.T // 2) == plays_self_pairs
+
+    def test_n100_cases_take_every_path(self):
+        """Across the n = 100 cases, a threshold round reads S in each of
+        its ways at least once: the all-pass count after an |S| = n round,
+        the fewest-dominators fallback, and a pick for n/2 < |S| < n,
+        2 <= |S| <= n/2 and |S| = 1."""
+        paths = collections.Counter()
+        for kw, _ in self.CASES:
+            if kw["n"] != 100:
+                continue
+            sched = build(seed=3, **kw)
+            n = sched.n
+            env = env_for(games.gen_elo_game(n, sched.config.rating_scale, 2),
+                          seed=4)
+            for _ in range(sched.config.T):
+                if sched.sgd is None or sched.held is not None:
+                    sched.step(env)
+                    continue
+                full = sched._full
+                passed = (sched.tracker.squared_uncertainty_matrix()
+                          > sched._gap.q_min)
+                fallback = not passed.all(axis=0).any()
+                sched.step(env)
+                size = sched.selection.size
+                paths["fallback" if fallback
+                      else "shortcut" if full and size == n
+                      else "all" if size == n
+                      else "large" if 2 * size > n
+                      else "small" if size > 1 else "one"] += 1
+        assert {"shortcut", "fallback", "large", "small", "one"} <= set(paths)
 
     @given(case=round_cases())
     @settings(max_examples=200, deadline=None)
@@ -1285,6 +1397,42 @@ class TestNoHeldBufferEscapes:
                 if rec is not None:
                     assert np.array_equal(rec.mask, ref.mask)
                     assert (rec.gamma, rec.u) == (ref.gamma, ref.u)
+
+
+class TestRoundAllocation:
+    """A fixed-gamma threshold round at n = 100 makes no n x n temporary:
+    its tracemalloc peak stays below one n x n float64 array (80 kB) for
+    |S| = n, n/2 < |S| < n and |S| <= n/2. At numpy's default buffer size
+    each broadcast op's ufunc buffers add about 128 kB, so the test
+    shrinks them."""
+
+    def test_threshold_round_peak_is_below_one_matrix(self):
+        n, peaks = 100, {}
+        old = np.setbufsize(16)
+        try:
+            sched = build("maxin_melo", n, T=300, tau=70, gamma=1.5, k=2,
+                          alpha=0.1, rating_scale=2.0, seed=3)
+            env = env_for(games.gen_elo_game(n, 2.0, 2), seed=4)
+            for _ in range(sched.config.T):
+                if sched.sgd is None or sched._logged + 1 == sched.config.tau:
+                    sched.step(env)  # the warmup, or a round ending a batch
+                    continue
+                assert sched._gap.q_min is not None
+                tracemalloc.start()
+                try:
+                    sched.step(env)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                if sched.held is not None:
+                    break
+                size = sched.selection.size
+                key = "all" if size == n else "large" if 2 * size > n else "small"
+                peaks[key] = max(peaks.get(key, 0), peak)
+        finally:
+            np.setbufsize(old)
+        assert set(peaks) == {"all", "large", "small"}
+        assert max(peaks.values()) < n * n * 8, peaks
 
 
 class TestDeterminism:
