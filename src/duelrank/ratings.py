@@ -9,6 +9,7 @@ arrays, and sgd_rows updates only its own copies as it goes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -212,7 +213,12 @@ def mle_fit(history, n: int, ridge: float = 1e-4) -> RatingState:
     The ridge makes the optimum unique and finite on any history
     (including disconnected comparison graphs); the solution is
     mean-centered, which the shift-invariant data term plus ridge already
-    forces at the optimum. Each iteration is one pass over the history.
+    forces at the optimum. Each iteration is one pass over the whole
+    history, self-pairs included. The records' index arrays, in the
+    sign-folded order below, are built once per fit, and each iteration
+    writes z, the sigmoids and the gradient and Hessian weights into
+    buffers held for the fit; the result shares no memory with them or
+    with history.
     """
     if ridge <= 0:
         raise ConfigError("ridge must be positive", key="ridge")
@@ -223,58 +229,63 @@ def mle_fit(history, n: int, ridge: float = 1e-4) -> RatingState:
         raise ContractViolationError(
             "history must be (x, y, o) rows with o in {0, 1}")
     h = h.astype(np.int64, copy=False)
-    xs, ys = h[:, 0], h[:, 1]
-    os_ = h[:, 2].astype(float)
-    # -log sigma of the outcome, o softplus(-z) + (1 - o) softplus(z), is
-    # softplus(sign z) bit for bit when o is 0 or 1
-    sign = 1.0 - 2.0 * os_
+    m, xs, ys, os_ = len(h), h[:, 0], h[:, 1], h[:, 2].astype(float)
+    # -log sigma of the outcome is softplus(sign z), sign = 1 - 2o and
+    # z = r[x] - r[y]. In the sign-folded order (a, b), (x, y) if o = 0 and
+    # (y, x) if o = 1, sign z is r[a] - r[b] bit for bit, since fp(u - v) =
+    # -fp(v - u), and -z is (2o - 1)(r[a] - r[b])
+    won = h[:, 2] == 1
+    a, b = np.where(won, ys, xs), np.where(won, xs, ys)
+    flip = 2.0 * os_ - 1.0
     # gradient: all -delta at x, then all +delta at y; Hessian, flattened:
     # ridge on the diagonal, then w at (x, x), (y, y), -w at (x, y), (y, x)
     g_idx = np.concatenate((xs, ys))
     h_idx = np.concatenate((np.arange(n) * (n + 1), xs * (n + 1), ys * (n + 1),
                             xs * n + ys, ys * n + xs))
-    ridge_diag = np.full(n, ridge)
+    z, s, gw, hw = np.empty(m), np.empty(m), np.empty((2, m)), np.empty(n + 4 * m)
+    hw[:n] = ridge
+    w, w_copy, nw = hw[n:n + m], hw[n + m:n + 2 * m], hw[n + 2 * m:]
 
-    def objective(r, z=None):
-        if z is None:
-            z = r[xs] - r[ys]
-        return float(np.logaddexp(0.0, sign * z).sum()
+    def gaps(r):
+        return np.subtract(r[a], r[b], out=z)
+
+    def objective(r, z):  # from z = gaps(r), which it overwrites
+        return float(np.add.reduce(np.logaddexp(0.0, z, out=z))
                      + 0.5 * ridge * np.dot(r, r))
 
-    def gradient(r, s):
-        delta = os_ - s
-        weights = np.concatenate((-delta, delta))
-        return np.bincount(g_idx, weights=weights, minlength=n) + ridge * r
-
-    def hessian(s):
-        w = s * (1.0 - s)
-        nw = -w
-        weights = np.concatenate((ridge_diag, w, w, nw, nw))
-        return np.bincount(h_idx, weights=weights, minlength=n * n).reshape(n, n)
+    def hessian():
+        np.multiply(s, np.subtract(1.0, s, out=w_copy), out=w)
+        w_copy[:] = w
+        np.negative(hw[n:n + 2 * m], out=nw)
+        return np.bincount(h_idx, weights=hw, minlength=n * n).reshape(n, n)
 
     r = np.zeros(n)
     for it in range(MLE_MAX_ITER + 1):
         # centering never increases the objective (data term is
         # shift-invariant, ridge shrinks) and keeps the output canonical
-        r = r - r.sum() / n
-        z = r[xs] - r[ys]
-        s = sigmoid(z)
-        g = gradient(r, s)
-        if np.linalg.norm(g) <= MLE_TOL:
+        r -= np.add.reduce(r) / n
+        np.multiply(flip, gaps(r), out=s)  # s = sigmoid(z) = 1 / (1 + exp(-z))
+        np.exp(s, out=s)
+        s += 1.0
+        np.divide(1.0, s, out=s)
+        np.negative(np.subtract(os_, s, out=gw[1]), out=gw[0])  # -delta, delta
+        g = np.bincount(g_idx, weights=gw.reshape(-1), minlength=n)
+        g += ridge * r
+        if math.sqrt(g.dot(g)) <= MLE_TOL:  # np.linalg.norm(g), bit for bit
             return RatingState(r=r)
         if it == MLE_MAX_ITER:
             break
-        step = np.linalg.solve(hessian(s), g)
+        step = np.linalg.solve(hessian(), g)
         f0 = objective(r, z)
         scale = 1.0
-        while objective(r - scale * step) > f0 and scale > 1e-12:
+        while objective(trial := r - scale * step, gaps(trial)) > f0 and scale > 1e-12:
             scale *= 0.5
-        r = r - scale * step
+        r = trial
     # Near the optimum the decrease Newton still predicts, g'H^-1 g / 2,
     # can fall below the objective's rounding; the line search then sees
     # no change and |g| stalls just above MLE_TOL. Such r is as good as the
     # objective can tell apart.
-    decrement = 0.5 * float(g @ np.linalg.solve(hessian(s), g))
+    decrement = 0.5 * float(g @ np.linalg.solve(hessian(), g))
     if decrement <= 4.0 * np.finfo(float).eps * abs(objective(r, z)):
         return RatingState(r=r)
     raise SolverError("MLE did not converge", last_iterate=r)

@@ -522,8 +522,9 @@ class MaxInPScheduler(_WarmupScheduler):
             x, y = self._select(self._rating_gap(self._estimate.r, None),
                                 self._gamma())
         o = env.play(x, y)
-        self._record(x, y, o)
-        self.tracker.update(x, y)
+        self._record(x, y, o)  # the fit passes over self-pairs too
+        if x != y:  # their tracker term is +0.0 everywhere
+            self.tracker.update(x, y)
         if self.t == self.config.tau:
             self._estimate = mle_fit(self.history, self.n, ridge=self.config.ridge)
         return x, y, o

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duelrank import ratings
+from duelrank import harness, ratings
+from duelrank.config import RunConfig
 from duelrank.errors import ConfigError, ContractViolationError, SolverError
 from duelrank.ratings import (
     RatingState,
@@ -371,6 +372,20 @@ class TestMleFit:
         assert mle_fit(np.empty((0, 3), dtype=np.int64), 4).r.tobytes() \
             == np.zeros(4).tobytes()
 
+    def test_results_share_no_memory(self, monkeypatch):
+        h = np.array(self.STALL_HISTORY, dtype=np.int64)
+        h_bytes = h.tobytes()
+        first = mle_fit(h, 20, ridge=2.0).r
+        first_bytes = first.tobytes()
+        monkeypatch.setattr(ratings, "MLE_MAX_ITER", 1)
+        with pytest.raises(SolverError) as exc:
+            mle_fit(h, 20, ridge=2.0)
+        last = exc.value.last_iterate
+        for r in (first, last):  # no view of a work buffer or of h
+            assert r.flags.owndata and not np.shares_memory(r, h)
+        assert first.tobytes() == first_bytes
+        assert h.tobytes() == h_bytes
+
     @pytest.mark.parametrize("history", [
         [(0, 1, 0.5)],             # would truncate to 0 as an integer
         [(0, 1, 1), (1, 2, 2)],
@@ -485,6 +500,23 @@ class TestMatchesReference:
             assert got == _fit_bytes(reference_mle_fit, history, n,
                                      ridge=ridge, max_iter=max_iter)
             outcomes.add(got[0])
+        assert outcomes == {"ok", "SolverError"}
+
+    def test_mle_fit_maxinp_histories(self, monkeypatch):
+        # the logs a maxinp run refits: tau = 14 warmup pairs, then over
+        # 90 % self-pairs, against 20 % in the random histories
+        (trace,), _ = harness.simulate(
+            RunConfig(algo="maxinp", n=20, tau=14, T=2000, seed=1))
+        log = np.stack((trace.x, trace.y, trace.outcome), axis=1)
+        assert (log[:, 0] == log[:, 1]).mean() >= 0.9
+        outcomes = set()
+        for m in (15, 100, 500, 2000):
+            for max_iter in (1, 3, 100):
+                monkeypatch.setattr(ratings, "MLE_MAX_ITER", max_iter)
+                got = _fit_bytes(mle_fit, log[:m], 20)
+                assert got == _fit_bytes(reference_mle_fit, log[:m], 20,
+                                         max_iter=max_iter)
+                outcomes.add(got[0])
         assert outcomes == {"ok", "SolverError"}
 
     def test_mle_fit_stall_history(self):
