@@ -257,11 +257,20 @@ def write_trace_csv(trace: Trace, path) -> None:
     """Write a trace as CSV, byte for byte: the `trace_header` line, then
     one line per round holding `str` of each int column (`t`, `x`, `y`,
     `outcome`) and `repr` of each float column, so floats read back
-    exactly. Lines end in LF."""
+    exactly. Lines end in LF.
+
+    The metric columns (rr, hr, ndcg) change only at scored rounds, so
+    their text is made once per run of bit-equal rows and repeated."""
+    metrics = np.column_stack((trace.rr, trace.hr, trace.ndcg))
+    bits = metrics.view(np.int64)
+    starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)])
+    text = map(",".join, zip(*map(_cell_text, metrics[starts].T)))
+    runs = np.array(list(text), dtype=object)
+    runs = runs.repeat(np.diff(starts, append=len(metrics))).tolist()
     cols = [trace.x, trace.y, trace.outcome, trace.instant_regret,
-            trace.cum_regret, trace.rr, *trace.hr.T, *trace.ndcg.T]
-    cells = [map(str, range(1, len(trace.x) + 1))]
-    cells += [_cell_text(c) for c in cols]
+            trace.cum_regret]
+    cells = [map(str, range(1, len(trace.x) + 1)), *map(_cell_text, cols),
+             runs]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(trace_header(trace.ks) + "\n")
         fh.write("\n".join(map(",".join, zip(*cells))) + "\n")

@@ -3,6 +3,8 @@
 Every policy exposes the same surface: step(env) plays one match and
 returns (x, y, outcome); play(env, k, m) plays up to k and also returns
 the new estimates' ratings; estimate() returns the current RatingState.
+MatchEnv draws the outcomes: once per play call for an online baseline,
+once per SGD batch (or held tail) for MaxIn and once per round for MaxInP.
 Pairs are unordered with the canonical ordering x < y, and outcomes are
 always recorded from the first-listed player's perspective.
 """
@@ -67,10 +69,12 @@ class MatchEnv:
     """A win matrix plus the random stream its outcomes are drawn from.
 
     Each outcome is int(u < p[x, y]) of the stream's next uniform u:
-    ``play`` draws one, and ``plays(k)`` and ``play_many`` draw k at once.
-    numpy's Generator gives one k-vector draw the values of k scalar
-    draws, and leaves its stream in the same state, so every outcome is
-    the same whichever of the three plays it.
+    ``play`` draws one (MaxInP's rounds), ``plays(k)`` k at once for a
+    baseline's block of matches, and ``play_many`` k at once for pairs
+    known in advance (MaxIn's segments, random's block). numpy's
+    Generator gives one k-vector draw the values of k scalar draws, and
+    leaves its stream in the same state, so every outcome is the same
+    whichever of the three plays it.
     """
 
     def __init__(self, matrix: WinMatrix, rng: np.random.Generator):
@@ -93,9 +97,10 @@ class MatchEnv:
 
 
 class Scheduler:
-    """Common bookkeeping for all policies; pair i is (_iu[i], _ju[i])."""
+    """Common bookkeeping for all policies; pair i is (_iu[i], _ju[i]).
 
-    held: tuple[int, int] | None = None  # a pair every later round replays
+    A policy defines step or play: each is made here of the other."""
+
     _reported: RatingState | None = None  # the estimate play last returned
 
     def __init__(self, config: RunConfig, rng: np.random.Generator):
@@ -113,7 +118,9 @@ class Scheduler:
         return self._pair(self.rng.integers(len(self._iu)))
 
     def step(self, env: MatchEnv) -> tuple[int, int, int]:
-        raise NotImplementedError
+        """One round, play(env, 1, 1), as the ints (x, y, outcome)."""
+        x, y, o = self.play(env, 1, 1)[:3]
+        return int(x[0]), int(y[0]), int(o[0])
 
     def play(self, env: MatchEnv, k: int, m: int):
         """Play k rounds, or fewer: stop after the round that gives the m-th
@@ -122,14 +129,11 @@ class Scheduler:
         (at most m rows, one per round at most), and the round (0, 1, ...)
         after which each appeared.
 
-        Here a step per round, its (x, y, o) kept in a list made int64 once;
-        once a pair is held, the rest of the rounds are its outcomes from
-        one MatchEnv.play_many draw.
+        Here a step per round (MaxInP's, one MatchEnv.play draw each), its
+        (x, y, o) kept in a list made int64 once.
         """
         played, rows, at = [], [], []
         for _ in range(k):
-            if self.held is not None:
-                break
             played.append(self.step(env))
             est = self.estimate()
             if est is not self._reported:
@@ -137,15 +141,8 @@ class Scheduler:
                 rows.append(est.r)
                 at.append(len(played) - 1)
                 if len(at) == m:
-                    k = len(played)
                     break
-        i = len(played)
-        x, y, o = xyo = np.empty((3, k), dtype=np.int64)
-        xyo[:, :i] = np.array(played, dtype=np.int64).reshape(i, 3).T
-        if i < k:
-            x[i:], y[i:] = self.held
-            o[i:] = env.play_many(*self.held, k - i)
-            self.t += k - i
+        x, y, o = np.array(played, dtype=np.int64).reshape(-1, 3).T
         return (x, y, o, np.array(rows).reshape(len(at), self.n),
                 np.array(at, dtype=np.intp))
 
@@ -162,7 +159,7 @@ class _OnlineBaseline(Scheduler):
     None of them picks a pair from its ratings, and each round gives a new
     estimate, so play(env, k, m) makes min(k, m) matches first, as
     _matches(env, k)'s x, y and outcome arrays, then runs the SGD
-    recurrence over them (ratings.sgd_rows). step is play(env, 1, 1).
+    recurrence over them (ratings.sgd_rows).
     """
 
     def __init__(self, config, rng):
@@ -170,10 +167,6 @@ class _OnlineBaseline(Scheduler):
         if self.config.melo:
             c = initial_features(rng, self.n, self.config.k)
             self._estimate = RatingState(r=np.zeros(self.n), c=c)
-
-    def step(self, env):
-        x, y, o = self.play(env, 1, 1)[:3]
-        return int(x[0]), int(y[0]), int(o[0])
 
     def play(self, env, k, m):
         k = min(k, m)
@@ -336,12 +329,6 @@ class _WarmupScheduler(Scheduler):
         """The logged records as an m x 3 (x, y, o) view."""
         return self._log[:self._logged]
 
-    def _record(self, x: int, y: int, o: int) -> None:
-        if self._logged == len(self._log):
-            self._log = np.concatenate((self._log, np.empty_like(self._log)))
-        self._log[self._logged] = x, y, o
-        self._logged += 1
-
     def _rating_gap(self, r: np.ndarray, c: np.ndarray | None) -> Gap:
         """The Gap of ratings r and features c, without thresholds."""
         d = r[None, :] - r[:, None]
@@ -452,9 +439,11 @@ class MaxInScheduler(_WarmupScheduler):
     input of the next selection (tracker, log, SGD state, gap, gamma),
     so it becomes `held`: every later round replays that pair without
     selecting, and `selection` stays the record of the round that froze.
+    Outcomes reach only the next fit, so play draws them a batch at once.
     """
 
     sgd: SgdState | None = None  # None until the warmup fit
+    held: tuple[int, int] | None = None  # a pair every later round replays
 
     def _fit_batch(self):
         """The warm start from the first full log, an SGD step from every
@@ -483,23 +472,56 @@ class MaxInScheduler(_WarmupScheduler):
                                q_min=pass_thresholds(gap.d, gap.c, gamma))
         self._gap = gap
 
-    def step(self, env):
-        self.t += 1
-        if self.held is not None:
-            x, y = self.held
-        elif self.sgd is None:
-            x, y = self.uniform_pair()
-        else:
-            x, y = self._select(self._gap, self._gamma())
-            if x == y and self.config.gamma_mode == "fixed":
-                self.held = x, y
-        o = env.play(x, y)
-        if x != y:  # self-pairs carry zero information
-            self._record(x, y, o)
-            self.tracker.update(x, y)
-            if self._logged == self.config.tau:
+    def play(self, env, k, m):
+        """Scheduler.play a segment at a time: pairs, selected round by round
+        (the warmup's drawn at once; the run's first round alone), up to the
+        batch's tau-th informative record, round k or a hold, which runs to
+        k; then one env.play_many draw, the non-self records logged as one
+        block and, if the log is full, a fit, which ends the segment."""
+        cfg, t0 = self.config, self.t
+        theoretical = cfg.gamma_mode == "theoretical"
+        x, y, o = xyo = np.empty((3, k), dtype=np.int64)
+        rows, at, i = [], [], 0
+        while i < k:
+            start, need = i, cfg.tau - self._logged
+            if self.sgd is None:  # warmup pairs are never self-pairs
+                i += min(k - i, need) if self.t else 1
+                pick = self.rng.integers(len(self._iu), size=i - start)
+                x[start:i], y[start:i] = self._iu[pick], self._ju[pick]
+                for a, b in zip(x[start:i].tolist(), y[start:i].tolist()):
+                    self.tracker.update(a, b)
+            else:
+                gamma = cfg.gamma
+                while need and i < k and self.held is None:
+                    self.t += 1
+                    if theoretical:
+                        gamma = self._gamma()
+                    a, b = self._select(self._gap, gamma)
+                    x[i], y[i] = a, b
+                    i += 1
+                    if a != b:  # self-pairs carry zero information
+                        self.tracker.update(a, b)
+                        need -= 1
+                    elif not theoretical:
+                        self.held = a, b
+                if self.held is not None:
+                    x[i:], y[i:] = self.held
+                    i = k
+            self.t = t0 + i
+            o[start:i] = env.play_many(x[start:i], y[start:i], i - start)
+            new = xyo[:, start:i][:, x[start:i] != y[start:i]].T
+            self._log[self._logged:self._logged + len(new)] = new
+            self._logged += len(new)
+            if self._logged == cfg.tau:
                 self._fit_batch()
-        return x, y, o
+            if self._estimate is not self._reported:
+                self._reported = self._estimate
+                rows.append(self._estimate.r)
+                at.append(i - 1)
+                if len(at) == m:
+                    break
+        return (x[:i], y[:i], o[:i], np.array(rows).reshape(len(at), self.n),
+                np.array(at, dtype=np.intp))
 
 
 class MaxInPScheduler(_WarmupScheduler):
@@ -511,6 +533,12 @@ class MaxInPScheduler(_WarmupScheduler):
     its Newton iterations passes over the whole match log, which is the
     cost profile this baseline is meant to exhibit.
     """
+
+    def _record(self, x: int, y: int, o: int) -> None:
+        if self._logged == len(self._log):
+            self._log = np.concatenate((self._log, np.empty_like(self._log)))
+        self._log[self._logged] = x, y, o
+        self._logged += 1
 
     def step(self, env):
         self.t += 1

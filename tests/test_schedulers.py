@@ -134,15 +134,15 @@ class TestWarmup:
         with the scheduler's stream as it stood when the last one was."""
         sched = build(algo, 10, T=100, tau=7, k=2, seed=3)
         env = env_for(games.gen_elo_game(10, 1.0, 4))
-        records, play = [], env.play
+        records, play_many = [], env.play_many
 
-        def spy(x, y):
-            o = play(x, y)
-            records.append((x, y, o))
+        def spy(x, y, k):
+            o = play_many(x, y, k)
+            records.extend(zip(x.tolist(), y.tolist(), o.tolist()))
             spy.rng = copy.deepcopy(sched.rng)
             return o
 
-        env.play = spy
+        env.play_many = spy
         for _ in range(7):
             sched.step(env)
         ref = warm_start(np.array(records), sched.config, spy.rng)
@@ -1232,6 +1232,113 @@ class TestBlockPlay:
         assert not np.shares_memory(rows, est.r)
         assert est.r.tobytes() == kept[0].tobytes()
         assert est.c.tobytes() == kept[1].tobytes()
+
+
+def reference_maxin_step(sched, env):
+    """MaxIn's round before play drew a segment at a time: one scalar
+    rng.integers call for a warmup pair, one scalar outcome draw, and the
+    record logged, the tracker updated and a full log fitted per round."""
+    sched.t += 1
+    if sched.held is not None:
+        x, y = sched.held
+    elif sched.sgd is None:
+        x, y = sched.uniform_pair()
+    else:
+        x, y = sched._select(sched._gap, sched._gamma())
+        if x == y and sched.config.gamma_mode == "fixed":
+            sched.held = x, y
+    o = env.play(x, y)
+    if x != y:  # self-pairs carry zero information
+        sched._log[sched._logged] = x, y, o
+        sched._logged += 1
+        sched.tracker.update(x, y)
+        if sched._logged == sched.config.tau:
+            sched._fit_batch()
+    return x, y, o
+
+
+class TestMaxInBlockPlay:
+    """MaxIn's play(env, k, m) gives, bit for bit, the matches, the new
+    estimates and their rounds, both random streams after every call, and
+    the final tracker, log and learner of a scalar oracle: a
+    reference_maxin_step per round, reporting each round's estimate if it
+    is not the one reported last."""
+
+    # (config, the round whose self-pair is held, or None)
+    CASES = [
+        (dict(algo="maxin_elo", n=12, T=400, tau=8, gamma=1.0,
+              rating_scale=2.0), 81),
+        (dict(algo="maxin_melo", n=8, T=400, tau=6, gamma=1.0, k=2), 25),
+        (dict(algo="maxin_elo", n=8, T=300, tau=6, gamma=1.8), None),
+        (dict(algo="maxin_elo", n=8, T=300, tau=6,
+              gamma_mode="theoretical"), None),
+        (dict(algo="maxin_melo", n=8, T=300, tau=6, gamma_mode="theoretical",
+              k=2), None),
+        # every round fits a batch of one; "blocks" ends calls at round 64
+        (dict(algo="maxin_elo", n=4, T=131, tau=1, gamma_mode="theoretical"),
+         None),
+        (dict(algo="maxin_melo", n=6, T=200, tau=1, gamma=1.0, k=2), 50),
+    ]
+
+    # calls: all T rounds in one; as run_replicate makes them, stopping at
+    # 64 new estimates; stopping at the 3rd, so every call after the first
+    # ends on a batch's fit; or a step before each call of at most 40
+    @pytest.mark.parametrize("calls", ["one", "blocks", "m3", "mixed"])
+    @pytest.mark.parametrize("kw,freeze", CASES, ids=[
+        "-".join(str(kw.get(k, "")) for k in ("algo", "tau", "gamma_mode"))
+        for kw, _ in CASES])
+    def test_matches_scalar_oracle(self, kw, freeze, calls):
+        kw = dict(kw, seed=3)
+        matrix = games.gen_elo_game(kw["n"], kw.get("rating_scale", 1.0), 2)
+        sched, ref = build(**kw), build(**kw)
+        env = env_for(matrix, seed=4)
+        ref_env = ScalarEnv(matrix, np.random.default_rng(4))
+        T = sched.config.T
+        want, states, reported, last = [], [], {}, None
+        for t in range(T):
+            want.append(reference_maxin_step(ref, ref_env))
+            states.append((ref.rng.bit_generator.state,
+                           ref_env.rng.bit_generator.state))
+            if ref.estimate() is not last:
+                last = ref.estimate()
+                reported[t] = last.r.tobytes()
+        m = {"one": T, "blocks": 64, "m3": 3, "mixed": 40}[calls]
+        got, got_rows = [], {}
+        while len(got) < T:
+            if calls == "mixed":
+                got.append(sched.step(env))
+                reported.pop(len(got) - 1, None)  # step returns no rows
+                if len(got) == T:
+                    break
+            x, y, o, rows, at = sched.play(env, T - len(got), m)
+            assert all(a.dtype == np.int64 and a.shape == x.shape
+                       for a in (x, y, o))
+            assert len(rows) == len(at) <= m and at.dtype == np.intp
+            if len(at) == m:  # the call stopped at its m-th estimate
+                assert at[-1] == len(x) - 1
+            got_rows.update((len(got) + int(i), row.tobytes())
+                            for i, row in zip(at, rows))
+            got += zip(x.tolist(), y.tolist(), o.tolist())
+            assert (sched.rng.bit_generator.state,
+                    env.rng.bit_generator.state) == states[len(got) - 1]
+        assert got == want
+        assert got_rows == reported
+        assert sched.t == ref.t == T
+        assert sched.held == ref.held
+        assert (sched.held is None) == (freeze is None)
+        if freeze is not None:
+            x, y = np.array(want).T[:2]
+            assert (x[freeze - 1:] == y[freeze - 1:]).all()
+            assert x[freeze - 2] != y[freeze - 2]
+        assert sched.tracker.v_inv.tobytes() == ref.tracker.v_inv.tobytes()
+        assert sched.history.tobytes() == ref.history.tobytes()
+        assert sched.sgd.j >= 1
+        for f in dataclasses.fields(ref.sgd):
+            a, b = getattr(sched.sgd, f.name), getattr(ref.sgd, f.name)
+            if isinstance(b, np.ndarray):
+                assert a.tobytes() == b.tobytes(), f.name
+            else:
+                assert a == b, f.name
 
 
 class TestMaxInP:
