@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import numpy.typing as npt
+from numpy.linalg import _umath_linalg
 
 from .errors import ConfigError, ContractViolationError, SolverError
 from .games import sigmoid
@@ -209,16 +210,24 @@ def mle_fit(history, n: int, ridge: float = 1e-4) -> RatingState:
     """Ridge-regularized pairwise-logistic maximum likelihood.
 
     history is a sequence of (x, y, o) records or an m x 3 integer array,
-    with every outcome o in {0, 1}. Newton iteration with step halving.
-    The ridge makes the optimum unique and finite on any history
-    (including disconnected comparison graphs); the solution is
-    mean-centered, which the shift-invariant data term plus ridge already
-    forces at the optimum. Each iteration is one pass over the whole
-    history, self-pairs included. The records' index arrays, in the
-    sign-folded order below, are built once per fit, and each iteration
-    writes z, the sigmoids and the gradient and Hessian weights into
-    buffers held for the fit; the result shares no memory with them or
-    with history.
+    with players x, y integers in [0, n) and outcomes o in {0, 1}. Newton
+    iteration with step halving. The ridge makes the optimum unique and
+    finite on any history (including disconnected comparison graphs); the
+    solution is mean-centered, which the shift-invariant data term plus
+    ridge already forces at the optimum. Each iteration makes about eight
+    passes over the whole history, self-pairs included: the gathers, the
+    sigmoid, two bincounts and two logaddexps. The records' index arrays,
+    in the sign-folded order below, are built once per fit, and each
+    iteration writes z, the sigmoids and the gradient and Hessian weights
+    into buffers held for the fit; the result shares no memory with them
+    or with history.
+
+    H = ridge I + sum of w (e_x - e_y)(e_x - e_y)' with w in [0, 1/4], so
+    H - ridge I is PSD. Its systems go straight to LAPACK gesv via numpy's
+    solve1 gufunc, the call np.linalg.solve makes on the same C-contiguous
+    float64 arrays, so the steps have its bits without its wrapper. A
+    singular H, impossible with ridge > 0, would give a NaN step (and a
+    RuntimeWarning) and end in SolverError, not LinAlgError.
     """
     if ridge <= 0:
         raise ConfigError("ridge must be positive", key="ridge")
@@ -228,6 +237,10 @@ def mle_fit(history, n: int, ridge: float = 1e-4) -> RatingState:
     if h.ndim != 2 or h.shape[1] != 3 or not ((h[:, 2] == 0) | (h[:, 2] == 1)).all():
         raise ContractViolationError(
             "history must be (x, y, o) rows with o in {0, 1}")
+    xy = h[:, :2]
+    if not (xy.min() >= 0 and xy.max() < n
+            and (h.dtype.kind in "biu" or (xy == np.trunc(xy)).all())):
+        raise ContractViolationError("history's players must be integers in [0, n)")
     h = h.astype(np.int64, copy=False)
     m, xs, ys, os_ = len(h), h[:, 0], h[:, 1], h[:, 2].astype(float)
     # -log sigma of the outcome is softplus(sign z), sign = 1 - 2o and
@@ -275,7 +288,7 @@ def mle_fit(history, n: int, ridge: float = 1e-4) -> RatingState:
             return RatingState(r=r)
         if it == MLE_MAX_ITER:
             break
-        step = np.linalg.solve(hessian(), g)
+        step = _umath_linalg.solve1(hessian(), g, signature="dd->d")
         f0 = objective(r, z)
         scale = 1.0
         while objective(trial := r - scale * step, gaps(trial)) > f0 and scale > 1e-12:
@@ -285,7 +298,7 @@ def mle_fit(history, n: int, ridge: float = 1e-4) -> RatingState:
     # can fall below the objective's rounding; the line search then sees
     # no change and |g| stalls just above MLE_TOL. Such r is as good as the
     # objective can tell apart.
-    decrement = 0.5 * float(g @ np.linalg.solve(hessian(), g))
+    decrement = 0.5 * float(g @ _umath_linalg.solve1(hessian(), g, signature="dd->d"))
     if decrement <= 4.0 * np.finfo(float).eps * abs(objective(r, z)):
         return RatingState(r=r)
     raise SolverError("MLE did not converge", last_iterate=r)

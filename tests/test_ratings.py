@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duelrank import harness, ratings
+from duelrank import harness, ratings, schedulers
 from duelrank.config import RunConfig
 from duelrank.errors import ConfigError, ContractViolationError, SolverError
 from duelrank.ratings import (
@@ -396,6 +396,25 @@ class TestMleFit:
         with pytest.raises(ContractViolationError):
             mle_fit(history, 3)
 
+    @pytest.mark.parametrize("history", [
+        [(0.5, 1, 1), (1, 2, 0)],  # would truncate to (0, 1, 1)
+        [(0, 1.5, 0)],
+        [(3, 1, 1)],               # x = n
+        [(0, 3, 0)],
+        [(-1, 1, 0)],
+        [(1, -1, 1)],
+        [(float("nan"), 1, 1)],
+        [(0, float("inf"), 0)],
+    ])
+    def test_bad_player_index_is_a_contract_violation(self, history):
+        with pytest.raises(ContractViolationError):
+            mle_fit(history, 3)
+
+    def test_integral_float_players_fit_as_ints(self):
+        h = [(0, 1, 1), (1, 2, 0), (2, 0, 1), (1, 1, 0)]
+        as_float = [tuple(float(v) for v in rec) for rec in h]
+        assert mle_fit(as_float, 3).r.tobytes() == mle_fit(h, 3).r.tobytes()
+
 
 # The loop implementations these functions had before they were
 # vectorised, kept as the references their results must equal bit for bit.
@@ -511,6 +530,44 @@ class TestMatchesReference:
         assert (log[:, 0] == log[:, 1]).mean() >= 0.9
         outcomes = set()
         for m in (15, 100, 500, 2000):
+            for max_iter in (1, 3, 100):
+                monkeypatch.setattr(ratings, "MLE_MAX_ITER", max_iter)
+                got = _fit_bytes(mle_fit, log[:m], 20)
+                assert got == _fit_bytes(reference_mle_fit, log[:m], 20,
+                                         max_iter=max_iter)
+                outcomes.add(got[0])
+        assert outcomes == {"ok", "SolverError"}
+
+    def test_mle_fit_maxin_warm_start_n100(self, monkeypatch):
+        # the warm-start fit of a maxin-n100 replicate: tau = 70 uniform
+        # non-self pairs at n = 100, under WARMUP_RIDGE
+        rng = np.random.default_rng(100)
+        iu, ju = np.triu_indices(100, 1)
+        outcomes = set()
+        for _ in range(8):
+            pick = rng.integers(len(iu), size=70)
+            history = np.stack((iu[pick], ju[pick], rng.integers(2, size=70)),
+                               axis=1)
+            for max_iter in (1, 3, 100):
+                monkeypatch.setattr(ratings, "MLE_MAX_ITER", max_iter)
+                got = _fit_bytes(mle_fit, history, 100,
+                                 ridge=schedulers.WARMUP_RIDGE)
+                assert got == _fit_bytes(reference_mle_fit, history, 100,
+                                         ridge=schedulers.WARMUP_RIDGE,
+                                         max_iter=max_iter)
+                outcomes.add(got[0])
+        assert outcomes == {"ok", "SolverError"}
+
+    def test_mle_fit_long_maxinp_log(self, monkeypatch):
+        # a maxinp log to m = 5000 for the cost of a few refits: a long
+        # uniform warmup, then maxinp's own picks (here they end on a
+        # self-pair), refitting every round
+        (trace,), _ = harness.simulate(
+            RunConfig(algo="maxinp", n=20, tau=4990, T=5000, seed=2))
+        log = np.stack((trace.x, trace.y, trace.outcome), axis=1)
+        assert log[-1, 0] == log[-1, 1]
+        outcomes = set()
+        for m in (4990, 5000):
             for max_iter in (1, 3, 100):
                 monkeypatch.setattr(ratings, "MLE_MAX_ITER", max_iter)
                 got = _fit_bytes(mle_fit, log[:m], 20)
