@@ -25,7 +25,10 @@ Before the runs, each side's ``src/``, ``perfbench/`` and
 a checkout lives can move ``setup_s`` and ``peak_rss_mb`` by itself.
 Every run compiles its imports from source (see ``run_one``). Each
 side's ``src/duelrank/*.py`` line count is printed once, before the
-runs, and added to every workload's JSON summary as ``src_lines``.
+runs, and added to every workload's JSON summary as ``src_lines``; so
+are the numpy version and the CPU features its SIMD dispatch found
+(``numpy_runtime``), since a kernel's speed against another, einsum's
+against a ufunc broadcast say, depends on the host's vector extensions.
 
 The spread check: each side's middle-half spread (q3 - q1) is printed
 next to ``bound x base median``, and a metric is flagged ``SPREAD`` when
@@ -205,6 +208,19 @@ def src_lines(checkout: Path) -> int:
                for p in (checkout / "src" / "duelrank").glob("*.py"))
 
 
+def numpy_runtime() -> dict:
+    """numpy's version and SIMD extensions as ``np.show_runtime()`` reports
+    them (baseline, and the dispatch targets this CPU has), for the
+    interpreter that runs both sides' benchmarks (``sys.executable``);
+    neither copy holds a numpy of its own, so one probe serves both."""
+    import numpy as np
+    from numpy._core import _multiarray_umath as umath
+    return {"version": np.__version__, "python": sys.executable,
+            "baseline": list(umath.__cpu_baseline__),
+            "found": [name for name in umath.__cpu_dispatch__
+                      if umath.__cpu_features__[name]]}
+
+
 def copy_checkout(checkout: Path, dest: Path) -> Path:
     """A copy of what the benchmark reads from the checkout (COPIED; what
     the checkout lacks is skipped) in the new directory dest."""
@@ -258,6 +274,10 @@ def main(argv=None) -> int:
     print(f"src/duelrank/*.py lines: base {lines['base']}, change "
           f"{lines['change']} ({lines['change'] - lines['base']:+d})",
           flush=True)
+    runtime = numpy_runtime()
+    print(f"numpy {runtime['version']} on both sides ({runtime['python']}): "
+          f"SIMD baseline {' '.join(runtime['baseline'])}; found "
+          f"{' '.join(runtime['found'])}", flush=True)
     with tempfile.TemporaryDirectory() as parent:
         # names of one length, so the two paths differ in one byte only
         copies = {side: copy_checkout(getattr(args, side), Path(parent) / name)
@@ -278,7 +298,7 @@ def main(argv=None) -> int:
             summary = summarize(pairs, better, bounds)
             print(format_summary(workload, summary), flush=True)
             print(json.dumps({"workload": workload, "src_lines": lines,
-                              **summary}), flush=True)
+                              "numpy": runtime, **summary}), flush=True)
     return 0
 
 

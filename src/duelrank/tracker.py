@@ -7,11 +7,16 @@ O(1) lookup. The ridge is required: every difference vector is orthogonal
 to the all-ones vector, so the unregularized design matrix is singular.
 V itself is not stored and V^{-1} is never re-inverted: after 10^5
 updates the rank-1 rounding drift is below 1e-13 relative.
+
+Both n x n broadcasts (the rank-1 term and q's d_i + d_j) run through
+numpy's einsum C kernel, c_einsum (the outer product 2x faster from n = 100
+on); its bits are the broadcast's but for a -0.0 product, which is +0.0.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy._core.multiarray import c_einsum
 
 from .errors import ConfigError
 
@@ -32,15 +37,19 @@ class DesignTracker:
         self._term = np.empty((n, n))
         self._q = np.empty((n, n))
         self._two_v = np.empty((n, n))
+        d1 = np.ones((3, n))  # rows 1, d, 1: q's einsum operands, held
+        self._d, self._d_one, self._one_d = d1[1], d1[1:], d1[:2]
 
     def update(self, x: int, y: int) -> None:
         """Add the rank-1 term for pair (x, y). A self-pair's u is zero, so
-        its term is +0.0 everywhere and leaves every bit of V^{-1} as it was."""
+        its term is +0.0 everywhere and leaves every bit of V^{-1} as it was.
+        einsum's term is +0.0 where a product is -0.0, which keeps the bits:
+        V^{-1} holds no -0.0 (+0.0 off the diagonal, and x - x = +0.0)."""
         vi = self.v_inv
         # Sherman-Morrison with u = e_x - e_y; rows = columns, V^{-1} is symmetric
         vu = vi[x] - vi[y]
         denom = 1.0 + (vu.item(x) - vu.item(y))
-        term = np.multiply(vu[:, None], vu, out=self._term)
+        term = c_einsum("i,j->ij", vu, vu, out=self._term)
         term /= denom
         vi -= term
 
@@ -59,9 +68,10 @@ class DesignTracker:
         method overwrites it, so copy it to keep it, and never write into
         it. The diagonal is exactly zero, since d_i + d_i - 2 d_i cancels
         without rounding. Off it, q >= 2 / (lambda + 2t) > 0 after t
-        updates, so only rounding can make q < 0."""
-        d = self._diag.copy()  # contiguous: broadcasts faster from n = 100 on
-        q = np.add(d[:, None], d, out=self._q)
+        updates, so only rounding can make q < 0. d_i + d_j is einsum's
+        sum over k of [d; 1]_ki [1; d]_kj: fp(d_i + d_j), as d > 0."""
+        self._d[...] = self._diag
+        q = c_einsum("ki,kj->ij", self._d_one, self._one_d, out=self._q)
         q -= np.multiply(2.0, self.v_inv, out=self._two_v)
         return q
 

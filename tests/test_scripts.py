@@ -247,6 +247,30 @@ def test_ab_bench_counts_src_lines(monkeypatch, capsys, tmp_path):
                for s in summaries)
 
 
+def test_ab_bench_reports_numpy_runtime(monkeypatch, capsys):
+    """The numpy version and the SIMD extensions found on this CPU are
+    printed once, before the runs, and added to every JSON summary."""
+    ab = _ab_bench()
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(ab, "run_one", lambda *a: {
+        "metrics": {m["name"]: 1.0 for m in spec["end_to_end"]},
+        "sha256": "ab12", "failed": 0, "correct": True})
+    assert ab.main(["--base", str(ROOT), "--change", str(ROOT),
+                    "--seeds", "7", "--seconds", "0.5"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    runtime = ab.numpy_runtime()
+    assert runtime["version"] == np.__version__
+    printed = [ln for ln in out if ln.startswith("numpy ")]
+    assert printed == [
+        f"numpy {np.__version__} on both sides ({runtime['python']}): SIMD "
+        f"baseline {' '.join(runtime['baseline'])}; found "
+        f"{' '.join(runtime['found'])}"]
+    assert out.index(printed[0]) < min(
+        i for i, ln in enumerate(out) if " seed 7 " in ln)
+    summaries = [json.loads(ln) for ln in out if ln.startswith("{")]
+    assert summaries and all(s["numpy"] == runtime for s in summaries)
+
+
 def test_ab_bench_spread_check():
     """Each side's q3 - q1 against bound x base median; either side over
     the limit flags SPREAD, and a metric without a bound gets no check."""

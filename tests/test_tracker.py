@@ -1,6 +1,7 @@
 """Sherman-Morrison inverse maintenance and pairwise uncertainties."""
 
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -174,24 +175,45 @@ def reference_uncertainty(v_inv):
     return np.sqrt(np.maximum(q, 0.0))
 
 
+def has_negative_zero(a):
+    return bool(np.signbit(a[a == 0.0]).any())
+
+
 class TestBuffersMatchReference:
-    @pytest.mark.parametrize("n", [2, 5, 100])
+    @pytest.mark.parametrize("n", [2, 5, 20, 100])
     def test_bit_equal_to_allocating_reference(self, n):
+        """Bit for bit against the broadcast reference, V^{-1} after every
+        update and q with it. The sequences open with disjoint pairs, as a
+        warmup's first uniform pairs mostly are: their vu mixes exact zeros
+        with negative entries, so the broadcast's term holds -0.0 products
+        where einsum's holds +0.0. V^{-1} never holds -0.0, which is why
+        the two terms subtract to the same bits."""
         rng = np.random.default_rng(40 + n)
+        negative_zero_terms = 0
         for lam in (0.3, 1.0, 2.0):
             tr = DesignTracker(n, lam)
             ref = tr.v_inv.copy()
-            for step in range(200):
-                x, y = (int(v) for v in rng.choice(n, size=2, replace=False))
+            pairs = [(x, x + 1) for x in range(0, n - 1, 2)] + [
+                tuple(int(v) for v in rng.choice(n, size=2, replace=False))
+                for _ in range(200)]
+            for step, (x, y) in enumerate(pairs):
+                vu = ref[:, x] - ref[:, y]
+                negative_zero_terms += has_negative_zero(np.outer(vu, vu))
                 tr.update(x, y)
                 ref = reference_update(ref, x, y)
                 assert tr.v_inv.tobytes() == ref.tobytes()
+                assert not has_negative_zero(tr.v_inv)
+                d = np.diag(ref)
+                assert tr.squared_uncertainty_matrix().tobytes() == (
+                    d[:, None] + d[None, :] - 2.0 * ref).tobytes()
                 if step % 7 == 0:
                     u = tr.uncertainty_matrix()
                     assert u.tobytes() == reference_uncertainty(ref).tobytes()
                     # +0.0 exactly, without the reference's fill_diagonal
                     assert not np.signbit(np.diag(u)).any()
                     assert not np.diag(u).any()
+        # at n = 2 every vu is (a, -a), with no zero to sign
+        assert (negative_zero_terms > 0) == (n > 2)
 
     @pytest.mark.parametrize("updates", [0, 40])
     def test_negative_q_is_clamped_to_zero(self, updates):
@@ -271,6 +293,33 @@ class TestBuffersMatchReference:
             root = np.sqrt(np.maximum(q, 0.0))
             assert tr.uncertainty_matrix() is q
             assert q.tobytes() == root.tobytes()
+
+
+def test_update_and_q_make_no_matrix_temporary():
+    """At n = 100, update and squared_uncertainty_matrix each peak below
+    one n x n float64 array (80 kB) in tracemalloc, as TestRoundAllocation
+    asks of a whole round: einsum's iterator allocates no n x n buffer.
+    numpy's default ufunc buffers alone would add about 128 kB, so the
+    test shrinks them."""
+    n, peaks = 100, {"update": 0, "q": 0}
+    rng = np.random.default_rng(7)
+    tr = DesignTracker(n, 1.0)
+    old = np.setbufsize(16)
+    try:
+        for _ in range(50):
+            x, y = (int(v) for v in rng.choice(n, size=2, replace=False))
+            for name, call in (("update", lambda: tr.update(x, y)),
+                               ("q", tr.squared_uncertainty_matrix)):
+                tracemalloc.start()
+                try:
+                    call()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                peaks[name] = max(peaks[name], peak)
+    finally:
+        np.setbufsize(old)
+    assert max(peaks.values()) < n * n * 8, peaks
 
 
 @st.composite
