@@ -102,8 +102,9 @@ class RunConfig:
             raise ConfigError("k must be non-negative", key="k")
         if cfg.k < 1 and cfg.melo:
             raise ConfigError(f"mElo {cfg.algo} needs k >= 1", key="k")
-        if cfg.lambda_ridge <= 0:
-            raise ConfigError("lambda_ridge must be positive", key="lambda_ridge")
+        if not 1e-150 <= cfg.lambda_ridge:  # keeps the tracker's terms finite
+            raise ConfigError("lambda_ridge must be positive, finite and at "
+                              "least 1e-150", key="lambda_ridge")
         if cfg.ridge <= 0:
             raise ConfigError("ridge must be positive", key="ridge")
         if cfg.rating_scale < 0:

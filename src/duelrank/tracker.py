@@ -11,6 +11,10 @@ updates the rank-1 rounding drift is below 1e-13 relative.
 Both n x n broadcasts (the rank-1 term and q's d_i + d_j) run through
 numpy's einsum C kernel, c_einsum (the outer product 2x faster from n = 100
 on); its bits are the broadcast's but for a -0.0 product, which is +0.0.
+V^{-1} is block-diagonal over the pair graph's components, so the term's
+rows off those of x and y are +0.0: update writes only vu's nonzero rows
+while they are at most n/2 (exact for a finite V^{-1}: 0 * inf is NaN).
+After a vu with no zero the graph is connected for good: every update is full.
 """
 
 from __future__ import annotations
@@ -27,9 +31,9 @@ class DesignTracker:
     def __init__(self, n: int, lambda_ridge: float = 1.0):
         if n < 2:
             raise ConfigError(f"need at least 2 players, got {n}", key="n")
-        if lambda_ridge <= 0:
-            raise ConfigError("lambda_ridge must be positive",
-                              key="lambda_ridge")
+        if not 1e-150 <= lambda_ridge < np.inf:  # (2/lambda)^2 bounds a term
+            raise ConfigError("lambda_ridge must be positive, finite and at "
+                              "least 1e-150", key="lambda_ridge")
         self.v_inv = (1.0 / lambda_ridge) * np.eye(n)
         self._diag = self.v_inv.reshape(-1)[::n + 1]  # a view of V^{-1}
         # n x n work buffers, reused by every call; fresh 80 kB arrays at
@@ -39,16 +43,26 @@ class DesignTracker:
         self._two_v = np.empty((n, n))
         d1 = np.ones((3, n))  # rows 1, d, 1: q's einsum operands, held
         self._d, self._d_one, self._one_d = d1[1], d1[1:], d1[:2]
+        self._dense = False  # set by the first vu with no zero entry
 
     def update(self, x: int, y: int) -> None:
-        """Add the rank-1 term for pair (x, y). A self-pair's u is zero, so
-        its term is +0.0 everywhere and leaves every bit of V^{-1} as it was.
-        einsum's term is +0.0 where a product is -0.0, which keeps the bits:
-        V^{-1} holds no -0.0 (+0.0 off the diagonal, and x - x = +0.0)."""
+        """Add the rank-1 term for pair (x, y). einsum's term is +0.0 where a
+        product is -0.0, and V^{-1} holds no -0.0 (x - x = +0.0), so rows off
+        vu's support k keep their bits (x - (+0.0) = x), as does every row of
+        a self-pair (k empty); rows k get the full update's exact steps."""
         vi = self.v_inv
         # Sherman-Morrison with u = e_x - e_y; rows = columns, V^{-1} is symmetric
         vu = vi[x] - vi[y]
         denom = 1.0 + (vu.item(x) - vu.item(y))
+        if not self._dense:
+            k = vu.nonzero()[0]
+            if 2 * k.size <= vu.size:  # rows k, read without an n x n copy
+                rows = vi.take(k, 0, out=self._two_v[:k.size], mode="clip")
+                term = c_einsum("i,j->ij", vu[k], vu, out=self._term[:k.size])
+                term /= denom
+                vi[k] = np.subtract(rows, term, out=rows)
+                return
+            self._dense = k.size == vu.size
         term = c_einsum("i,j->ij", vu, vu, out=self._term)
         term /= denom
         vi -= term

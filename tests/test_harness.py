@@ -125,8 +125,10 @@ class TestParseConfig:
             RunConfig(algo="maxin_elo", n=6, T=40, **{key: value}).resolve()
         assert exc.value.key == key
 
-    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize("value", [0.0, -1.0, 1e-320, 1e-200])
     def test_lambda_ridge_must_be_positive(self, value):
+        """A subnormal ridge's 1 / lambda is inf, and below 1e-150 a rank-1
+        term (2 / lambda)^2 can overflow: either fills V^{-1} with NaN."""
         with pytest.raises(ConfigError) as exc:
             RunConfig(n=6, T=40, lambda_ridge=value).resolve()
         assert exc.value.key == "lambda_ridge"
@@ -1041,6 +1043,7 @@ class TestCli:
     @pytest.mark.parametrize("flag,value", [
         ("--gamma", "nan"), ("--gamma", "inf"), ("--eta0", "nan"),
         ("--lambda-ridge", "nan"), ("--lambda-ridge", "0"),
+        ("--lambda-ridge", "1e-320"), ("--lambda-ridge", "1e-200"),
         ("--ridge", "nan"), ("--clip-eps", "0.7"), ("--clip-eps", "0"),
         ("--rating-scale", "-1"), ("--noise", "-0.5"), ("--seed", "-1"),
         ("--matrix-seed", "-2"), ("--ridge", "-5"), ("--ridge", "0")])

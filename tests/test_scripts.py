@@ -1,7 +1,8 @@
 """The scripts under scripts/: ab_bench.py parses and summarizes canned
 benchmark output, runs each side from source and counts its lines;
-learner_check.py reports in a fixed shape, and scorecard.py reads its
-statistics off hand-built traces and a tiny grid."""
+round_cost.py times and counts one tiny case; learner_check.py reports
+in a fixed shape, and scorecard.py reads its statistics off hand-built
+traces and a tiny grid."""
 
 import importlib.util
 import json
@@ -340,6 +341,43 @@ def test_ab_bench_pair_ratio():
                                                           100)))), better)
     assert mixed["metrics"]["rounds_per_s"]["pair_ratio"] == pytest.approx(
         (0.925, 1.05, 1.175))
+
+
+def _round_cost():
+    spec = importlib.util.spec_from_file_location(
+        "round_cost", ROOT / "scripts" / "round_cost.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_round_cost_tiny_case(capsys):
+    """One tiny case, this checkout on both sides: a time per round for
+    each, and the change side's count of tracker updates, of which the
+    warmup's first (disjoint pairs) writes vu's rows only."""
+    rc = _round_cost()
+    assert rc.main(["--base", str(ROOT), "--change", str(ROOT),
+                    "--algos", "maxin_elo", "--sizes", "6:30:1/3",
+                    "--repeats", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("maxin_elo n=6 T=30 ks=1,3")
+    (row,) = json.loads(lines[-1])["rows"]
+    assert row["ks"] == [1, 3] and row["seed"] == 5 and row["gamma"] == 1.8
+    assert row["base_us_per_round"] > 0 and row["change_us_per_round"] > 0
+    assert 1 <= row["sparse"] <= row["updates"] <= 30
+    assert row["sparse_share"] == row["sparse"] / row["updates"]
+
+
+def test_round_cost_sizes_and_usage(capsys):
+    rc = _round_cost()
+    assert rc.parse_sizes(rc.SIZES) == [(20, 5000, ()), (100, 5000, ()),
+                                        (500, 1000, (1, 4, 10))]
+    for argv in (["--sizes", "20"], ["--sizes", "20:x"], ["--repeats", "2"],
+                 ["--base", ".", "--repeats", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            rc.main(argv)
+        assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_learner_check_report_keys_and_repeatable(capsys):

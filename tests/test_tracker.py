@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from numpy._core.multiarray import c_einsum
+
 from duelrank.errors import ConfigError
 from duelrank.tracker import DesignTracker
 
@@ -40,6 +42,29 @@ class TestInit:
             DesignTracker(3, 0.0)
         with pytest.raises(ConfigError, match="need at least 2 players, got 1"):
             DesignTracker(1, 1.0)
+
+    @pytest.mark.parametrize("lam", [
+        -1.0, -0.0, np.nan, np.inf, -np.inf, 1e-320, np.float64(1e-320),
+        5e-324, 1e-200, 9.9e-151])
+    def test_ridge_must_keep_v_inv_finite(self, lam):
+        """1 / lambda is V^{-1}'s diagonal: inf there (a subnormal ridge)
+        fills V^{-1} with NaN, a NaN or infinite ridge gives a NaN or an
+        all-zero V^{-1}, and below about 1.5e-154 the first rank-1 term,
+        up to (2 / lambda)^2, overflows. Each is a ConfigError, raised
+        without a warning."""
+        with pytest.raises(ConfigError, match="lambda_ridge must be positive,"
+                           " finite and at least 1e-150") as exc:
+            DesignTracker(4, lam)
+        assert exc.value.key == "lambda_ridge"
+
+    @pytest.mark.parametrize("lam", [1e-150, np.float64(1e-150), 1e300])
+    def test_extreme_ridges_keep_v_inv_finite(self, lam):
+        rng = np.random.default_rng(1)
+        tr = DesignTracker(6, lam)
+        for _ in range(30):
+            tr.update(*(int(v) for v in rng.choice(6, size=2, replace=False)))
+            assert np.isfinite(tr.v_inv).all()
+            assert np.isfinite(tr.squared_uncertainty_matrix()).all()
 
 
 class TestUpdate:
@@ -187,13 +212,22 @@ class TestBuffersMatchReference:
         warmup's first uniform pairs mostly are: their vu mixes exact zeros
         with negative entries, so the broadcast's term holds -0.0 products
         where einsum's holds +0.0. V^{-1} never holds -0.0, which is why
-        the two terms subtract to the same bits."""
+        the two terms subtract to the same bits. The second sequence grows
+        one chain, so vu's support is the chain's players: exactly n/2 (the
+        last update that writes vu's rows alone), then n/2 + 1 (the first
+        full update); a pair of two other players then writes two rows."""
         rng = np.random.default_rng(40 + n)
+        half = n // 2
         negative_zero_terms = 0
-        for lam in (0.3, 1.0, 2.0):
+        for lam, start in ((0.3, "disjoint"), (1.0, "disjoint"),
+                           (2.0, "disjoint"), (0.3, "chain"), (1.0, "chain")):
             tr = DesignTracker(n, lam)
             ref = tr.v_inv.copy()
-            pairs = [(x, x + 1) for x in range(0, n - 1, 2)] + [
+            if start == "disjoint":
+                pairs = [(x, x + 1) for x in range(0, n - 1, 2)]
+            else:  # supports 2, 3, ..., half + 1, then a pair off the chain
+                pairs = [(x, x + 1) for x in range(half)] + [(n - 2, n - 1)]
+            pairs += [
                 tuple(int(v) for v in rng.choice(n, size=2, replace=False))
                 for _ in range(200)]
             for step, (x, y) in enumerate(pairs):
@@ -214,6 +248,57 @@ class TestBuffersMatchReference:
                     assert not np.diag(u).any()
         # at n = 2 every vu is (a, -a), with no zero to sign
         assert (negative_zero_terms > 0) == (n > 2)
+
+    def test_rows_written_follow_vu_support(self, monkeypatch):
+        """The rank-1 term's shape tells the path: |k| x n rows while vu's
+        support k is at most n/2 long, n x n otherwise, and n x n only once
+        a vu has had no zero, even for a V^{-1} written back
+        block-diagonal. Every step keeps the reference's bits."""
+        import duelrank.tracker as tracker_module
+        shapes = []
+
+        def spy(subscripts, *operands, out):
+            if subscripts == "i,j->ij":
+                shapes.append(out.shape)
+            return c_einsum(subscripts, *operands, out=out)
+
+        monkeypatch.setattr(tracker_module, "c_einsum", spy)
+        n = 20
+        tr = DesignTracker(n, 1.0)
+        ref = tr.v_inv.copy()
+
+        def update(x, y):
+            nonlocal ref
+            before = len(shapes)
+            tr.update(x, y)
+            ref = reference_update(ref, x, y)
+            assert tr.v_inv.tobytes() == ref.tobytes()
+            assert len(shapes) == before + 1
+            return shapes[-1]
+
+        before = tr.v_inv.tobytes()
+        assert update(3, 3) == (0, n)  # a self-pair: no row to write
+        assert tr.v_inv.tobytes() == before
+        assert update(0, 1) == (2, n)
+        assert update(5, 6) == (2, n)  # disjoint from (0, 1)
+        assert update(1, 5) == (4, n)  # joins the two: support 4
+        for x in range(6, 12):  # the chain 0, 1, 5, 6, ... reaches n/2
+            assert update(x, x + 1) == (x - 1, n)
+        assert update(12, 13) == (n, n)  # |k| = n/2 + 1: the full term
+        assert update(15, 16) == (2, n)  # rows again: a zero was left
+        before = tr.v_inv.tobytes()
+        assert update(4, 4) == (0, n)
+        assert tr.v_inv.tobytes() == before
+        # each vu has a zero entry until the last player joins
+        chain = [13, 14, 15, 16, 17, 18, 19, 2, 3]
+        assert all(update(a, b) == (n, n) for a, b in zip(chain, chain[1:]))
+        assert update(3, 4) == (n, n)  # reaches every player
+        for x, y in ((0, 1), (2, 9), (7, 7)):
+            assert update(x, y) == (n, n)
+        # written back block-diagonal, V^{-1}'s vu is sparse again, but
+        # the graph it came from is connected, so the test stays off
+        tr.v_inv[...] = ref = np.eye(n)
+        assert update(0, 1) == (n, n)
 
     @pytest.mark.parametrize("updates", [0, 40])
     def test_negative_q_is_clamped_to_zero(self, updates):
@@ -300,25 +385,34 @@ def test_update_and_q_make_no_matrix_temporary():
     one n x n float64 array (80 kB) in tracemalloc, as TestRoundAllocation
     asks of a whole round: einsum's iterator allocates no n x n buffer.
     numpy's default ufunc buffers alone would add about 128 kB, so the
-    test shrinks them."""
-    n, peaks = 100, {"update": 0, "q": 0}
+    test shrinks them. A chain of n/2 players on a disconnected graph ends
+    in the largest update that writes vu's rows alone: n/2 of them, read
+    into and written back from held buffers."""
+    n, peaks = 100, {"update": 0, "q": 0, "update |k| = n/2": 0}
     rng = np.random.default_rng(7)
-    tr = DesignTracker(n, 1.0)
+    random_pairs = [tuple(int(v) for v in rng.choice(n, size=2, replace=False))
+                    for _ in range(50)]
+    chain = [(x, x + 1) for x in range(n // 2 - 1)]  # |k| = 2, ..., n/2
     old = np.setbufsize(16)
     try:
-        for _ in range(50):
-            x, y = (int(v) for v in rng.choice(n, size=2, replace=False))
-            for name, call in (("update", lambda: tr.update(x, y)),
-                               ("q", tr.squared_uncertainty_matrix)):
-                tracemalloc.start()
-                try:
-                    call()
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-                peaks[name] = max(peaks[name], peak)
+        for pairs in (random_pairs, chain):
+            tr = DesignTracker(n, 1.0)
+            for x, y in pairs:
+                support = np.count_nonzero(tr.v_inv[x] - tr.v_inv[y])
+                for name, call in (("update", lambda: tr.update(x, y)),
+                                   ("q", tr.squared_uncertainty_matrix)):
+                    tracemalloc.start()
+                    try:
+                        call()
+                        peak = tracemalloc.get_traced_memory()[1]
+                    finally:
+                        tracemalloc.stop()
+                    if name == "update" and 2 * support == n:
+                        name = "update |k| = n/2"
+                    peaks[name] = max(peaks[name], peak)
     finally:
         np.setbufsize(old)
+    assert peaks["update |k| = n/2"] > 0
     assert max(peaks.values()) < n * n * 8, peaks
 
 
